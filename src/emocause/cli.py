@@ -1,9 +1,13 @@
 """Command-line interface exposing each pipeline stage as a subcommand.
 
 Exit codes: 0 success; 1 validation or evaluation failure; 2 usage error;
-3 provider or transport error; 4 file-format error. Scoring flags map
-one-to-one onto ScoringConfig fields; flags override the --config file,
-which overrides the built-in defaults.
+3 provider or transport error; 4 file-format error. A remote provider's
+missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
+failing after the transport's retries, or any other non-200 status exits 3;
+a 200 whose body is not JSON exits 4, as does an extractor or NLI reply
+without its fields (a bad embedder reply is an EmbeddingError, exit 3).
+Scoring flags map one-to-one onto ScoringConfig fields; flags override the
+--config file, which overrides the built-in defaults.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .embedding import provider_from_spec
 from .graph import build_graph, export_graph, graph_from_json, nli_from_spec
 from .ingest import IngestOptions, load_raw_dialogue, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
-from .metrics import evaluate, load_gold, render_report_text
+from .metrics import evaluate, load_gold, match_gold, render_report_text
 from .model import (
     ScoringConfig,
     dialogue_to_dict,
@@ -209,13 +213,7 @@ def _cmd_eval(args) -> int:
             "sextuplets",
             "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
         )
-    golds = load_gold(Path(args.gold).read_bytes())
-    by_id = {g.dialogue_id: g for g in golds}
-    gold = by_id.get(dialogue_id) if dialogue_id else None
-    if gold is None:
-        if len(golds) != 1:
-            raise SchemaError("gold", "cannot match predicted dialogue to any gold annotation")
-        gold = golds[0]
+    gold = match_gold(load_gold(Path(args.gold).read_bytes()), dialogue_id)
     report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
     print(render_report_text(report))
     if args.out:

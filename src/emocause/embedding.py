@@ -8,8 +8,6 @@ range, so the fused dimensionality is always text_dim + emotion_dim + 1.
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -18,6 +16,7 @@ import requests
 
 from .errors import EmbeddingError, FusionError, TransportError
 from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, Utterance
+from .transport import JsonEndpoint
 
 UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = 5.0
@@ -92,9 +91,8 @@ class HashTextEmbedder:
 class RemoteTextEmbedder:
     """HTTP embedding provider.
 
-    POST {model, input: [text, ...]} -> {embeddings: [[...], ...]}.
-    Endpoint and credential come from EMBED_ENDPOINT / EMBED_API_KEY unless
-    given explicitly. Responses are unit-normalized locally.
+    POST {model, input: [text]} -> {embeddings: [[...]]}; the first row must
+    have `dim` components and is unit-normalized locally.
     """
 
     mode = "remote"
@@ -106,41 +104,20 @@ class RemoteTextEmbedder:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 30.0,
-        max_in_flight: int = 4,
         session: requests.Session | None = None,
     ):
         self.model = model
         self.dim = dim
         self.id = f"remote:{model}"
-        self.endpoint = endpoint or os.environ.get("EMBED_ENDPOINT", "")
-        self.api_key = api_key or os.environ.get("EMBED_API_KEY", "")
-        self.timeout = timeout
-        self._gate = threading.Semaphore(max_in_flight)
-        self._session = session or requests.Session()
-        if not self.endpoint:
-            raise EmbeddingError("no embedding endpoint configured (set EMBED_ENDPOINT)")
+        try:
+            self._http = JsonEndpoint("embedding", "EMBED", endpoint, api_key, timeout, session)
+        except TransportError as exc:
+            raise EmbeddingError(str(exc)) from exc
 
     def embed(self, text: str) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        with self._gate:
-            try:
-                resp = self._session.post(
-                    self.endpoint,
-                    json={"model": self.model, "input": [text]},
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(
-                f"embedding endpoint returned HTTP {resp.status_code}; retry may help"
-            )
+        reply = self._http.call({"model": self.model, "input": [text]})
         try:
-            rows = resp.json()["embeddings"]
-            vec = np.asarray(rows[0], dtype=np.float64)
+            vec = np.asarray(reply["embeddings"][0], dtype=np.float64)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise EmbeddingError(f"malformed embedding response: {exc}") from exc
         if vec.ndim != 1 or vec.shape[0] != self.dim:

@@ -55,11 +55,7 @@ class FusionError(EmocauseError):
 
 
 class TransportError(EmocauseError):
-    """A remote provider call failed at the transport level (retryable)."""
-
-    def __init__(self, message: str, retryable: bool = True):
-        super().__init__(message)
-        self.retryable = retryable
+    """A remote provider call failed at the transport level."""
 
 
 class ResponseParseError(EmocauseError):

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import requests
 
-from .errors import ResponseParseError, TransportError
+from .errors import ResponseParseError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
+from .transport import JsonEndpoint
 
 logger = logging.getLogger(__name__)
 
@@ -69,15 +68,6 @@ class ExtractionPrompt:
         parts += ["", _SECTION_WINDOW, self.current_window_text, "", _SECTION_OUTPUT,
                   self.output_schema_instructions]
         return "\n".join(parts)
-
-    def messages(self) -> list[dict]:
-        """Chat-shaped view: instructions as system, the rest as user content."""
-        rendered = self.render()
-        body = rendered.split(_SECTION_CONTEXT, 1)[1]
-        return [
-            {"role": "system", "content": self.system_instructions},
-            {"role": "user", "content": _SECTION_CONTEXT + body},
-        ]
 
 
 def assemble_prompt(
@@ -178,9 +168,6 @@ class MockExtractor:
     id = "mock"
     mode = "mock"
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed  # reserved; the rule table itself is deterministic
-
     def complete(self, prompt_text: str) -> str:
         window_text = _current_window_section(prompt_text)
         results = []
@@ -209,8 +196,8 @@ def _current_window_section(prompt_text: str) -> str:
 class RemoteExtractor:
     """Chat-completion HTTP provider.
 
-    POST {model, messages, temperature: 0} -> {content}; endpoint and
-    credential come from LLM_ENDPOINT / LLM_API_KEY unless given explicitly.
+    POST {model, messages, temperature: 0} -> {content}. The prompt's task
+    section becomes the system message and the rest the user message.
     Temperature is pinned to 0 for determinism where the backend honors it.
     """
 
@@ -226,12 +213,7 @@ class RemoteExtractor:
     ):
         self.model = model
         self.id = f"remote:{model}"
-        self.endpoint = endpoint or os.environ.get("LLM_ENDPOINT", "")
-        self.api_key = api_key or os.environ.get("LLM_API_KEY", "")
-        self.timeout = timeout
-        self._session = session or requests.Session()
-        if not self.endpoint:
-            raise TransportError("no extractor endpoint configured (set LLM_ENDPOINT)", retryable=False)
+        self._http = JsonEndpoint("extractor", "LLM", endpoint, api_key, timeout, session)
 
     def complete(self, prompt_text: str) -> str:
         head, _, body = prompt_text.partition("\n\n" + _SECTION_CONTEXT)
@@ -239,24 +221,13 @@ class RemoteExtractor:
             {"role": "system", "content": head.removeprefix(_SECTION_TASK + "\n")},
             {"role": "user", "content": (_SECTION_CONTEXT + body) if body else prompt_text},
         ]
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = self._http.call({"model": self.model, "messages": messages, "temperature": 0})
         try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"model": self.model, "messages": messages, "temperature": 0},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"extractor request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"extractor endpoint returned HTTP {resp.status_code}")
-        try:
-            return str(resp.json()["content"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResponseParseError(f"malformed extractor response: {exc}", resp.text) from exc
+            return str(reply["content"])
+        except (KeyError, TypeError) as exc:
+            raise ResponseParseError(
+                f"malformed extractor response: {exc}", json.dumps(reply)
+            ) from exc
 
 
 def extractor_from_spec(spec: str) -> ExtractorProvider:
@@ -385,33 +356,9 @@ def extract_sextuplets(
     provider: ExtractorProvider,
     window: TimeWindow,
     dialogue: Dialogue,
-    *,
-    max_retries: int = 3,
-    backoff_base: float = 0.5,
 ) -> list[Sextuplet]:
-    """Run the provider on one window and attach id, window and timing provenance.
-
-    Transport failures are retried up to max_retries with exponential backoff
-    (at most max_retries + 1 calls); an unparseable response is not retried.
-    """
-    rendered = prompt.render()
-    attempt = 0
-    while True:
-        try:
-            raw = provider.complete(rendered)
-            break
-        except TransportError as exc:
-            if not exc.retryable or attempt >= max_retries:
-                raise
-            delay = backoff_base * (2.0**attempt)
-            logger.warning(
-                "provider %s transport failure on window %d (attempt %d/%d): %s",
-                provider.id, window.window_index, attempt + 1, max_retries + 1, exc,
-            )
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-
+    """Run the provider on one window and attach id, window and timing provenance."""
+    raw = provider.complete(prompt.render())
     candidates, rejections = parse_provider_response(raw)
     for rejection in rejections:
         logger.warning(
@@ -469,8 +416,6 @@ def extract_dialogue(
     cfg: ScoringConfig | None = None,
     *,
     jobs: int = 1,
-    max_retries: int = 3,
-    backoff_base: float = 0.5,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
     augmented prompts, then deduplicate across overlapping windows.
@@ -489,11 +434,7 @@ def extract_dialogue(
         i, window = item
         context = retrieve(window, kb.vectors[i], kb, cfg.top_n)
         prompt = assemble_prompt(window, context, cfg)
-        found = extract_sextuplets(
-            prompt, provider, window, dialogue,
-            max_retries=max_retries, backoff_base=backoff_base,
-        )
-        return window.window_index, found
+        return window.window_index, extract_sextuplets(prompt, provider, window, dialogue)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .embedding import EmbeddingProvider, embed_text
 from .errors import EmbeddingError, PrecedenceError, ResponseParseError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_from_dict, sextuplet_to_dict
+from .transport import JsonEndpoint
 
 LN2 = math.log(2.0)
 
@@ -83,7 +83,7 @@ class JaccardNli:
 
 class RemoteNli:
     """HTTP entailment provider: POST {premise, hypothesis} ->
-    {entailment_probability}; configured via NLI_ENDPOINT / NLI_API_KEY."""
+    {entailment_probability}, a number in [0, 1]."""
 
     mode = "remote"
 
@@ -94,35 +94,19 @@ class RemoteNli:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        self.endpoint = endpoint or os.environ.get("NLI_ENDPOINT", "")
-        self.api_key = api_key or os.environ.get("NLI_API_KEY", "")
-        self.timeout = timeout
         self.id = "remote:nli"
-        self._session = session or requests.Session()
-        if not self.endpoint:
-            raise TransportError("no NLI endpoint configured (set NLI_ENDPOINT)", retryable=False)
+        self._http = JsonEndpoint("NLI", "NLI", endpoint, api_key, timeout, session)
 
     def entailment_probability(self, premise: str, hypothesis: str) -> float:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = self._http.call({"premise": premise, "hypothesis": hypothesis})
         try:
-            resp = self._session.post(
-                self.endpoint,
-                json={"premise": premise, "hypothesis": hypothesis},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"NLI request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"NLI endpoint returned HTTP {resp.status_code}")
-        try:
-            p = float(resp.json()["entailment_probability"])
+            p = float(reply["entailment_probability"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ResponseParseError(f"malformed NLI response: {exc}", resp.text) from exc
+            raise ResponseParseError(f"malformed NLI response: {exc}", json.dumps(reply)) from exc
         if not 0.0 <= p <= 1.0:
-            raise ResponseParseError(f"entailment probability {p!r} outside [0, 1]", resp.text)
+            raise ResponseParseError(
+                f"entailment probability {p!r} outside [0, 1]", json.dumps(reply)
+            )
         return p
 
 

@@ -26,7 +26,7 @@ from .embedding import (
     neutral_audio_record,
     window_embedding,
 )
-from .errors import EmbeddingError, StoreFormatError
+from .errors import EmbeddingError, ResponseParseError, StoreFormatError
 from .model import DEFAULT_EMOTION_CATEGORIES, Dialogue
 
 MAGIC = b"CMKB"
@@ -177,10 +177,10 @@ def index_windows(
                 pairs, provider, emotion_dim=emotion_dim, rate_scale=rate_scale
             ).values
         except Exception as exc:
-            raise EmbeddingError(
-                f"indexing aborted at window {window.window_index} "
-                f"of dialogue {dialogue.id!r}: {exc}"
-            ) from exc
+            where = f"indexing aborted at window {window.window_index} of dialogue {dialogue.id!r}"
+            if isinstance(exc, ResponseParseError):
+                raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
+            raise EmbeddingError(f"{where}: {exc}") from exc
     meta = KnowledgeBaseMeta(
         text_dim=provider.dim,
         emotion_dim=emotion_dim,
@@ -217,7 +217,7 @@ def index_dialogue(
 
 def merge(kbs: Sequence[KnowledgeBase]) -> KnowledgeBase:
     """Combine per-dialogue bases; entries are re-sorted into the canonical
-    (dialogue_id, window_index) order."""
+    (dialogue_id, window_index) order. A dialogue id may come from one base only."""
     if not kbs:
         raise ValueError("nothing to merge")
     first = kbs[0].meta
@@ -233,6 +233,10 @@ def merge(kbs: Sequence[KnowledgeBase]) -> KnowledgeBase:
             raise ValueError("knowledge bases were built with different parameters")
     pairs = [(w, v) for kb in kbs for w, v in kb.entries()]
     pairs.sort(key=lambda p: (p[0].dialogue_id, p[0].window_index))
+    keys = [(w.dialogue_id, w.window_index) for w, _ in pairs]
+    for key, next_key in zip(keys, keys[1:]):
+        if key == next_key:
+            raise ValueError(f"dialogue id {key[0]!r} is indexed more than once")
     vectors = (
         np.stack([v for _, v in pairs], axis=0)
         if pairs

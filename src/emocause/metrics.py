@@ -412,3 +412,16 @@ def load_gold(data: bytes | str) -> list[GoldAnnotation]:
     if isinstance(obj, Mapping) and "triplets" in obj:
         return [gold_from_triplet_doc(obj)]
     raise SchemaError("", "unrecognized gold annotation layout")
+
+
+def match_gold(golds: Sequence[GoldAnnotation], dialogue_id: str | None) -> GoldAnnotation:
+    """The gold annotation with dialogue_id, else the sole one of a
+    single-document file; anything else names the id in a SchemaError."""
+    for gold in golds:
+        if dialogue_id and gold.dialogue_id == dialogue_id:
+            return gold
+    if len(golds) == 1:
+        return golds[0]
+    raise SchemaError(
+        "gold", f"no gold annotation for dialogue {dialogue_id!r} among {len(golds)} documents"
+    )

@@ -26,7 +26,7 @@ from .extraction import (
 from .graph import CausalGraph, NliProvider, build_graph, export_graph, nli_from_spec
 from .ingest import IngestOptions, read_dialogue
 from .kb import KnowledgeBase, index_dialogue, write_kb
-from .metrics import EvalReport, evaluate, load_gold, render_report_text
+from .metrics import EvalReport, evaluate, load_gold, match_gold, render_report_text
 from .model import (
     Dialogue,
     ScoringConfig,
@@ -158,11 +158,8 @@ def run_pipeline(
     eval_report = None
     if gold_path is not None:
         with _Timer(manifest, "eval"):
-            golds = load_gold(Path(gold_path).read_bytes())
-            matching = [g for g in golds if g.dialogue_id == dialogue.id] or golds
-            eval_report = evaluate(
-                graph, sextuplets, matching[0], consistency_floor=cfg.consistency_floor
-            )
+            gold = match_gold(load_gold(Path(gold_path).read_bytes()), dialogue.id)
+            eval_report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
             report_path = out / "report.json"
             report_path.write_text(dumps_canonical(eval_report.to_dict()))
             manifest.outputs[str(report_path)] = sha256_file(report_path)

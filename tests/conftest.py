@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
+
 import pytest
 
+from emocause import transport
 from emocause.embedding import HashTextEmbedder
 from emocause.graph import JaccardNli
 from emocause.model import (
@@ -29,6 +35,51 @@ def nli():
 @pytest.fixture
 def cfg():
     return ScoringConfig()
+
+
+@pytest.fixture(autouse=True)
+def backoff_sleeps(monkeypatch):
+    """The transport's backoff delays, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=delays.append))
+    return delays
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    def do_POST(self):  # noqa: N802 (http.server naming)
+        stub = self.server.stub
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        stub.requests.append((self.path, self.headers.get("Authorization"), json.loads(body)))
+        status, reply = stub.replies.pop(0) if stub.replies else stub.default
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_stub(monkeypatch):
+    """An HTTP server on 127.0.0.1 that records each POST as (path,
+    Authorization header, JSON body) and answers with the next queued
+    (status, body bytes) reply, or with `default` once the queue is empty."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    stub = SimpleNamespace(requests=[], replies=[], default=(200, b"{}"))
+    stub.url = lambda path: f"http://127.0.0.1:{server.server_port}/{path}"
+    server.stub = stub
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield stub
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def make_utterance(index, text="hello there everyone", speaker="ana", t_start=None, t_end=None):

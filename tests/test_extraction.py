@@ -1,4 +1,4 @@
-"""Prompt assembly, the mock rule table, response parsing, dedup, retries."""
+"""Prompt assembly, the mock rule table, response parsing, dedup, the remote contract."""
 
 from __future__ import annotations
 
@@ -174,19 +174,14 @@ def test_parse_response_skips_malformed_then_finds_array():
     assert len(candidates) == 1
 
 
-class _FlakyProvider:
-    id = "flaky"
+class _FixedProvider:
+    id = "fixed"
     mode = "mock"
 
-    def __init__(self, failures, payload="[]"):
-        self.failures = failures
+    def __init__(self, payload):
         self.payload = payload
-        self.calls = 0
 
     def complete(self, prompt_text):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransportError("boom")
         return self.payload
 
 
@@ -221,35 +216,9 @@ def test_extract_sextuplets_window_span_fallback():
         [{"holder": "A", "target": "B", "opinion": "o", "sentiment": "neutral", "rationale": "r"}]
     )
     found = extract_sextuplets(
-        assemble_prompt(window, []), _FlakyProvider(0, payload), window, dialogue
+        assemble_prompt(window, []), _FixedProvider(payload), window, dialogue
     )
     assert (found[0].t_start, found[0].t_end) == (0.0, 8.0)
-
-
-def test_retry_budget_respected():
-    dialogue = _two_turn_dialogue()
-    window = build_windows(dialogue, window_size=2, stride=1)[0]
-    prompt = assemble_prompt(window, [])
-
-    provider = _FlakyProvider(failures=2)
-    found = extract_sextuplets(prompt, provider, window, dialogue, max_retries=3, backoff_base=0.0)
-    assert found == [] and provider.calls == 3
-
-    provider = _FlakyProvider(failures=10)
-    with pytest.raises(TransportError):
-        extract_sextuplets(prompt, provider, window, dialogue, max_retries=3, backoff_base=0.0)
-    assert provider.calls == 4  # at most max_retries + 1 calls
-
-
-def test_malformed_response_is_not_retried():
-    dialogue = _two_turn_dialogue()
-    window = build_windows(dialogue, window_size=2, stride=1)[0]
-    prompt = assemble_prompt(window, [])
-    provider = _FlakyProvider(failures=0, payload="no structure at all")
-    with pytest.raises(ResponseParseError) as exc:
-        extract_sextuplets(prompt, provider, window, dialogue, max_retries=3, backoff_base=0.0)
-    assert provider.calls == 1  # model sloppiness is not an infrastructure fault
-    assert exc.value.raw == "no structure at all"
 
 
 def test_dedup_keeps_earliest_window():

@@ -16,6 +16,7 @@ from emocause.kb import (
     TimeWindow,
     build_windows,
     cosine_similarity,
+    index_corpus,
     index_dialogue,
     load_kb,
     merge,
@@ -106,6 +107,14 @@ def test_index_dialogue_counts_and_dims(embedder):
 def test_index_empty_merge_error():
     with pytest.raises(ValueError):
         merge([])
+
+
+def test_index_corpus_rejects_duplicate_dialogue_ids(embedder):
+    d = make_dialogue(n=10, dialogue_id="dup-7")
+    with pytest.raises(ValueError, match="dup-7"):
+        index_corpus([d, d], embedder, window_size=4, stride=2)
+    with pytest.raises(ValueError, match="dup-7"):
+        merge([index_dialogue(d, embedder, window_size=4, stride=2)] * 2)
 
 
 def test_index_twice_is_byte_identical(embedder):

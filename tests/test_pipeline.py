@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from emocause.errors import SchemaError
 from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical
 from emocause.metrics import gold_to_dict
 from emocause.pipeline import run_pipeline, sha256_file
@@ -67,3 +68,14 @@ def test_run_pipeline_custom_config(workdir):
     assert result.kb.meta.window_size == 8
     # threshold 0.9 cuts the planted links, whose weights sit near 0.55-0.6
     assert len(result.graph.edges) == 0
+
+
+def test_run_pipeline_rejects_gold_for_other_dialogues(workdir):
+    tmp, dialogue_path, _ = workdir
+    gold_path = tmp / "two-docs.gold.json"
+    gold_path.write_text(json.dumps([
+        {"doc_id": f"ext-{i}", "triplets": [[0, 1, 0, 1, 0, 1, "neg", "Voltify", "pricing", "negative"]]}
+        for i in (1, 2)
+    ]))
+    with pytest.raises(SchemaError, match="synth-00000007"):
+        run_pipeline(dialogue_path, tmp / "out4", gold_path=gold_path)

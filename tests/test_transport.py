@@ -1,0 +1,203 @@
+"""The shared HTTP transport: status classification, retry budget and
+backoff, JSON decoding, and the three remote providers driven through a
+real socket, plus the CLI exit codes their failures map to."""
+
+from __future__ import annotations
+
+import json
+import socket
+
+import pytest
+import requests
+
+from emocause.cli import main
+from emocause.embedding import RemoteTextEmbedder
+from emocause.errors import ResponseParseError, TransportError
+from emocause.extraction import RemoteExtractor, assemble_prompt, extract_sextuplets
+from emocause.graph import RemoteNli
+from emocause.kb import build_windows
+from emocause.model import Dialogue, Utterance
+from emocause.transport import JsonEndpoint
+
+BACKOFF = [0.5, 1.0, 2.0]
+
+
+class _FakeResponse:
+    def __init__(self, status_code=200, text="{}"):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class _ScriptedSession:
+    """Answers each post with the next scripted response, the last one forever."""
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        return self.responses[min(self.posts, len(self.responses)) - 1]
+
+
+class _CountingSession(requests.Session):
+    def __init__(self):
+        super().__init__()
+        self.trust_env = False  # no proxy between the client and 127.0.0.1
+        self.posts = 0
+
+    def post(self, *args, **kwargs):
+        self.posts += 1
+        return super().post(*args, **kwargs)
+
+
+def _extract(provider):
+    """Run one two-utterance window through extract_sextuplets."""
+    dialogue = Dialogue(
+        id="dlg-1",
+        scenario="tech_support",
+        utterances=(
+            Utterance(0, "ana", "noted thanks", 0.0, 4.0),
+            Utterance(1, "ben", "you are welcome", 4.0, 8.0),
+        ),
+    )
+    window = build_windows(dialogue, window_size=2, stride=1)[0]
+    return extract_sextuplets(assemble_prompt(window, []), provider, window, dialogue)
+
+
+def _endpoint(session):
+    return JsonEndpoint("test", "TEST", "http://e", None, 1.0, session)
+
+
+def test_retry_budget_respected(backoff_sleeps):
+    session = _ScriptedSession(_FakeResponse(503), _FakeResponse(503), _FakeResponse(200, "[]"))
+    assert _endpoint(session).call({}) == [] and session.posts == 3
+
+    session = _ScriptedSession(_FakeResponse(503))
+    with pytest.raises(TransportError, match="HTTP 503"):
+        _endpoint(session).call({})
+    assert session.posts == 4  # at most MAX_RETRIES + 1 posts
+    assert backoff_sleeps == [0.5, 1.0] + BACKOFF
+
+
+def test_malformed_response_is_not_retried(backoff_sleeps):
+    session = _ScriptedSession(_FakeResponse(200, "no structure at all"))
+    with pytest.raises(ResponseParseError) as exc:
+        _endpoint(session).call({})
+    assert session.posts == 1  # the same request would get the same reply
+    assert exc.value.raw == "no structure at all"
+
+    # a JSON reply whose content the extraction parser rejects is not retried either
+    session = _ScriptedSession(_FakeResponse(200, json.dumps({"content": "no structure at all"})))
+    with pytest.raises(ResponseParseError) as exc:
+        _extract(RemoteExtractor("glm", endpoint="http://llm", session=session))
+    assert session.posts == 1
+    assert exc.value.raw == "no structure at all"
+    assert backoff_sleeps == []
+
+
+def test_missing_endpoint_names_the_variable(monkeypatch):
+    monkeypatch.delenv("LLM_ENDPOINT", raising=False)
+    monkeypatch.delenv("NLI_ENDPOINT", raising=False)
+    with pytest.raises(TransportError, match="LLM_ENDPOINT"):
+        RemoteExtractor("glm")
+    with pytest.raises(TransportError, match="NLI_ENDPOINT"):
+        RemoteNli()
+
+
+# ---------------------------------------------------------------------------
+# The three providers through a real socket
+# ---------------------------------------------------------------------------
+
+PROVIDERS = {
+    # name: (call the provider at url, reply body that succeeds)
+    "embed": (
+        lambda url, session: RemoteTextEmbedder(
+            "m1", dim=2, endpoint=url, api_key="k", session=session
+        ).embed("hello"),
+        {"embeddings": [[3.0, 4.0]]},
+    ),
+    "chat": (
+        # through extract_sextuplets, which is where extraction used to retry
+        lambda url, session: _extract(
+            RemoteExtractor("glm", endpoint=url, api_key="k", session=session)
+        ),
+        {"content": "[]"},
+    ),
+    "nli": (
+        lambda url, session: RemoteNli(
+            endpoint=url, api_key="k", session=session
+        ).entailment_probability("p", "h"),
+        {"entailment_probability": 0.25},
+    ),
+}
+
+FAILURES = {
+    # name: (reply, raised, posts, backoff delays)
+    "503": ((503, b"{}"), TransportError, 4, BACKOFF),
+    "429": ((429, b"{}"), TransportError, 4, BACKOFF),
+    "400": ((400, b"{}"), TransportError, 1, []),
+    "undecodable": ((200, b"not json"), ResponseParseError, 1, []),
+}
+
+
+@pytest.mark.parametrize("failure", FAILURES)
+@pytest.mark.parametrize("name", PROVIDERS)
+def test_provider_failures_over_http(http_stub, backoff_sleeps, name, failure):
+    call, _ = PROVIDERS[name]
+    reply, raised, posts, delays = FAILURES[failure]
+    http_stub.default = reply
+    session = _CountingSession()
+    with pytest.raises(raised):
+        call(http_stub.url(name), session)
+    assert session.posts == len(http_stub.requests) == posts
+    assert backoff_sleeps == delays
+    assert {auth for _, auth, _ in http_stub.requests} == {"Bearer k"}
+
+
+@pytest.mark.parametrize("name", PROVIDERS)
+def test_provider_recovers_after_transient_failures(http_stub, backoff_sleeps, name):
+    call, ok = PROVIDERS[name]
+    http_stub.replies = [(503, b"{}"), (429, b"{}")]
+    http_stub.default = (200, json.dumps(ok).encode())
+    call(http_stub.url(name), _CountingSession())
+    assert len(http_stub.requests) == 3
+    assert backoff_sleeps == [0.5, 1.0]
+    assert len({json.dumps(body) for _, _, body in http_stub.requests}) == 1
+
+
+@pytest.mark.parametrize("name", PROVIDERS)
+def test_provider_connection_refused_is_retried(backoff_sleeps, name):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        url = f"http://127.0.0.1:{sock.getsockname()[1]}/{name}"
+    call, _ = PROVIDERS[name]
+    session = _CountingSession()
+    with pytest.raises(TransportError, match="request failed"):
+        call(url, session)
+    assert session.posts == 4
+    assert backoff_sleeps == BACKOFF
+
+
+# ---------------------------------------------------------------------------
+# CLI exit codes for remote runs configured through the environment
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reply, code", [((503, b"{}"), 3), ((200, b"not json"), 4)], ids=["exhausted-503", "undecodable"]
+)
+def test_remote_run_exit_codes(http_stub, monkeypatch, tmp_path, capsys, reply, code):
+    assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
+                 "--out-prefix", str(tmp_path / "d")]) == 0
+    for var, path in (("EMBED", "embed"), ("LLM", "chat"), ("NLI", "nli")):
+        monkeypatch.setenv(f"{var}_ENDPOINT", http_stub.url(path))
+    http_stub.default = reply
+    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
+                 "--out-dir", str(tmp_path / "out"), "--embedder", "remote:m1:8",
+                 "--provider", "remote:glm", "--nli", "remote"]) == code
+    assert "embedding" in capsys.readouterr().err
+    assert len(http_stub.requests) == (4 if code == 3 else 1)
