@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 validation or evaluation failure; 2 usage error;
 3 provider or transport error; 4 file-format error. A remote provider's
 missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
 failing after the transport's retries, or any other non-200 status exits 3;
-a 200 whose body is not JSON exits 4, as does an extractor or NLI reply
-without its fields (a bad embedder reply is an EmbeddingError, exit 3).
+a 200 whose body is not JSON exits 4, as does any provider's reply without
+its fields; an embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults.
 """

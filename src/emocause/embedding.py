@@ -8,13 +8,14 @@ range, so the fused dimensionality is always text_dim + emotion_dim + 1.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import requests
 
-from .errors import EmbeddingError, FusionError, TransportError
+from .errors import EmbeddingError, FusionError, ResponseParseError, TransportError
 from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, Utterance
 from .transport import JsonEndpoint
 
@@ -92,7 +93,9 @@ class RemoteTextEmbedder:
     """HTTP embedding provider.
 
     POST {model, input: [text]} -> {embeddings: [[...]]}; the first row must
-    have `dim` components and is unit-normalized locally.
+    have `dim` components and is unit-normalized locally. A reply without a
+    numeric first row raises ResponseParseError; a row of the wrong
+    dimension raises EmbeddingError.
     """
 
     mode = "remote"
@@ -119,7 +122,7 @@ class RemoteTextEmbedder:
         try:
             vec = np.asarray(reply["embeddings"][0], dtype=np.float64)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise EmbeddingError(f"malformed embedding response: {exc}") from exc
+            raise ResponseParseError(f"malformed embedding response: {exc}", json.dumps(reply)) from exc
         if vec.ndim != 1 or vec.shape[0] != self.dim:
             raise EmbeddingError(
                 f"embedding has dimension {vec.shape}, provider configured for {self.dim}"

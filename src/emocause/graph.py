@@ -19,7 +19,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import requests
 
 from .embedding import EmbeddingProvider, embed_text
-from .errors import EmbeddingError, PrecedenceError, ResponseParseError, TransportError
+from .errors import PrecedenceError, ResponseParseError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_from_dict, sextuplet_to_dict
 from .transport import JsonEndpoint
@@ -191,22 +191,6 @@ def edge_weight(semantic: float, temporal: float, rationale: float, cfg: Scoring
 # ---------------------------------------------------------------------------
 
 
-class _EmbedCache:
-    """Memoized text embeddings; concurrent duplicate computes are harmless
-    because the provider is deterministic."""
-
-    def __init__(self, provider: EmbeddingProvider):
-        self.provider = provider
-        self._cache: dict[str, object] = {}
-
-    def get(self, text: str):
-        hit = self._cache.get(text)
-        if hit is None:
-            hit = embed_text(self.provider, text)
-            self._cache[text] = hit
-        return hit
-
-
 def build_graph(
     sextuplets: Sequence[Sextuplet],
     cfg: ScoringConfig,
@@ -221,8 +205,11 @@ def build_graph(
     Pairs with a negative gap are discarded before scoring (causality needs
     precedence) and gaps beyond max_gap are skipped: at the default cutoff of
     10 * tau the temporal component is below 5e-5, negligible against any
-    practical threshold. Vertices include isolated events. Output is
-    deterministic and independent of evaluation order and thread count.
+    practical threshold. Each distinct cause opinion and effect sentiment
+    label of the admissible pairs is embedded once, before scoring starts,
+    so `jobs` threads only share NLI calls. Vertices include isolated
+    events. Output is deterministic and independent of evaluation order and
+    thread count.
     """
     cfg.validate()
     ids = [s.id for s in sextuplets]
@@ -230,7 +217,6 @@ def build_graph(
         raise ValueError("sextuplet ids must be unique")
 
     max_gap = cfg.effective_max_gap()
-    cache = _EmbedCache(embedder)
     candidates = [
         (cause, effect)
         for cause in sextuplets
@@ -238,17 +224,20 @@ def build_graph(
         if cause.id != effect.id and 0.0 <= temporal_gap(cause, effect) <= max_gap
     ]
 
+    texts = dict.fromkeys(t for c, e in candidates for t in (c.opinion, e.sentiment_label))
+    vectors = {text: embed_text(embedder, text) for text in texts}
+
     def score(pair: tuple[Sextuplet, Sextuplet]) -> CausalEdge | None:
         cause, effect = pair
         delta_t = temporal_gap(cause, effect)
         try:
-            raw = cosine_similarity(cache.get(cause.opinion), cache.get(effect.sentiment_label))
+            raw = cosine_similarity(vectors[cause.opinion], vectors[effect.sentiment_label])
             semantic = min(1.0, max(0.0, (raw + 1.0) / 2.0)) if cfg.normalize_scores else raw
             temporal = temporal_score(delta_t, cfg.tau)
             rationale = rationale_score(
                 cause.rationale, effect, nli, normalize=cfg.normalize_scores
             )
-        except (EmbeddingError, TransportError, ResponseParseError) as exc:
+        except (TransportError, ResponseParseError) as exc:
             raise type(exc)(
                 f"scoring failed for pair ({cause.id} -> {effect.id}): {exc}"
             ) from exc

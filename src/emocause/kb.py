@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import (
+from . import embedding
+from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.window_embedding
     DEFAULT_RATE_SCALE,
     EmbeddingProvider,
     EmbeddingVector,
-    KIND_FUSED,
     describe_audio_as_text,
     neutral_audio_record,
     window_embedding,
@@ -71,10 +71,6 @@ class KnowledgeBase:
     windows: list[TimeWindow]
     vectors: np.ndarray  # shape (entry_count, fused_dim)
     meta: KnowledgeBaseMeta
-
-    def entries(self):
-        for i, w in enumerate(self.windows):
-            yield w, self.vectors[i]
 
     def find(self, dialogue_id: str, window_index: int) -> int | None:
         for i, w in enumerate(self.windows):
@@ -163,24 +159,31 @@ def index_windows(
     categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
-    """Embed each window and assemble the knowledge base entries."""
+    """Embed each window and assemble the knowledge base entries: each
+    distinct utterance text is embedded once and each utterance fused once,
+    and a window's vector is the mean of its fused rows, as window_embedding
+    computes it."""
     emotion_dim = len(categories)
-    fused_dim = provider.dim + emotion_dim + 1
-    rows = np.zeros((len(windows), fused_dim), dtype=np.float64)
+    texts: dict[str, EmbeddingVector] = {}
+    fused: dict[int, np.ndarray] = {}
+    rows = np.zeros((len(windows), provider.dim + emotion_dim + 1), dtype=np.float64)
     for i, window in enumerate(windows):
-        pairs = [
-            (dialogue.utterances[k], dialogue.audio.get(k))
-            for k in range(window.start_index, window.end_index + 1)
-        ]
+        span = range(window.start_index, window.end_index + 1)
         try:
-            rows[i] = window_embedding(
-                pairs, provider, emotion_dim=emotion_dim, rate_scale=rate_scale
-            ).values
+            for k in (k for k in span if k not in fused):
+                u = dialogue.utterances[k]
+                audio = dialogue.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale)
+                if u.text not in texts:
+                    texts[u.text] = embedding.embed_text(provider, u.text)
+                fused[k] = embedding.fuse(
+                    texts[u.text], audio, emotion_dim=emotion_dim, rate_scale=rate_scale
+                ).values
         except Exception as exc:
             where = f"indexing aborted at window {window.window_index} of dialogue {dialogue.id!r}"
             if isinstance(exc, ResponseParseError):
                 raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
             raise EmbeddingError(f"{where}: {exc}") from exc
+        rows[i] = np.mean(np.stack([fused[k] for k in span], axis=0), axis=0)
     meta = KnowledgeBaseMeta(
         text_dim=provider.dim,
         emotion_dim=emotion_dim,
@@ -215,6 +218,17 @@ def index_dialogue(
     )
 
 
+def _repeated_key(windows) -> tuple[str, int] | None:
+    """The first (dialogue_id, window_index) key seen twice, if any."""
+    seen = set()
+    for w in windows:
+        key = (w.dialogue_id, w.window_index)
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
 def merge(kbs: Sequence[KnowledgeBase]) -> KnowledgeBase:
     """Combine per-dialogue bases; entries are re-sorted into the canonical
     (dialogue_id, window_index) order. A dialogue id may come from one base only."""
@@ -231,12 +245,11 @@ def merge(kbs: Sequence[KnowledgeBase]) -> KnowledgeBase:
             first.provider_id,
         ):
             raise ValueError("knowledge bases were built with different parameters")
-    pairs = [(w, v) for kb in kbs for w, v in kb.entries()]
+    pairs = [(w, v) for kb in kbs for w, v in zip(kb.windows, kb.vectors)]
     pairs.sort(key=lambda p: (p[0].dialogue_id, p[0].window_index))
-    keys = [(w.dialogue_id, w.window_index) for w, _ in pairs]
-    for key, next_key in zip(keys, keys[1:]):
-        if key == next_key:
-            raise ValueError(f"dialogue id {key[0]!r} is indexed more than once")
+    repeated = _repeated_key(w for w, _ in pairs)
+    if repeated is not None:
+        raise ValueError(f"dialogue id {repeated[0]!r} is indexed more than once")
     vectors = (
         np.stack([v for _, v in pairs], axis=0)
         if pairs
@@ -399,7 +412,8 @@ def save_kb(kb: KnowledgeBase) -> bytes:
 
 
 def load_kb(data: bytes) -> KnowledgeBase:
-    """Parse bytes produced by save_kb; corruption or version drift is rejected."""
+    """Parse bytes produced by save_kb; corruption, version drift and a
+    repeated (dialogue_id, window_index) key are rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
         raise StoreFormatError("not a knowledge-base file (bad magic)")
@@ -442,6 +456,9 @@ def load_kb(data: bytes) -> KnowledgeBase:
         raise StoreFormatError(
             f"window count {len(windows)} disagrees with entry_count {meta.entry_count}"
         )
+    repeated = _repeated_key(windows)
+    if repeated is not None:
+        raise StoreFormatError(f"window {repeated} is stored more than once")
     expected = meta.entry_count * meta.fused_dim * 8
     if len(matrix_bytes) != expected:
         raise StoreFormatError(

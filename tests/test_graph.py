@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocause.embedding import embed_text
+from emocause.embedding import HashTextEmbedder, embed_text
 from emocause.errors import PrecedenceError, ResponseParseError, TransportError
 from emocause.graph import (
     JaccardNli,
@@ -199,6 +201,37 @@ def test_build_graph_jobs_equivalence(cfg, embedder, nli):
     assert build_graph(items, cfg, embedder, nli, jobs=1) == build_graph(
         items, cfg, embedder, nli, jobs=4
     )
+
+
+class _SlowEmbedder(HashTextEmbedder):
+    """Sleeps 5 ms per call, long enough for threads to overlap."""
+
+    def __init__(self):
+        super().__init__(dim=64)
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        time.sleep(0.005)
+        return super().embed(text)
+
+
+def test_build_graph_embeds_each_text_once_under_threads(cfg, nli):
+    opinions = ["negative", "frustrated", "pleased", "negative", "frustrated", "pleased"]
+    labels = ["negative", "negative", "positive", "neutral", "positive", "neutral"]
+    items = [
+        make_sextuplet(f"e{i}", holder=f"H{i}", opinion=opinion, sentiment=label,
+                       t_start=10.0 * i, t_end=10.0 * i + 4.0)
+        for i, (opinion, label) in enumerate(zip(opinions, labels))
+    ]
+    graphs = {}
+    for jobs in (1, 2):
+        embedder = _SlowEmbedder()
+        graphs[jobs] = build_graph(items, replace(cfg, edge_threshold=0.0), embedder, nli, jobs=jobs)
+        # causes are e0..e4 and effects e1..e5: every opinion and label text occurs
+        assert Counter(embedder.texts) == Counter(set(opinions[:5] + labels[1:]))
+    assert len(graphs[2].edges) == 15
+    assert graphs[2].edges == graphs[1].edges
 
 
 def test_build_graph_threshold_monotonicity(cfg, embedder, nli):

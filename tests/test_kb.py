@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emocause.embedding import HashTextEmbedder, window_embedding
 from emocause.errors import StoreFormatError
 from emocause.kb import (
     KnowledgeBase,
@@ -23,9 +26,10 @@ from emocause.kb import (
     retrieve,
     save_kb,
 )
+from emocause.model import Dialogue
 from emocause.synth import ChainSpec, generate
 
-from conftest import make_dialogue
+from conftest import make_audio, make_dialogue, make_utterance
 
 
 def _ranges(windows):
@@ -115,6 +119,35 @@ def test_index_corpus_rejects_duplicate_dialogue_ids(embedder):
         index_corpus([d, d], embedder, window_size=4, stride=2)
     with pytest.raises(ValueError, match="dup-7"):
         merge([index_dialogue(d, embedder, window_size=4, stride=2)] * 2)
+
+
+class _CountingEmbedder(HashTextEmbedder):
+    def __init__(self):
+        super().__init__(dim=16)
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        return super().embed(text)
+
+
+def test_index_embeds_each_distinct_text_once_and_matches_window_embedding():
+    fillers = ["noted thanks", "okay", "sure thing"]
+    texts = [fillers[i % 3] if i % 4 else f"point number {i}" for i in range(23)]
+    d = Dialogue(
+        id="dlg-1",
+        scenario="customer_service",
+        utterances=tuple(make_utterance(i, text) for i, text in enumerate(texts)),
+        audio={i: make_audio(i, peak=i % 8) for i in range(0, 23, 2)},  # odd turns fall back
+    )
+    provider = _CountingEmbedder()
+    kb = index_dialogue(d, provider, window_size=6, stride=2)
+    assert provider.calls == Counter(set(texts))
+    assert len(kb.windows) == 10
+    for window, vector in zip(kb.windows, kb.vectors):
+        span = range(window.start_index, window.end_index + 1)
+        pairs = [(d.utterances[k], d.audio.get(k)) for k in span]
+        assert np.array_equal(vector, window_embedding(pairs, provider).values)
 
 
 def test_index_twice_is_byte_identical(embedder):
@@ -289,6 +322,17 @@ def test_persist_rejects_truncation(embedder):
         load_kb(blob[: len(blob) // 2])
     with pytest.raises(StoreFormatError):
         load_kb(blob + b"x")
+
+
+def test_persist_rejects_repeated_window_key(embedder):
+    kb = index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2)
+    twice = KnowledgeBase(
+        kb.windows + kb.windows[1:2],
+        np.vstack([kb.vectors, kb.vectors[1:2]]),
+        replace(kb.meta, entry_count=kb.meta.entry_count + 1),
+    )
+    with pytest.raises(StoreFormatError, match=r"\('dlg-1', 1\)"):
+        load_kb(save_kb(twice))
 
 
 def test_persist_rejects_future_version(embedder):

@@ -141,6 +141,7 @@ FAILURES = {
     "429": ((429, b"{}"), TransportError, 4, BACKOFF),
     "400": ((400, b"{}"), TransportError, 1, []),
     "undecodable": ((200, b"not json"), ResponseParseError, 1, []),
+    "fieldless": ((200, b"{}"), ResponseParseError, 1, []),
 }
 
 
@@ -188,7 +189,9 @@ def test_provider_connection_refused_is_retried(backoff_sleeps, name):
 
 
 @pytest.mark.parametrize(
-    "reply, code", [((503, b"{}"), 3), ((200, b"not json"), 4)], ids=["exhausted-503", "undecodable"]
+    "reply, code",
+    [((503, b"{}"), 3), ((200, b"not json"), 4), ((200, b"{}"), 4)],
+    ids=["exhausted-503", "undecodable", "fieldless"],
 )
 def test_remote_run_exit_codes(http_stub, monkeypatch, tmp_path, capsys, reply, code):
     assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
