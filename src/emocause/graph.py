@@ -238,9 +238,10 @@ def build_graph(
                 cause.rationale, effect, nli, normalize=cfg.normalize_scores
             )
         except (TransportError, ResponseParseError) as exc:
-            raise type(exc)(
-                f"scoring failed for pair ({cause.id} -> {effect.id}): {exc}"
-            ) from exc
+            message = f"scoring failed for pair ({cause.id} -> {effect.id}): {exc}"
+            if isinstance(exc, ResponseParseError):
+                raise ResponseParseError(message, exc.raw) from exc
+            raise TransportError(message) from exc
         weight = edge_weight(semantic, temporal, rationale, cfg)
         if weight < cfg.edge_threshold:
             return None

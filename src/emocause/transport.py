@@ -4,6 +4,18 @@ Each remote provider POSTs a JSON body to one endpoint, read from
 ``<PREFIX>_ENDPOINT`` with an optional bearer token from ``<PREFIX>_API_KEY``
 unless both are given explicitly, and gets a JSON reply back.
 
+What a call needs is resolved in two places. When the endpoint is built,
+its requests.Session prepares one request template: the URL, the session's
+default headers merged with Content-Type and the bearer header, and netrc
+or session auth; and it reads the environment once for the proxies
+(``HTTPS_PROXY``, ``NO_PROXY`` and the like) and the CA bundle
+(``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``). Each call copies the
+template and adds only the JSON body and the session's cookies as they are
+at that moment; the body bytes are those ``session.post(json=...)`` sends.
+A proxy or CA variable changed after a provider is built therefore applies
+only to providers built later. An endpoint URL that cannot be prepared
+raises TransportError when the endpoint is built.
+
 Retry policy: a connection error, a timeout, HTTP 429 and any 5xx are
 transient. Such a call is retried at most MAX_RETRIES times, sleeping
 BACKOFF_BASE * 2**k seconds before retry k (0.5, 1 and 2 s), so a request
@@ -46,11 +58,29 @@ class JsonEndpoint:
         if not self.url:
             raise TransportError(f"no {name} endpoint configured (set {env_prefix}_ENDPOINT)")
         api_key = api_key or os.environ.get(f"{env_prefix}_API_KEY", "")
-        self.headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         if api_key:
-            self.headers["Authorization"] = f"Bearer {api_key}"
+            headers["Authorization"] = f"Bearer {api_key}"
         self.timeout = timeout
         self._session = session or requests.Session()
+        try:
+            self._template = self._session.prepare_request(
+                requests.Request("POST", self.url, headers=headers)
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"invalid {name} endpoint {self.url!r}: {exc}") from exc
+        if self._session.headers.get("Cookie") is None:
+            # the jar's cookies are attached on each call, as they are then
+            self._template.headers.pop("Cookie", None)
+        self._settings = self._session.merge_environment_settings(
+            self._template.url, {}, None, None, None
+        )
+
+    def _post(self, body: dict) -> requests.Response:
+        request = self._template.copy()
+        request.prepare_body(None, None, json=body)
+        request.prepare_cookies(self._session.cookies)
+        return self._session.send(request, timeout=self.timeout, **self._settings)
 
     def call(self, body: dict):
         """The decoded JSON reply to body, after the retries described above."""
@@ -60,9 +90,7 @@ class JsonEndpoint:
                 logger.warning("%s; retry %d of %d in %.1f s", failure, attempt, MAX_RETRIES, delay)
                 time.sleep(delay)
             try:
-                resp = self._session.post(
-                    self.url, json=body, headers=self.headers, timeout=self.timeout
-                )
+                resp = self._post(body)
             except (requests.ConnectionError, requests.Timeout) as exc:
                 failure = f"{self.name} request failed: {exc}"
                 continue

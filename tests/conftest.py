@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
 
 import pytest
+import requests
 
 from emocause import transport
 from emocause.embedding import HashTextEmbedder
@@ -43,6 +44,38 @@ def backoff_sleeps(monkeypatch):
     delays = []
     monkeypatch.setattr(transport, "time", SimpleNamespace(sleep=delays.append))
     return delays
+
+
+class ScriptedSession(requests.Session):
+    """A real requests.Session whose only override is `send`: it records
+    each PreparedRequest and its send keywords, then answers with the next
+    scripted (status, body) reply, the last one forever; a body that is not
+    a str is sent as JSON. Without replies the request goes out for real.
+    It ignores proxy variables and ~/.netrc, so neither reaches a test."""
+
+    def __init__(self, *replies):
+        super().__init__()
+        self.trust_env = False
+        self.replies = list(replies)
+        self.requests = []
+        self.send_kwargs = []
+
+    @property
+    def posts(self):
+        return len(self.requests)
+
+    def send(self, request, **kwargs):
+        self.requests.append(request)
+        self.send_kwargs.append(kwargs)
+        if not self.replies:
+            return super().send(request, **kwargs)
+        status, body = self.replies[min(self.posts, len(self.replies)) - 1]
+        resp = requests.Response()
+        resp.status_code = status
+        resp._content = (body if isinstance(body, str) else json.dumps(body)).encode()
+        resp.encoding = "utf-8"
+        resp.request, resp.url = request, request.url
+        return resp
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from emocause.embedding import (
 from emocause.errors import EmbeddingError, FusionError, TransportError
 from emocause.model import AudioFeatureRecord
 
-from conftest import make_audio, make_utterance
+from conftest import ScriptedSession, make_audio, make_utterance
 
 
 def test_embed_text_deterministic(embedder):
@@ -187,42 +188,19 @@ def test_describe_audio_category_count_mismatch():
         describe_audio_as_text(make_audio(0, dim=4), categories=("a", "b"))
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = "fake"
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, response=None, error=None):
-        self.response = response
-        self.error = error
-        self.calls = []
-
-    def post(self, url, **kwargs):
-        self.calls.append((url, kwargs))
-        if self.error is not None:
-            raise self.error
-        return self.response
-
-
 def test_remote_embedder_normalizes_and_posts_contract():
-    session = _FakeSession(_FakeResponse(payload={"embeddings": [[3.0, 4.0]]}))
+    session = ScriptedSession((200, {"embeddings": [[3.0, 4.0]]}))
     provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", api_key="k", session=session)
     v = embed_text(provider, "hello")
     assert np.allclose(v.values, [0.6, 0.8])
-    url, kwargs = session.calls[0]
-    assert url == "http://e"
-    assert kwargs["json"] == {"model": "m1", "input": ["hello"]}
-    assert kwargs["headers"]["Authorization"] == "Bearer k"
+    request = session.requests[0]
+    assert request.url == "http://e/"
+    assert json.loads(request.body) == {"model": "m1", "input": ["hello"]}
+    assert request.headers["Authorization"] == "Bearer k"
 
 
 def test_remote_embedder_http_error_is_transport():
-    session = _FakeSession(_FakeResponse(status_code=503))
+    session = ScriptedSession((503, {}))
     provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
     with pytest.raises(TransportError, match="retry"):
         provider.embed("hello")
@@ -235,7 +213,7 @@ def test_remote_embedder_requires_endpoint(monkeypatch):
 
 
 def test_remote_embedder_dim_mismatch():
-    session = _FakeSession(_FakeResponse(payload={"embeddings": [[1.0, 2.0, 3.0]]}))
+    session = ScriptedSession((200, {"embeddings": [[1.0, 2.0, 3.0]]}))
     provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
     with pytest.raises(EmbeddingError, match="dimension"):
         provider.embed("hello")

@@ -21,7 +21,7 @@ from emocause.extraction import (
 from emocause.kb import RetrievalHit, TimeWindow, build_windows, index_dialogue
 from emocause.model import Dialogue, ScoringConfig, Utterance
 
-from conftest import make_dialogue, make_sextuplet
+from conftest import ScriptedSession, make_dialogue, make_sextuplet
 
 import numpy as np
 
@@ -275,34 +275,14 @@ def test_extractor_from_spec():
         extractor_from_spec("wat")
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = "raw"
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, response):
-        self.response = response
-        self.calls = []
-
-    def post(self, url, **kwargs):
-        self.calls.append((url, kwargs))
-        return self.response
-
-
 def test_remote_extractor_contract():
-    session = _FakeSession(_FakeResponse(payload={"content": "[]"}))
+    session = ScriptedSession((200, {"content": "[]"}))
     provider = RemoteExtractor("glm", endpoint="http://llm", api_key="k", session=session)
     prompt = assemble_prompt(_window("[#0] ana: hi"), [])
     assert provider.complete(prompt.render()) == "[]"
-    url, kwargs = session.calls[0]
-    body = kwargs["json"]
-    assert url == "http://llm"
+    request = session.requests[0]
+    body = json.loads(request.body)
+    assert request.url == "http://llm/"
     assert body["model"] == "glm"
     assert body["temperature"] == 0
     assert [m["role"] for m in body["messages"]] == ["system", "user"]
@@ -310,7 +290,7 @@ def test_remote_extractor_contract():
 
 
 def test_remote_extractor_http_error():
-    session = _FakeSession(_FakeResponse(status_code=500))
+    session = ScriptedSession((500, {}))
     provider = RemoteExtractor("glm", endpoint="http://llm", session=session)
     with pytest.raises(TransportError):
         provider.complete("prompt")

@@ -32,7 +32,7 @@ from emocause.graph import (
 )
 from emocause.model import ScoringConfig
 
-from conftest import make_sextuplet
+from conftest import ScriptedSession, make_sextuplet
 
 
 def test_semantic_identity(embedder):
@@ -305,46 +305,33 @@ def test_export_unknown_format(cfg, embedder, nli):
         export_graph(g, "yaml")
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = "raw"
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, response):
-        self.response = response
-        self.calls = []
-
-    def post(self, url, **kwargs):
-        self.calls.append((url, kwargs))
-        return self.response
-
-
 def test_remote_nli_contract():
-    session = _FakeSession(_FakeResponse(payload={"entailment_probability": 0.25}))
+    session = ScriptedSession((200, {"entailment_probability": 0.25}))
     nli = RemoteNli(endpoint="http://nli", api_key="k", session=session)
     assert nli.entailment_probability("p", "h") == 0.25
-    _, kwargs = session.calls[0]
-    assert kwargs["json"] == {"premise": "p", "hypothesis": "h"}
+    assert json.loads(session.requests[0].body) == {"premise": "p", "hypothesis": "h"}
 
 
 def test_remote_nli_rejects_out_of_range():
-    session = _FakeSession(_FakeResponse(payload={"entailment_probability": 1.5}))
+    session = ScriptedSession((200, {"entailment_probability": 1.5}))
     nli = RemoteNli(endpoint="http://nli", session=session)
     with pytest.raises(ResponseParseError):
         nli.entailment_probability("p", "h")
 
 
 def test_remote_nli_http_error():
-    session = _FakeSession(_FakeResponse(status_code=502))
+    session = ScriptedSession((502, {}))
     nli = RemoteNli(endpoint="http://nli", session=session)
     with pytest.raises(TransportError):
         nli.entailment_probability("p", "h")
+
+
+def test_build_graph_nli_parse_error_keeps_raw_reply(cfg, embedder):
+    session = ScriptedSession((200, {"entailment_probability": 7}))
+    nli = RemoteNli(endpoint="http://nli", session=session)
+    with pytest.raises(ResponseParseError, match=r"scoring failed for pair \(a -> b\)") as exc:
+        build_graph(_chain_sextuplets(), cfg, embedder, nli)
+    assert exc.value.raw == '{"entailment_probability": 7}'
 
 
 def test_nli_from_spec():

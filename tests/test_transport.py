@@ -19,39 +19,9 @@ from emocause.kb import build_windows
 from emocause.model import Dialogue, Utterance
 from emocause.transport import JsonEndpoint
 
+from conftest import ScriptedSession
+
 BACKOFF = [0.5, 1.0, 2.0]
-
-
-class _FakeResponse:
-    def __init__(self, status_code=200, text="{}"):
-        self.status_code = status_code
-        self.text = text
-
-    def json(self):
-        return json.loads(self.text)
-
-
-class _ScriptedSession:
-    """Answers each post with the next scripted response, the last one forever."""
-
-    def __init__(self, *responses):
-        self.responses = list(responses)
-        self.posts = 0
-
-    def post(self, url, **kwargs):
-        self.posts += 1
-        return self.responses[min(self.posts, len(self.responses)) - 1]
-
-
-class _CountingSession(requests.Session):
-    def __init__(self):
-        super().__init__()
-        self.trust_env = False  # no proxy between the client and 127.0.0.1
-        self.posts = 0
-
-    def post(self, *args, **kwargs):
-        self.posts += 1
-        return super().post(*args, **kwargs)
 
 
 def _extract(provider):
@@ -73,10 +43,10 @@ def _endpoint(session):
 
 
 def test_retry_budget_respected(backoff_sleeps):
-    session = _ScriptedSession(_FakeResponse(503), _FakeResponse(503), _FakeResponse(200, "[]"))
+    session = ScriptedSession((503, {}), (503, {}), (200, "[]"))
     assert _endpoint(session).call({}) == [] and session.posts == 3
 
-    session = _ScriptedSession(_FakeResponse(503))
+    session = ScriptedSession((503, {}))
     with pytest.raises(TransportError, match="HTTP 503"):
         _endpoint(session).call({})
     assert session.posts == 4  # at most MAX_RETRIES + 1 posts
@@ -84,14 +54,14 @@ def test_retry_budget_respected(backoff_sleeps):
 
 
 def test_malformed_response_is_not_retried(backoff_sleeps):
-    session = _ScriptedSession(_FakeResponse(200, "no structure at all"))
+    session = ScriptedSession((200, "no structure at all"))
     with pytest.raises(ResponseParseError) as exc:
         _endpoint(session).call({})
     assert session.posts == 1  # the same request would get the same reply
     assert exc.value.raw == "no structure at all"
 
     # a JSON reply whose content the extraction parser rejects is not retried either
-    session = _ScriptedSession(_FakeResponse(200, json.dumps({"content": "no structure at all"})))
+    session = ScriptedSession((200, {"content": "no structure at all"}))
     with pytest.raises(ResponseParseError) as exc:
         _extract(RemoteExtractor("glm", endpoint="http://llm", session=session))
     assert session.posts == 1
@@ -106,6 +76,90 @@ def test_missing_endpoint_names_the_variable(monkeypatch):
         RemoteExtractor("glm")
     with pytest.raises(TransportError, match="NLI_ENDPOINT"):
         RemoteNli()
+
+
+# ---------------------------------------------------------------------------
+# What is prepared once per endpoint and what on every call
+# ---------------------------------------------------------------------------
+
+
+def _closed_port_url(path=""):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/{path}"
+
+
+def test_environment_is_resolved_once_per_endpoint(monkeypatch):
+    session = ScriptedSession((200, {}))
+    counts = {"prepare_request": 0, "merge_environment_settings": 0}
+    for name in counts:
+        original = getattr(session, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(session, name, counted)
+    endpoint = _endpoint(session)
+    for i in range(10):
+        assert endpoint.call({"i": i}) == {}
+    assert counts == {"prepare_request": 1, "merge_environment_settings": 1}
+    assert session.posts == 10
+    assert all("proxies" in kwargs for kwargs in session.send_kwargs)
+    assert [json.loads(r.body) for r in session.requests] == [{"i": i} for i in range(10)]
+
+
+def test_each_request_carries_session_headers_and_current_cookies():
+    session = ScriptedSession((200, {}))
+    session.headers["User-Agent"] = "emocause-tests"
+    session.cookies.set("early", "1")
+    endpoint = JsonEndpoint("test", "TEST", "http://e", "k", 1.0, session)
+    endpoint.call({})
+    session.cookies.clear()
+    session.cookies.set("sid", "abc")
+    endpoint.call({})
+    for request in session.requests:
+        assert request.headers["Content-Type"] == "application/json"
+        assert request.headers["Authorization"] == "Bearer k"
+        assert request.headers["User-Agent"] == "emocause-tests"
+    assert [r.headers["Cookie"] for r in session.requests] == ["early=1", "sid=abc"]
+
+
+def test_retries_resend_identical_body_bytes(backoff_sleeps):
+    body = {"premise": "les frais ont doublé", "hypothesis": "négatif", "n": [1, 2.5]}
+    session = ScriptedSession((503, {}))
+    with pytest.raises(TransportError, match="HTTP 503"):
+        _endpoint(session).call(body)
+    sent = {(r.body, r.headers["Content-Length"]) for r in session.requests}
+    assert session.posts == 4 and backoff_sleeps == BACKOFF
+    # the bytes session.post(json=body) would send
+    expected = requests.Request("POST", "http://e", json=body).prepare().body
+    assert sent == {(expected, str(len(expected)))}
+
+
+def test_proxy_environment_is_read_when_the_endpoint_is_built(http_stub, monkeypatch, backoff_sleeps):
+    # http_stub sets NO_PROXY=127.0.0.1; every other proxy leads nowhere
+    for var in ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", _closed_port_url())
+    monkeypatch.setenv("HTTPS_PROXY", _closed_port_url())
+    http_stub.default = (200, b'{"entailment_probability": 0.25}')
+    with requests.Session() as session:
+        built = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+        monkeypatch.delenv("NO_PROXY")
+        assert built.entailment_probability("p", "h") == 0.25
+        assert len(http_stub.requests) == 1 and backoff_sleeps == []
+
+        # a provider built after the change goes through the (dead) proxy
+        later = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+        with pytest.raises(TransportError, match="request failed"):
+            later.entailment_probability("p", "h")
+        assert len(http_stub.requests) == 1 and backoff_sleeps == BACKOFF
+
+
+def test_unpreparable_endpoint_fails_when_built():
+    with pytest.raises(TransportError, match="invalid test endpoint"):
+        JsonEndpoint("test", "TEST", "no scheme here", None, 1.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +205,7 @@ def test_provider_failures_over_http(http_stub, backoff_sleeps, name, failure):
     call, _ = PROVIDERS[name]
     reply, raised, posts, delays = FAILURES[failure]
     http_stub.default = reply
-    session = _CountingSession()
+    session = ScriptedSession()
     with pytest.raises(raised):
         call(http_stub.url(name), session)
     assert session.posts == len(http_stub.requests) == posts
@@ -164,7 +218,7 @@ def test_provider_recovers_after_transient_failures(http_stub, backoff_sleeps, n
     call, ok = PROVIDERS[name]
     http_stub.replies = [(503, b"{}"), (429, b"{}")]
     http_stub.default = (200, json.dumps(ok).encode())
-    call(http_stub.url(name), _CountingSession())
+    call(http_stub.url(name), ScriptedSession())
     assert len(http_stub.requests) == 3
     assert backoff_sleeps == [0.5, 1.0]
     assert len({json.dumps(body) for _, _, body in http_stub.requests}) == 1
@@ -172,11 +226,9 @@ def test_provider_recovers_after_transient_failures(http_stub, backoff_sleeps, n
 
 @pytest.mark.parametrize("name", PROVIDERS)
 def test_provider_connection_refused_is_retried(backoff_sleeps, name):
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        url = f"http://127.0.0.1:{sock.getsockname()[1]}/{name}"
+    url = _closed_port_url(name)
     call, _ = PROVIDERS[name]
-    session = _CountingSession()
+    session = ScriptedSession()
     with pytest.raises(TransportError, match="request failed"):
         call(url, session)
     assert session.posts == 4
