@@ -22,9 +22,10 @@ from .model import (
     Utterance,
     ValidationIssue,
     ValidationReport,
+    compute_speech_rate,
     validate_dialogue,
 )
-from .ingest import IngestOptions, compute_speech_rate, parse_corpus, parse_dialogue_file
+from .ingest import IngestOptions, parse_corpus, parse_dialogue_file
 from .embedding import (
     EmbeddingProvider,
     EmbeddingVector,

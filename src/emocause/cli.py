@@ -119,7 +119,7 @@ def _write_stage_manifest(out_path: Path, cfg: ScoringConfig | None,
 
 
 def _cmd_validate(args) -> int:
-    dialogue = load_raw_dialogue(Path(args.dialogue).read_bytes(), IngestOptions())
+    dialogue = load_raw_dialogue(Path(args.dialogue).read_bytes())
     report = validate_dialogue(dialogue)
     for issue in report.issues:
         print(f"{issue.severity.upper():7s} {issue.location}: {issue.message}")
@@ -150,7 +150,7 @@ def _cmd_index(args) -> int:
 def _dialogue_id_from_arg(value: str) -> str:
     path = Path(value)
     if path.exists():
-        dialogue = load_raw_dialogue(path.read_bytes(), IngestOptions())
+        dialogue = load_raw_dialogue(path.read_bytes())
         return dialogue.id
     return value
 

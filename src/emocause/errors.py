@@ -15,7 +15,7 @@ class SchemaError(EmocauseError):
     """A document violates the expected schema at a specific field path."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
         self.message = message
 
@@ -33,16 +33,18 @@ class DialogueParseError(EmocauseError):
 class InvalidDialogueError(EmocauseError):
     """A parsed dialogue failed invariant validation."""
 
-    def __init__(self, errors: list[str]):
-        super().__init__("dialogue failed validation: " + "; ".join(errors))
+    def __init__(self, errors: list[str], dialogue_id: str):
+        super().__init__(f"dialogue {dialogue_id!r} failed validation: " + "; ".join(errors))
         self.errors = errors
 
 
 class StrictModeError(EmocauseError):
     """Strict ingestion rejected a dialogue that only carried warnings."""
 
-    def __init__(self, warnings: list[str]):
-        super().__init__("strict mode rejected dialogue with warnings: " + "; ".join(warnings))
+    def __init__(self, warnings: list[str], dialogue_id: str):
+        super().__init__(
+            f"strict mode rejected dialogue {dialogue_id!r} with warnings: " + "; ".join(warnings)
+        )
         self.warnings = warnings
 
 

@@ -13,8 +13,8 @@ import json
 import math
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from dataclasses import astuple, dataclass
+from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 import requests
 
@@ -22,6 +22,7 @@ from .embedding import EmbeddingProvider, embed_text
 from .errors import PrecedenceError, ResponseParseError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_from_dict, sextuplet_to_dict
+from .model import _as_list, _as_number, _as_obj, _as_str, _need
 from .transport import JsonEndpoint
 
 LN2 = math.log(2.0)
@@ -38,6 +39,10 @@ class CausalEdge:
     rationale_score: float
     weight: float
     delta_t: float
+
+
+# JSON keys of an exported edge, in CausalEdge field order.
+_EDGE_KEYS = ("cause", "effect", "semantic", "temporal", "rationale", "weight", "delta_t")
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,6 @@ def rationale_score(
 
 def edge_weight(semantic: float, temporal: float, rationale: float, cfg: ScoringConfig) -> float:
     """Convex combination of the three components with the configured weights."""
-    cfg.validate()
     return cfg.alpha * semantic + cfg.beta * temporal + cfg.gamma * rationale
 
 
@@ -211,7 +215,6 @@ def build_graph(
     events. Output is deterministic and independent of evaluation order and
     thread count.
     """
-    cfg.validate()
     ids = [s.id for s in sextuplets]
     if len(set(ids)) != len(ids):
         raise ValueError("sextuplet ids must be unique")
@@ -296,15 +299,7 @@ def export_graph(
         doc: dict = {
             "vertices": sorted(graph.vertices),
             "edges": [
-                {
-                    "cause": e.cause_id,
-                    "effect": e.effect_id,
-                    "semantic": e.semantic_score,
-                    "temporal": e.temporal_score,
-                    "rationale": e.rationale_score,
-                    "weight": e.weight,
-                    "delta_t": e.delta_t,
-                }
+                dict(zip(_EDGE_KEYS, astuple(e)))
                 for e in sorted(graph.edges, key=lambda e: (e.cause_id, e.effect_id))
             ],
         }
@@ -318,27 +313,36 @@ def export_graph(
     raise ValueError(f"unknown export format {fmt!r} (use 'dot' or 'json')")
 
 
+def _edge_from_dict(obj: Mapping[str, Any], path: str) -> CausalEdge:
+    obj = _as_obj(obj, path)
+    cause, effect, *scores = ((_need(obj, key, path), f"{path}.{key}") for key in _EDGE_KEYS)
+    return CausalEdge(_as_str(*cause), _as_str(*effect), *(_as_number(*s) for s in scores))
+
+
 def graph_from_json(
     data: bytes | str,
 ) -> tuple[CausalGraph, list[Sextuplet] | None, str | None]:
-    """Parse a JSON export back into (graph, embedded sextuplets, dialogue id)."""
-    obj = json.loads(data)
+    """Parse a JSON export back into (graph, embedded sextuplets, dialogue id),
+    raising SchemaError with a field path on the first structural violation."""
+    obj = _as_obj(json.loads(data), "")
     edges = tuple(
-        CausalEdge(
-            cause_id=str(e["cause"]),
-            effect_id=str(e["effect"]),
-            semantic_score=float(e["semantic"]),
-            temporal_score=float(e["temporal"]),
-            rationale_score=float(e["rationale"]),
-            weight=float(e["weight"]),
-            delta_t=float(e["delta_t"]),
-        )
-        for e in obj.get("edges", [])
+        _edge_from_dict(e, f"edges[{i}]")
+        for i, e in enumerate(_as_list(obj.get("edges", []), "edges"))
     )
-    graph = CausalGraph(vertices=tuple(str(v) for v in obj.get("vertices", [])), edges=edges)
+    vertices = tuple(
+        _as_str(v, f"vertices[{i}]")
+        for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices"))
+    )
     raw = obj.get("sextuplets")
     items = None
     if raw is not None:
-        items = [sextuplet_from_dict(o, f"sextuplets[{i}]") for i, o in enumerate(raw)]
+        items = [
+            sextuplet_from_dict(o, f"sextuplets[{i}]")
+            for i, o in enumerate(_as_list(raw, "sextuplets"))
+        ]
     did = obj.get("dialogue_id")
-    return graph, items, None if did is None else str(did)
+    return (
+        CausalGraph(vertices=vertices, edges=edges),
+        items,
+        None if did is None else _as_str(did, "dialogue_id"),
+    )

@@ -1,179 +1,134 @@
 """Parsing of dialogue files and audio sidecar records.
 
-Accepts a single JSON document per dialogue or a line-delimited corpus
-(one JSON object per line). Missing speech rates are computed from the
-utterance timing; audio records pointing at nonexistent utterances are a
+Accepts a single JSON document per dialogue, a JSON array of dialogues, or
+a line-delimited corpus (one JSON object per line). Each document is
+decoded once, parsed by ``model.dialogue_from_dict`` and passed through one
+validation gate. Audio records pointing at nonexistent utterances are a
 hard error because silent misalignment would corrupt fusion downstream.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Iterator
 
 from .errors import DialogueParseError, InvalidDialogueError, SchemaError, StrictModeError
-from .model import Dialogue, Utterance, dialogue_from_dict, validate_dialogue
+from .model import (  # compute_speech_rate: also part of this module's public API
+    Dialogue,
+    compute_speech_rate,
+    dialogue_from_dict,
+    validate_dialogue,
+)
 
 logger = logging.getLogger(__name__)
+
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
 class IngestOptions:
-    """strict: treat validation warnings as rejection; compute_missing_rates:
-    fill absent speech_rate fields from utterance timing."""
+    """strict: treat validation warnings as rejection."""
 
     strict: bool = False
-    compute_missing_rates: bool = True
 
 
-def compute_speech_rate(u: Utterance) -> float:
-    """Words per second of an utterance: word_count / (t_end - t_start)."""
-    duration = u.t_end - u.t_start
-    if duration <= 0.0:
-        raise ValueError(
-            f"utterance {u.index} has degenerate duration ({u.t_start!r} .. {u.t_end!r})"
-        )
-    return u.word_count / duration
-
-
-def _decode_json(data: bytes | str) -> object:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
+def _decode_utf8(data: bytes | str) -> str:
+    if isinstance(data, str):
+        return data
     try:
-        return json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
 
 
-def _fill_missing_rates(obj: dict, opts: IngestOptions) -> dict:
-    """Inject computed speech_rate into audio entries that omit it."""
-    audio = obj.get("audio")
-    if not isinstance(audio, list):
-        return obj
-    utterances = obj.get("utterances")
-    by_index = {}
-    if isinstance(utterances, list):
-        for item in utterances:
-            if isinstance(item, dict) and isinstance(item.get("index"), int):
-                by_index[item["index"]] = item
-
-    patched = []
-    changed = False
-    for i, entry in enumerate(audio):
-        if not isinstance(entry, dict) or "speech_rate" in entry:
-            patched.append(entry)
-            continue
-        if not opts.compute_missing_rates:
-            raise SchemaError(f"audio[{i}].speech_rate", "missing required field")
-        idx = entry.get("utterance_index")
-        src = by_index.get(idx)
-        if src is None:
-            raise SchemaError(
-                f"audio[{i}].utterance_index",
-                f"references unknown utterance index {idx!r}",
-            )
+def _documents(text: str) -> Iterator[tuple[int, Any]]:
+    """Decode the JSON documents of `text` one after another, each once,
+    yielding (the line the document starts on, its value)."""
+    pos = _JSON_SPACE.match(text).end()
+    line, counted = 1, 0
+    while pos < len(text):
+        line += text.count("\n", counted, pos)
+        counted = pos
         try:
-            u = Utterance(
-                index=idx,
-                speaker=str(src.get("speaker", "")),
-                text=str(src.get("text", "")),
-                t_start=float(src.get("t_start", 0.0)),
-                t_end=float(src.get("t_end", 0.0)),
-            )
-            rate = compute_speech_rate(u)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(
-                f"audio[{i}].speech_rate",
-                f"cannot compute speech rate from utterance {idx}: {exc}",
-            ) from exc
-        patched.append({**entry, "speech_rate": rate})
-        changed = True
-    if changed:
-        obj = {**obj, "audio": patched}
-    return obj
+            obj, end = _DECODER.raw_decode(text, pos)
+        except json.JSONDecodeError as exc:
+            raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        yield line, obj
+        pos = _JSON_SPACE.match(text, end).end()
 
 
-def load_raw_dialogue(data: bytes | str, opts: IngestOptions | None = None) -> Dialogue:
-    """Schema-parse a dialogue document without the validation gate.
-
-    Useful when the caller wants the full validation report rather than a
-    raised error (the `validate` subcommand does).
-    """
-    opts = opts or IngestOptions()
-    obj = _decode_json(data)
-    if not isinstance(obj, dict):
-        raise SchemaError("", f"expected a JSON object, got {type(obj).__name__}")
-    obj = _fill_missing_rates(obj, opts)
-    return dialogue_from_dict(obj)
-
-
-def parse_dialogue_file(data: bytes | str, opts: IngestOptions | None = None) -> Dialogue:
-    """Parse one dialogue document; the result passes validation with zero errors."""
-    opts = opts or IngestOptions()
-    dialogue = load_raw_dialogue(data, opts)
-
+def _admit(dialogue: Dialogue, opts: IngestOptions) -> Dialogue:
+    """The validation gate: errors reject the dialogue; warnings reject it in
+    strict mode and are logged otherwise."""
     report = validate_dialogue(dialogue)
     if report.errors:
-        raise InvalidDialogueError([f"{i.location}: {i.message}" for i in report.errors])
+        raise InvalidDialogueError(
+            [f"{i.location}: {i.message}" for i in report.errors], dialogue.id
+        )
     if report.warnings:
         messages = [f"{i.location}: {i.message}" for i in report.warnings]
         if opts.strict:
-            raise StrictModeError(messages)
+            raise StrictModeError(messages, dialogue.id)
         for m in messages:
             logger.warning("dialogue %s: %s", dialogue.id, m)
     return dialogue
 
 
+def load_raw_dialogue(data: bytes | str) -> Dialogue:
+    """Schema-parse a dialogue document without the validation gate.
+
+    Useful when the caller wants the full validation report rather than a
+    raised error (the `validate` subcommand does).
+    """
+    text = _decode_utf8(data)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    return dialogue_from_dict(obj)
+
+
+def parse_dialogue_file(data: bytes | str, opts: IngestOptions | None = None) -> Dialogue:
+    """Parse one dialogue document; the result passes validation with zero errors."""
+    return _admit(load_raw_dialogue(data), opts or IngestOptions())
+
+
 def parse_corpus(data: bytes | str, opts: IngestOptions | None = None) -> list[Dialogue]:
     """Parse a corpus: a single JSON document, a JSON array of dialogues, or
-    one JSON object per line."""
+    one JSON object per line. A schema error names the failing document by
+    its array position (``[1].utterances[0].t_start``) or by its line
+    (``line 2: utterances[0].t_start``)."""
     opts = opts or IngestOptions()
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
-    else:
-        text = data
-
-    stripped = text.strip()
-    if not stripped:
+    docs = _documents(_decode_utf8(data))
+    first = next(docs, None)
+    if first is None:
         return []
-    if stripped.startswith("["):
-        items = _decode_json(stripped)
-        if not isinstance(items, list):
-            raise SchemaError("", "expected a JSON array of dialogues")
-        return [
-            parse_dialogue_file(json.dumps(item), opts) if isinstance(item, dict) else _bad_item(i)
-            for i, item in enumerate(items)
-        ]
+    following = next(docs, None)
+    if following is None:
+        obj = first[1]
+        if isinstance(obj, list):
+            return [_corpus_item(item, opts, f"[{i}]", ".") for i, item in enumerate(obj)]
+        return [_admit(dialogue_from_dict(obj), opts)]
+    return [
+        _corpus_item(obj, opts, f"line {line}", ": ")
+        for line, obj in itertools.chain((first, following), docs)
+    ]
+
+
+def _corpus_item(obj: Any, opts: IngestOptions, where: str, sep: str) -> Dialogue:
+    """Parse and admit one document of a corpus, prefixing `where` to the
+    path of a schema error."""
     try:
-        # A whole-file JSON object is a single dialogue.
-        json.loads(stripped)
-        is_single = True
-    except json.JSONDecodeError:
-        is_single = False
-    if is_single:
-        return [parse_dialogue_file(stripped, opts)]
-
-    dialogues = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            dialogues.append(parse_dialogue_file(line, opts))
-        except DialogueParseError as exc:
-            raise DialogueParseError(f"line {lineno}: {exc}") from exc
-    return dialogues
-
-
-def _bad_item(i: int) -> Dialogue:
-    raise SchemaError(f"[{i}]", "expected a dialogue object")
+        dialogue = dialogue_from_dict(obj)
+    except SchemaError as exc:
+        raise SchemaError(sep.join(filter(None, (where, exc.path))), exc.message) from exc
+    return _admit(dialogue, opts)
 
 
 def read_dialogue(path: str | Path, opts: IngestOptions | None = None) -> Dialogue:
@@ -181,5 +136,5 @@ def read_dialogue(path: str | Path, opts: IngestOptions | None = None) -> Dialog
 
 
 def read_corpus(path: str | Path, opts: IngestOptions | None = None) -> list[Dialogue]:
-    """Read `.json` (single document) or `.jsonl` (one dialogue per line) files."""
+    """Read `.json` (single document or array) or `.jsonl` (one dialogue per line) files."""
     return parse_corpus(Path(path).read_bytes(), opts)

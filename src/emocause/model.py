@@ -67,6 +67,16 @@ class Utterance:
         return self.t_end - self.t_start
 
 
+def compute_speech_rate(u: Utterance) -> float:
+    """Words per second of an utterance: word_count / (t_end - t_start)."""
+    duration = u.duration
+    if duration <= 0.0:
+        raise ValueError(
+            f"utterance {u.index} has degenerate duration ({u.t_start!r} .. {u.t_end!r})"
+        )
+    return u.word_count / duration
+
+
 @dataclass(frozen=True)
 class AudioFeatureRecord:
     """Precomputed voice features for one utterance.
@@ -166,7 +176,8 @@ class ScoringConfig:
 
     ``alpha``/``beta``/``gamma`` weight the semantic, temporal and rationale
     components of an edge and must sum to 1. ``max_gap`` of ``None`` means
-    ``10 * tau``, beyond which the temporal component is negligible.
+    ``10 * tau``, beyond which the temporal component is negligible. Every
+    instance is validated when it is built, ``dataclasses.replace`` included.
     """
 
     alpha: float = 1.0 / 3.0
@@ -182,7 +193,23 @@ class ScoringConfig:
     max_gap: float | None = None
     consistency_floor: float = 0.5
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
+        if not isinstance(self.normalize_scores, bool):
+            raise ConfigError(f"normalize_scores={self.normalize_scores!r} must be true or false")
+        for name in ("top_n", "window_size", "stride"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigError(f"{name}={v!r} must be an integer")
+        for name in ("alpha", "beta", "gamma", "tau", "edge_threshold", "rate_scale",
+                     "max_gap", "consistency_floor"):
+            v = getattr(self, name)
+            if v is None and name == "max_gap":
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{name}={v!r} must be a number")
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -193,7 +220,7 @@ class ScoringConfig:
                 f"alpha + beta + gamma must equal 1 (got {total!r}); "
                 "the three edge-weight components are a convex combination"
             )
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:  # also rejects NaN
             raise ConfigError(f"tau={self.tau!r} must be > 0 seconds")
         if not 0.0 <= self.edge_threshold <= 1.0:
             raise ConfigError(f"edge_threshold={self.edge_threshold!r} outside [0, 1]")
@@ -203,9 +230,9 @@ class ScoringConfig:
             raise ConfigError(f"window_size={self.window_size!r} must be >= 2")
         if self.stride < 1:
             raise ConfigError(f"stride={self.stride!r} must be >= 1")
-        if self.rate_scale <= 0.0:
+        if not self.rate_scale > 0.0:
             raise ConfigError(f"rate_scale={self.rate_scale!r} must be > 0")
-        if self.max_gap is not None and self.max_gap <= 0.0:
+        if self.max_gap is not None and not self.max_gap > 0.0:
             raise ConfigError(f"max_gap={self.max_gap!r} must be > 0 or None")
 
     def effective_max_gap(self) -> float:
@@ -311,6 +338,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 #    utterances: [{index, speaker, text, t_start, t_end}],
 #    audio: [{utterance_index, emotion: [...], intensity, speech_rate?}]}
 #
+# A missing speech_rate is computed from the timing of the utterance it
+# belongs to (compute_speech_rate).
+#
 # Sextuplet object:
 #   {id, holder, target, aspect, opinion, sentiment, sentiment_score?,
 #    rationale, window_index, t_start, t_end}
@@ -382,15 +412,30 @@ def audio_record_to_dict(rec: AudioFeatureRecord) -> dict:
     }
 
 
-def audio_record_from_dict(obj: Mapping[str, Any], path: str = "") -> AudioFeatureRecord:
+def audio_record_from_dict(
+    obj: Mapping[str, Any], path: str, utterances: Mapping[int, Utterance]
+) -> AudioFeatureRecord:
+    """Parse one audio record of a dialogue whose utterances are given by
+    index: the record must point at one of them, and a missing speech_rate
+    is computed from that utterance's timing."""
     obj = _as_obj(obj, path)
+    index = _as_int(_need(obj, "utterance_index", path), f"{path}.utterance_index")
+    if index not in utterances:
+        raise SchemaError(f"{path}.utterance_index", f"references unknown utterance index {index}")
     emotion = _as_list(_need(obj, "emotion", path), f"{path}.emotion")
     components = tuple(_as_number(v, f"{path}.emotion[{i}]") for i, v in enumerate(emotion))
+    intensity = _as_number(_need(obj, "intensity", path), f"{path}.intensity")
+    if "speech_rate" in obj:
+        rate = _as_number(obj["speech_rate"], f"{path}.speech_rate")
+    else:
+        try:
+            rate = compute_speech_rate(utterances[index])
+        except ValueError as exc:
+            raise SchemaError(
+                f"{path}.speech_rate", f"cannot compute speech rate from utterance {index}: {exc}"
+            ) from exc
     return AudioFeatureRecord(
-        utterance_index=_as_int(_need(obj, "utterance_index", path), f"{path}.utterance_index"),
-        emotion=components,
-        intensity=_as_number(_need(obj, "intensity", path), f"{path}.intensity"),
-        speech_rate=_as_number(_need(obj, "speech_rate", path), f"{path}.speech_rate"),
+        utterance_index=index, emotion=components, intensity=intensity, speech_rate=rate
     )
 
 
@@ -411,15 +456,10 @@ def dialogue_from_dict(obj: Mapping[str, Any]) -> Dialogue:
         utterance_from_dict(item, f"utterances[{i}]")
         for i, item in enumerate(_as_list(_need(obj, "utterances", ""), "utterances"))
     )
-    known = {u.index for u in utterances}
+    by_index = {u.index: u for u in utterances}
     audio: dict[int, AudioFeatureRecord] = {}
     for i, item in enumerate(_as_list(obj.get("audio", []), "audio")):
-        rec = audio_record_from_dict(item, f"audio[{i}]")
-        if rec.utterance_index not in known:
-            raise SchemaError(
-                f"audio[{i}].utterance_index",
-                f"references unknown utterance index {rec.utterance_index}",
-            )
+        rec = audio_record_from_dict(item, f"audio[{i}]", by_index)
         if rec.utterance_index in audio:
             raise SchemaError(
                 f"audio[{i}].utterance_index",
@@ -484,9 +524,7 @@ def scoring_config_from_dict(obj: Mapping[str, Any]) -> ScoringConfig:
     unknown = sorted(set(obj) - names)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ScoringConfig(**{k: obj[k] for k in obj})
-    cfg.validate()
-    return cfg
+    return ScoringConfig(**obj)
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -189,6 +189,45 @@ def test_unknown_config_key_is_usage_error(generated, tmp_path):
                  "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"tau": "30"},
+    {"max_gap": "x"},
+    {"top_n": 2.5},
+    {"window_size": 10.0},
+    {"edge_threshold": True},
+    {"normalize_scores": "no"},
+], ids=["tau-str", "max_gap-str", "top_n-float", "window_size-float", "threshold-bool",
+        "normalize-str"])
+def test_config_value_of_wrong_type_is_usage_error(generated, tmp_path, capsys, config):
+    tmp, dialogue_path, _ = generated
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "x"),
+                 "--config", str(config_path)]) == 2
+    [name] = config
+    assert f"error: {name}=" in capsys.readouterr().err
+
+
+def test_eval_predicted_array_is_format_error(generated, tmp_path, capsys):
+    _, _, gold_path = generated
+    predicted = tmp_path / "array.json"
+    predicted.write_text("[]")
+    assert main(["eval", "--predicted", str(predicted), "--gold", str(gold_path)]) == 4
+    assert "expected object, got list" in capsys.readouterr().err
+
+
+def test_eval_edge_without_effect_names_the_field(generated, capsys):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    graph_path = tmp / "out" / "graph.json"
+    doc = json.loads(graph_path.read_text())
+    del doc["edges"][0]["effect"]
+    graph_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]) == 4
+    assert "edges[0].effect: missing required field" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

@@ -63,11 +63,21 @@ def test_parse_fills_missing_speech_rate():
     assert d.audio[1].speech_rate == 3.0
 
 
-def test_parse_missing_rate_without_computation_is_schema_error():
+def test_missing_rate_with_malformed_timing_reports_the_timing_field():
     doc = json.loads(json.dumps(MINIMAL))
+    doc["utterances"][0]["t_start"] = "zero"
     doc["audio"] = [{"utterance_index": 0, "emotion": [1.0], "intensity": 0.4}]
     with pytest.raises(SchemaError) as exc:
-        parse_dialogue_file(json.dumps(doc), IngestOptions(compute_missing_rates=False))
+        parse_dialogue_file(json.dumps(doc))
+    assert exc.value.path == "utterances[0].t_start"
+
+
+def test_missing_rate_on_zero_duration_utterance_is_schema_error():
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["utterances"][0]["t_end"] = doc["utterances"][0]["t_start"]
+    doc["audio"] = [{"utterance_index": 0, "emotion": [1.0], "intensity": 0.4}]
+    with pytest.raises(SchemaError, match="degenerate duration") as exc:
+        parse_dialogue_file(json.dumps(doc))
     assert exc.value.path == "audio[0].speech_rate"
 
 
@@ -117,6 +127,33 @@ def test_parse_corpus_reports_jsonl_line():
     jsonl = json.dumps(MINIMAL) + "\n{broken\n"
     with pytest.raises(DialogueParseError, match="line 2"):
         parse_corpus(jsonl)
+
+
+def _second_lacks_t_start() -> list[dict]:
+    broken = json.loads(json.dumps({**MINIMAL, "id": "mini-2"}))
+    del broken["utterances"][1]["t_start"]
+    return [MINIMAL, broken]
+
+
+def test_parse_corpus_array_error_names_the_item():
+    with pytest.raises(SchemaError) as exc:
+        parse_corpus(json.dumps(_second_lacks_t_start()))
+    assert exc.value.path == "[1].utterances[1].t_start"
+
+
+def test_parse_corpus_jsonl_error_names_the_line():
+    jsonl = "\n".join(json.dumps(doc) for doc in _second_lacks_t_start())
+    with pytest.raises(SchemaError) as exc:
+        parse_corpus(jsonl)
+    assert exc.value.path == "line 2: utterances[1].t_start"
+    assert str(exc.value) == "line 2: utterances[1].t_start: missing required field"
+
+
+def test_parse_corpus_validation_error_names_the_dialogue():
+    broken = json.loads(json.dumps({**MINIMAL, "id": "mini-2"}))
+    broken["utterances"][1]["t_end"] = broken["utterances"][1]["t_start"]
+    with pytest.raises(InvalidDialogueError, match="'mini-2'"):
+        parse_corpus(json.dumps([MINIMAL, broken]))
 
 
 def test_compute_speech_rate_examples():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,20 @@ def test_scoring_config_rejects_bad_weights():
         ScoringConfig(tau=0.0).validate()
 
 
+def test_scoring_config_is_validated_when_built():
+    with pytest.raises(ConfigError, match="top_n"):
+        ScoringConfig(top_n=0)
+    with pytest.raises(ConfigError, match="tau"):
+        replace(ScoringConfig(), tau=0.0)
+    for name in ("tau", "rate_scale", "max_gap"):
+        with pytest.raises(ConfigError, match=name):
+            ScoringConfig(**{name: float("nan")})
+
+
+def test_scoring_config_accepts_json_integers_for_float_fields():
+    assert scoring_config_from_dict({"tau": 30, "edge_threshold": 1}).tau == 30
+
+
 def test_scoring_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown"):
         scoring_config_from_dict({"alhpa": 0.2})
@@ -151,6 +166,14 @@ def test_dialogue_schema_missing_field_path():
     with pytest.raises(SchemaError) as exc:
         dialogue_from_dict(doc)
     assert exc.value.path == "utterances[1].t_end"
+
+
+def test_dialogue_schema_fills_missing_speech_rate():
+    doc = dialogue_to_dict(make_dialogue(n=3))
+    del doc["audio"][1]["speech_rate"]
+    d = dialogue_from_dict(doc)
+    u = d.utterances[1]
+    assert d.audio[1].speech_rate == u.word_count / (u.t_end - u.t_start)
 
 
 def test_dialogue_schema_unknown_audio_index_is_hard_error():

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import emocause.ingest
+import emocause.pipeline
 from emocause.errors import SchemaError
-from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical
+from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical, validate_dialogue
 from emocause.metrics import gold_to_dict
 from emocause.pipeline import run_pipeline, sha256_file
 from emocause.synth import ChainSpec, generate
@@ -79,3 +81,17 @@ def test_run_pipeline_rejects_gold_for_other_dialogues(workdir):
     ]))
     with pytest.raises(SchemaError, match="synth-00000007"):
         run_pipeline(dialogue_path, tmp / "out4", gold_path=gold_path)
+
+
+def test_run_pipeline_validates_the_dialogue_once(workdir, monkeypatch):
+    tmp, dialogue_path, _ = workdir
+    calls = []
+
+    def counting(dialogue):
+        calls.append(dialogue.id)
+        return validate_dialogue(dialogue)
+
+    monkeypatch.setattr(emocause.ingest, "validate_dialogue", counting)
+    monkeypatch.setattr(emocause.pipeline, "validate_dialogue", counting)
+    run_pipeline(dialogue_path, tmp / "out5")
+    assert calls == ["synth-00000007"]
