@@ -290,6 +290,12 @@ def index_corpus(
     )
 
 
+# Norms inside this range are computed from normal (not subnormal, not
+# overflowing) squares, so the plain formula keeps full precision.
+_NORM_SAFE_MIN = 1e-100
+_NORM_SAFE_MAX = 1e100
+
+
 def cosine_similarity(a, b) -> float:
     """(a . b) / (|a| |b|); raises on dimension mismatch or zero vectors."""
     va = a.values if isinstance(a, EmbeddingVector) else np.asarray(a, dtype=np.float64)
@@ -298,8 +304,17 @@ def cosine_similarity(a, b) -> float:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero vectors")
+    if not (_NORM_SAFE_MIN <= na <= _NORM_SAFE_MAX and _NORM_SAFE_MIN <= nb <= _NORM_SAFE_MAX):
+        # Squares of very small (or large) components under- or overflow,
+        # which breaks scale invariance; divide each vector by its largest
+        # component first. Cosine is unchanged by positive scaling.
+        ma = float(np.max(np.abs(va)))
+        mb = float(np.max(np.abs(vb)))
+        if ma == 0.0 or mb == 0.0:
+            raise ValueError("cosine similarity is undefined for zero vectors")
+        va, vb = va / ma, vb / mb
+        na = float(np.linalg.norm(va))
+        nb = float(np.linalg.norm(vb))
     return float(np.dot(va, vb)) / (na * nb)
 
 

@@ -187,6 +187,17 @@ def test_cosine_symmetry_and_scale_invariance(a, b, c):
     assert cosine_similarity(c * va, vb) == pytest.approx(cosine_similarity(va, vb), abs=1e-9)
 
 
+def test_cosine_tiny_and_huge_components_keep_full_precision():
+    # Squaring 5e-160 lands in the subnormal range; a plain norm loses digits.
+    tiny = np.array([5.3788811324873487e-160, 0.0, 0.0])
+    unit = np.array([1.0, 0.0, 0.0])
+    assert cosine_similarity(tiny, unit) == 1.0
+    assert cosine_similarity(0.109375 * tiny, unit) == 1.0
+    assert cosine_similarity(np.array([1e200, 1e200]), np.array([1.0, 0.0])) == pytest.approx(
+        math.sqrt(0.5), abs=1e-12
+    )
+
+
 def _random_kb(n_entries, dim, seed, n_dialogues=4):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n_entries, dim))
