@@ -4,8 +4,9 @@ Exit codes: 0 success; 1 validation or evaluation failure; 2 usage error;
 3 provider or transport error; 4 file-format error. A remote provider's
 missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
 failing after the transport's retries, or any other non-200 status exits 3;
-a 200 whose body is not JSON exits 4, as does any provider's reply without
-its fields; an embedding of the wrong dimension exits 3.
+a 200 whose body is not JSON exits 4, as do a reply without its fields, an
+embedding reply whose row count is not the number of texts sent, and a JSON
+input file that does not decode; an embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults.
 """
@@ -354,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (SchemaError, DialogueParseError, StoreFormatError, ResponseParseError,
+            json.JSONDecodeError) as exc:  # before ValueError: JSONDecodeError is one
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FORMAT
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -363,10 +368,6 @@ def main(argv: list[str] | None = None) -> int:
     except (TransportError, EmbeddingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (SchemaError, DialogueParseError, StoreFormatError, ResponseParseError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

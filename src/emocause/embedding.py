@@ -3,6 +3,8 @@
 A fused vector is the concatenation of a unit-norm text embedding, the
 soft emotion distribution, and the speech rate scaled into a comparable
 range, so the fused dimensionality is always text_dim + emotion_dim + 1.
+embed_texts embeds a stage's distinct texts through a provider's optional
+embed_many (one /embed request per EMBED_BATCH_SIZE texts), else per text.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 import requests
@@ -21,6 +23,7 @@ from .transport import JsonEndpoint
 
 UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = 5.0
+EMBED_BATCH_SIZE = 64  # texts per /embed request; bounds one long dialogue's body
 
 KIND_TEXT = "text"
 KIND_AUDIO_EMOTION = "audio_emotion"
@@ -46,8 +49,8 @@ class EmbeddingVector:
 
 @runtime_checkable
 class EmbeddingProvider(Protocol):
-    """Maps text to a fixed-dimension vector; the same input must always
-    yield the same vector for a given provider id."""
+    """Maps text to a fixed-dimension vector, the same for the same input
+    and provider id; an optional embed_many(texts) returns one per text."""
 
     id: str
     dim: int
@@ -92,10 +95,11 @@ class HashTextEmbedder:
 class RemoteTextEmbedder:
     """HTTP embedding provider.
 
-    POST {model, input: [text]} -> {embeddings: [[...]]}; the first row must
-    have `dim` components and is unit-normalized locally. A reply without a
-    numeric first row raises ResponseParseError; a row of the wrong
-    dimension raises EmbeddingError.
+    POST {model, input: [text, ...]} -> {embeddings: [[...], ...]}, one row
+    per text in input order; embed_many posts each chunk of at most
+    EMBED_BATCH_SIZE texts, and embed(text) is embed_many([text])[0]. A reply
+    without one numeric row per text raises ResponseParseError; a zero row or
+    one of the wrong dimension raises EmbeddingError. Rows are unit-normalized.
     """
 
     mode = "remote"
@@ -118,19 +122,30 @@ class RemoteTextEmbedder:
             raise EmbeddingError(str(exc)) from exc
 
     def embed(self, text: str) -> np.ndarray:
-        reply = self._http.call({"model": self.model, "input": [text]})
-        try:
-            vec = np.asarray(reply["embeddings"][0], dtype=np.float64)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ResponseParseError(f"malformed embedding response: {exc}", json.dumps(reply)) from exc
-        if vec.ndim != 1 or vec.shape[0] != self.dim:
-            raise EmbeddingError(
-                f"embedding has dimension {vec.shape}, provider configured for {self.dim}"
-            )
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise EmbeddingError("embedding endpoint returned a zero vector")
-        return vec / norm
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> list[np.ndarray]:
+        rows = []
+        for start in range(0, len(texts), EMBED_BATCH_SIZE):
+            chunk = list(texts[start : start + EMBED_BATCH_SIZE])
+            reply = self._http.call({"model": self.model, "input": chunk})
+            try:
+                got = reply["embeddings"]
+                if len(got) != len(chunk):
+                    raise ValueError(f"{len(got)} embeddings for {len(chunk)} texts")
+                vecs = [np.asarray(row, dtype=np.float64) for row in got]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ResponseParseError(f"malformed embedding response: {exc}", json.dumps(reply)) from exc
+            for vec in vecs:
+                if vec.ndim != 1 or vec.shape[0] != self.dim:
+                    raise EmbeddingError(
+                        f"embedding has dimension {vec.shape}, provider configured for {self.dim}"
+                    )
+                norm = float(np.linalg.norm(vec))
+                if norm == 0.0:
+                    raise EmbeddingError("embedding endpoint returned a zero vector")
+                rows.append(vec / norm)
+        return rows
 
 
 def provider_from_spec(spec: str) -> EmbeddingProvider:
@@ -147,15 +162,25 @@ def provider_from_spec(spec: str) -> EmbeddingProvider:
     raise EmbeddingError(f"unknown embedding provider spec {spec!r}")
 
 
+def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, EmbeddingVector]:
+    """Embed each distinct non-blank text once, keyed in first-seen order:
+    one provider.embed_many call when the provider has that method, else one
+    provider.embed call per text. Each result is unit-norm within 1e-6."""
+    distinct = list(dict.fromkeys(texts))
+    if not all(text.strip() for text in distinct):
+        raise ValueError("text must be non-empty")
+    embed_many = getattr(provider, "embed_many", None)
+    rows = embed_many(distinct) if embed_many else [provider.embed(t) for t in distinct]
+    for values in rows:
+        norm = float(np.linalg.norm(values))
+        if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+            raise EmbeddingError(f"provider {provider.id} returned a non-unit vector (norm {norm!r})")
+    return dict(zip(distinct, [EmbeddingVector(v, KIND_TEXT) for v in rows], strict=True))
+
+
 def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
     """Embed non-blank text; the result is unit-norm within 1e-6."""
-    if not text or not text.strip():
-        raise ValueError("text must be non-empty")
-    values = provider.embed(text)
-    norm = float(np.linalg.norm(values))
-    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise EmbeddingError(f"provider {provider.id} returned a non-unit vector (norm {norm!r})")
-    return EmbeddingVector(values, KIND_TEXT)
+    return embed_texts(provider, [text])[text]
 
 
 def fuse(

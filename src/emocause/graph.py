@@ -18,7 +18,7 @@ from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 
 import requests
 
-from .embedding import EmbeddingProvider, embed_text
+from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_from_dict, sextuplet_to_dict
@@ -209,11 +209,11 @@ def build_graph(
     Pairs with a negative gap are discarded before scoring (causality needs
     precedence) and gaps beyond max_gap are skipped: at the default cutoff of
     10 * tau the temporal component is below 5e-5, negligible against any
-    practical threshold. Each distinct cause opinion and effect sentiment
-    label of the admissible pairs is embedded once, before scoring starts,
-    so `jobs` threads only share NLI calls. Vertices include isolated
-    events. Output is deterministic and independent of evaluation order and
-    thread count.
+    practical threshold. The distinct cause opinions and effect sentiment
+    labels of the admissible pairs are embedded with one embed_texts call
+    before scoring starts, so `jobs` threads only share NLI calls. Vertices
+    include isolated events. Output is deterministic and independent of
+    evaluation order and thread count.
     """
     ids = [s.id for s in sextuplets]
     if len(set(ids)) != len(ids):
@@ -227,8 +227,8 @@ def build_graph(
         if cause.id != effect.id and 0.0 <= temporal_gap(cause, effect) <= max_gap
     ]
 
-    texts = dict.fromkeys(t for c, e in candidates for t in (c.opinion, e.sentiment_label))
-    vectors = {text: embed_text(embedder, text) for text in texts}
+    texts = (t for c, e in candidates for t in (c.opinion, e.sentiment_label))
+    vectors = embed_texts(embedder, texts)
 
     def score(pair: tuple[Sextuplet, Sextuplet]) -> CausalEdge | None:
         cause, effect = pair

@@ -9,6 +9,7 @@ what makes brute-force oracle testing possible.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -159,30 +160,30 @@ def index_windows(
     categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
-    """Embed each window and assemble the knowledge base entries: each
-    distinct utterance text is embedded once and each utterance fused once,
-    and a window's vector is the mean of its fused rows, as window_embedding
-    computes it."""
+    """Embed each window and assemble the knowledge base entries: the
+    distinct utterance texts the windows cover are embedded with one
+    embed_texts call, each utterance is fused once, and a window's vector is
+    the mean of its fused rows, as window_embedding computes it."""
     emotion_dim = len(categories)
-    texts: dict[str, EmbeddingVector] = {}
-    fused: dict[int, np.ndarray] = {}
+    spans = [range(w.start_index, w.end_index + 1) for w in windows]
+    covered = dict.fromkeys(k for span in spans for k in span)
+    texts = dict.fromkeys(dialogue.utterances[k].text for k in covered)
+    try:
+        vectors = embedding.embed_texts(provider, texts)
+        fused = {}
+        for k in covered:
+            u = dialogue.utterances[k]
+            audio = dialogue.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale)
+            fused[k] = embedding.fuse(
+                vectors[u.text], audio, emotion_dim=emotion_dim, rate_scale=rate_scale
+            ).values
+    except Exception as exc:
+        where = f"indexing dialogue {dialogue.id!r} ({len(texts)} distinct texts) failed"
+        if isinstance(exc, ResponseParseError):
+            raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
+        raise EmbeddingError(f"{where}: {exc}") from exc
     rows = np.zeros((len(windows), provider.dim + emotion_dim + 1), dtype=np.float64)
-    for i, window in enumerate(windows):
-        span = range(window.start_index, window.end_index + 1)
-        try:
-            for k in (k for k in span if k not in fused):
-                u = dialogue.utterances[k]
-                audio = dialogue.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale)
-                if u.text not in texts:
-                    texts[u.text] = embedding.embed_text(provider, u.text)
-                fused[k] = embedding.fuse(
-                    texts[u.text], audio, emotion_dim=emotion_dim, rate_scale=rate_scale
-                ).values
-        except Exception as exc:
-            where = f"indexing aborted at window {window.window_index} of dialogue {dialogue.id!r}"
-            if isinstance(exc, ResponseParseError):
-                raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
-            raise EmbeddingError(f"{where}: {exc}") from exc
+    for i, span in enumerate(spans):
         rows[i] = np.mean(np.stack([fused[k] for k in span], axis=0), axis=0)
     meta = KnowledgeBaseMeta(
         text_dim=provider.dim,
@@ -302,8 +303,10 @@ def cosine_similarity(a, b) -> float:
     vb = b.values if isinstance(b, EmbeddingVector) else np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
+    # np.vdot does not warn on overflow as np.linalg.norm does: an infinite
+    # norm is rescaled below. On a contiguous vector the bits are norm's.
+    na = math.sqrt(np.vdot(va, va))
+    nb = math.sqrt(np.vdot(vb, vb))
     if not (_NORM_SAFE_MIN <= na <= _NORM_SAFE_MAX and _NORM_SAFE_MIN <= nb <= _NORM_SAFE_MAX):
         # Squares of very small (or large) components under- or overflow,
         # which breaks scale invariance; divide each vector by its largest

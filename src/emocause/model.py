@@ -222,8 +222,9 @@ class ScoringConfig:
             )
         if not self.tau > 0.0:  # also rejects NaN
             raise ConfigError(f"tau={self.tau!r} must be > 0 seconds")
-        if not 0.0 <= self.edge_threshold <= 1.0:
-            raise ConfigError(f"edge_threshold={self.edge_threshold!r} outside [0, 1]")
+        for name in ("edge_threshold", "consistency_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name}={getattr(self, name)!r} outside [0, 1]")
         if self.top_n < 1:
             raise ConfigError(f"top_n={self.top_n!r} must be >= 1")
         if self.window_size < 2:

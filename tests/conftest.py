@@ -81,9 +81,14 @@ class ScriptedSession(requests.Session):
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server naming)
         stub = self.server.stub
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        stub.requests.append((self.path, self.headers.get("Authorization"), json.loads(body)))
-        status, reply = stub.replies.pop(0) if stub.replies else stub.default
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        stub.requests.append((self.path, self.headers.get("Authorization"), body))
+        if stub.replies:
+            status, reply = stub.replies.pop(0)
+        elif self.path in stub.routes:
+            status, reply = 200, json.dumps(stub.routes[self.path](body)).encode()
+        else:
+            status, reply = stub.default
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -98,10 +103,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 def http_stub(monkeypatch):
     """An HTTP server on 127.0.0.1 that records each POST as (path,
     Authorization header, JSON body) and answers with the next queued
-    (status, body bytes) reply, or with `default` once the queue is empty."""
+    (status, body bytes) reply; once the queue is empty, with 200 and
+    `routes[path](body)` as JSON when `routes` has the path, else `default`."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    stub = SimpleNamespace(requests=[], replies=[], default=(200, b"{}"))
+    stub = SimpleNamespace(requests=[], replies=[], routes={}, default=(200, b"{}"))
     stub.url = lambda path: f"http://127.0.0.1:{server.server_port}/{path}"
     server.stub = stub
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)

@@ -208,6 +208,30 @@ def test_config_value_of_wrong_type_is_usage_error(generated, tmp_path, capsys, 
     assert f"error: {name}=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [5, -0.5, 1.5])
+def test_consistency_floor_outside_unit_range_is_usage_error(generated, tmp_path, capsys, value):
+    tmp, dialogue_path, _ = generated
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"consistency_floor": value}))
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "x"),
+                 "--config", str(config_path)]) == 2
+    assert f"error: consistency_floor={value!r} outside [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--predicted", "{bad}", "--gold", "{gold}"],
+    ["graph", "--sextuplets", "{bad}", "--out", "{tmp}/g.json"],
+    ["run", "--dialogue", "{dialogue}", "--out-dir", "{tmp}/out", "--config", "{bad}"],
+], ids=["eval-predicted", "graph-sextuplets", "run-config"])
+def test_malformed_json_input_is_format_error(generated, tmp_path, capsys, command):
+    tmp, dialogue_path, gold_path = generated
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    paths = {"bad": bad, "gold": gold_path, "dialogue": dialogue_path, "tmp": tmp}
+    assert main([arg.format(**paths) for arg in command]) == 4
+    assert "error: Expecting property name" in capsys.readouterr().err
+
+
 def test_eval_predicted_array_is_format_error(generated, tmp_path, capsys):
     _, _, gold_path = generated
     predicted = tmp_path / "array.json"

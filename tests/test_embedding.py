@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocause.embedding import (
+    EMBED_BATCH_SIZE,
     EmbeddingVector,
     HashTextEmbedder,
     RemoteTextEmbedder,
     describe_audio_as_text,
     embed_text,
+    embed_texts,
     fuse,
     neutral_audio_record,
     provider_from_spec,
     window_embedding,
 )
-from emocause.errors import EmbeddingError, FusionError, TransportError
+from emocause.errors import EmbeddingError, FusionError, ResponseParseError, TransportError
 from emocause.model import AudioFeatureRecord
 
 from conftest import ScriptedSession, make_audio, make_utterance
@@ -217,3 +219,55 @@ def test_remote_embedder_dim_mismatch():
     provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
     with pytest.raises(EmbeddingError, match="dimension"):
         provider.embed("hello")
+
+
+def test_remote_embedder_posts_distinct_texts_once_in_first_seen_order():
+    session = ScriptedSession((200, {"embeddings": [[3.0, 4.0], [0.0, 2.0], [1.0, 1.0]]}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+    vectors = embed_texts(provider, ["b a", "c", "b a", "d", "c"])
+    assert session.posts == 1
+    assert json.loads(session.requests[0].body) == {"model": "m1", "input": ["b a", "c", "d"]}
+    assert list(vectors) == ["b a", "c", "d"]
+    assert np.allclose(vectors["b a"].values, [0.6, 0.8])
+    assert np.allclose(vectors["c"].values, [0.0, 1.0])
+    assert all(abs(np.linalg.norm(v.values) - 1.0) < 1e-12 for v in vectors.values())
+
+
+def test_remote_embedder_sends_at_most_batch_size_texts_per_post():
+    sizes = [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 130 - 2 * EMBED_BATCH_SIZE]
+    session = ScriptedSession(*((200, {"embeddings": [[1.0, 0.0]] * n}) for n in sizes))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+    texts = [f"text {i}" for i in range(130)]
+    assert len(provider.embed_many(texts)) == 130
+    bodies = [json.loads(r.body)["input"] for r in session.requests]
+    assert [len(b) for b in bodies] == [64, 64, 2]
+    assert sum(bodies, []) == texts
+
+
+@pytest.mark.parametrize("rows", [0, 2, 4])
+def test_remote_embedder_row_count_mismatch_is_parse_error(rows):
+    reply = {"embeddings": [[1.0, 0.0]] * rows}
+    session = ScriptedSession((200, reply))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+    with pytest.raises(ResponseParseError, match="embeddings for 3 texts") as info:
+        provider.embed_many(["a", "b", "c"])
+    assert info.value.raw == json.dumps(reply)
+    with pytest.raises(ResponseParseError):
+        provider.embed("a")  # one text, any other row count
+
+
+def test_embed_texts_without_embed_many_calls_embed_once_per_distinct_text(embedder):
+    seen = []
+
+    class _EmbedOnly:
+        id, dim, mode = embedder.id, embedder.dim, embedder.mode
+
+        def embed(self, text):
+            seen.append(text)
+            return embedder.embed(text)
+
+    vectors = embed_texts(_EmbedOnly(), ["x y", "z", "x y"])
+    assert seen == ["x y", "z"]
+    assert np.array_equal(vectors["z"].values, embed_text(embedder, "z").values)
+    with pytest.raises(ValueError, match="non-empty"):
+        embed_texts(_EmbedOnly(), ["fine", "  "])

@@ -150,6 +150,34 @@ def test_index_embeds_each_distinct_text_once_and_matches_window_embedding():
         assert np.array_equal(vector, window_embedding(pairs, provider).values)
 
 
+class _BatchingEmbedder(_CountingEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return [HashTextEmbedder.embed(self, t) for t in texts]
+
+
+def test_index_embeds_a_dialogue_in_one_batch_with_the_same_bytes():
+    dialogue, _ = generate(ChainSpec(seed=4, turns=40, chain_length=3))
+    batching, counting = _BatchingEmbedder(), _CountingEmbedder()
+    kb = index_dialogue(dialogue, batching, window_size=6, stride=3)
+    texts = list(dict.fromkeys(u.text for u in dialogue.utterances))
+    assert batching.batches == [texts] and not batching.calls
+    assert save_kb(kb) == save_kb(index_dialogue(dialogue, counting, window_size=6, stride=3))
+    reference = [
+        window_embedding(
+            [(dialogue.utterances[k], dialogue.audio.get(k))
+             for k in range(w.start_index, w.end_index + 1)],
+            counting,
+        ).values
+        for w in kb.windows
+    ]
+    assert save_kb(kb) == save_kb(replace(kb, vectors=np.stack(reference)))
+
+
 def test_index_twice_is_byte_identical(embedder):
     dialogue, _ = generate(ChainSpec(seed=3, turns=20, chain_length=1))
     kb1 = index_dialogue(dialogue, embedder, window_size=5, stride=3)
@@ -196,6 +224,13 @@ def test_cosine_tiny_and_huge_components_keep_full_precision():
     assert cosine_similarity(np.array([1e200, 1e200]), np.array([1.0, 0.0])) == pytest.approx(
         math.sqrt(0.5), abs=1e-12
     )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cosine_of_overflowing_norms_does_not_warn():
+    huge = np.array([1e200, -3e180, 0.0])
+    assert cosine_similarity(huge, huge) == pytest.approx(1.0, abs=1e-12)
+    assert cosine_similarity(np.array([1e308, 1e308]), np.ones(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _random_kb(n_entries, dim, seed, n_dialogues=4):

@@ -11,10 +11,10 @@ import pytest
 import requests
 
 from emocause.cli import main
-from emocause.embedding import RemoteTextEmbedder
+from emocause.embedding import EMBED_BATCH_SIZE, HashTextEmbedder, RemoteTextEmbedder
 from emocause.errors import ResponseParseError, TransportError
-from emocause.extraction import RemoteExtractor, assemble_prompt, extract_sextuplets
-from emocause.graph import RemoteNli
+from emocause.extraction import MockExtractor, RemoteExtractor, assemble_prompt, extract_sextuplets
+from emocause.graph import JaccardNli, RemoteNli
 from emocause.kb import build_windows
 from emocause.model import Dialogue, Utterance
 from emocause.transport import JsonEndpoint
@@ -256,3 +256,49 @@ def test_remote_run_exit_codes(http_stub, monkeypatch, tmp_path, capsys, reply, 
                  "--provider", "remote:glm", "--nli", "remote"]) == code
     assert "embedding" in capsys.readouterr().err
     assert len(http_stub.requests) == (4 if code == 3 else 1)
+
+
+def _serve_offline_providers(http_stub, monkeypatch, dim=8):
+    """Answer /embed, /chat and /nli as the offline providers would, and
+    point the remote provider specs at them."""
+    embedder, extractor, nli = HashTextEmbedder(dim), MockExtractor(), JaccardNli()
+    http_stub.routes.update({
+        "/embed": lambda req: {"embeddings": [embedder.embed(t).tolist() for t in req["input"]]},
+        "/chat": lambda req: {
+            "content": extractor.complete("\n".join(m["content"] for m in req["messages"]))
+        },
+        "/nli": lambda req: {
+            "entailment_probability": nli.entailment_probability(req["premise"], req["hypothesis"])
+        },
+    })
+    for var, path in (("EMBED", "embed"), ("LLM", "chat"), ("NLI", "nli")):
+        monkeypatch.setenv(f"{var}_ENDPOINT", http_stub.url(path))
+    return ["--embedder", f"remote:m1:{dim}", "--provider", "remote:glm", "--nli", "remote"]
+
+
+def test_remote_run_embeds_each_stage_in_one_post(http_stub, monkeypatch, tmp_path):
+    assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "3",
+                 "--out-prefix", str(tmp_path / "d")]) == 0
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
+                 "--out-dir", str(tmp_path / "out"), *remote]) == 0
+    embeds = [body["input"] for path, _, body in http_stub.requests if path == "/embed"]
+    assert len(embeds) == 2  # one for the index, one for the graph
+    assert len(embeds[0]) == len(set(embeds[0])) <= EMBED_BATCH_SIZE
+    offline = tmp_path / "offline"
+    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
+                 "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
+    for name in ("sextuplets.json", "graph.json"):
+        assert (tmp_path / "out" / name).read_bytes() == (offline / name).read_bytes()
+
+
+def test_remote_run_with_wrong_embedding_row_count_exits_4(http_stub, monkeypatch, tmp_path, capsys):
+    assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
+                 "--out-prefix", str(tmp_path / "d")]) == 0
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    http_stub.routes["/embed"] = lambda req: {"embeddings": [[1.0] * 8] * (len(req["input"]) + 1)}
+    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
+                 "--out-dir", str(tmp_path / "out"), *remote]) == 4
+    err = capsys.readouterr().err
+    assert "indexing dialogue" in err and "embeddings for" in err
+    assert [path for path, _, _ in http_stub.requests] == ["/embed"]
