@@ -8,13 +8,13 @@ a 200 whose body is not JSON exits 4, as do a reply without its fields, an
 embedding reply whose row count is not the number of texts sent, and a JSON
 input file that does not decode; an embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
---config file, which overrides the built-in defaults.
+--config file, which overrides the built-in defaults. Every manifest the
+subcommands write has the one format described in pipeline.RunManifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,7 +35,7 @@ from .embedding import provider_from_spec
 from .graph import build_graph, export_graph, graph_from_json, nli_from_spec
 from .ingest import IngestOptions, load_raw_dialogue, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
-from .metrics import evaluate, load_gold, match_gold, render_report_text
+from .metrics import evaluate, gold_to_dict, load_gold, match_gold, render_report_text
 from .model import (
     ScoringConfig,
     dialogue_to_dict,
@@ -44,7 +44,7 @@ from .model import (
     scoring_config_to_dict,
     validate_dialogue,
 )
-from .pipeline import describe_run, run_pipeline
+from .pipeline import RunManifest, describe_run, run_pipeline
 from .synth import ChainSpec, generate
 
 EXIT_OK = 0
@@ -99,21 +99,6 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     return scoring_config_from_dict(base)
 
 
-def _write_stage_manifest(out_path: Path, cfg: ScoringConfig | None,
-                          providers: dict, inputs: list[Path]) -> None:
-    """Sidecar manifest: config snapshot plus input/output digests."""
-    digest = lambda p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-    doc = {
-        "config": scoring_config_to_dict(cfg) if cfg else None,
-        "providers": providers,
-        "inputs": {str(p): digest(p) for p in inputs},
-        "outputs": {str(out_path): digest(out_path)},
-    }
-    Path(str(out_path) + ".manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -131,19 +116,23 @@ def _cmd_validate(args) -> int:
 def _cmd_index(args) -> int:
     cfg = _resolve_config(args)
     provider = provider_from_spec(args.embedder)
-    dialogues = []
+    manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": provider.id})
     for path in args.dialogues:
-        dialogues.extend(read_corpus(path, IngestOptions(strict=args.strict)))
-    kb = index_corpus(
-        dialogues,
-        provider,
-        window_size=cfg.window_size,
-        stride=cfg.stride,
-        rate_scale=cfg.rate_scale,
-    )
-    write_kb(kb, args.out)
-    _write_stage_manifest(Path(args.out), cfg, {"embedder": provider.id},
-                          [Path(p) for p in args.dialogues])
+        manifest.add_input(path)
+    with manifest.stage("validate"):
+        dialogues = [d for path in args.dialogues
+                     for d in read_corpus(path, IngestOptions(strict=args.strict))]
+    with manifest.stage("index"):
+        kb = index_corpus(
+            dialogues,
+            provider,
+            window_size=cfg.window_size,
+            stride=cfg.stride,
+            rate_scale=cfg.rate_scale,
+        )
+        write_kb(kb, args.out)
+        manifest.add_output(args.out)
+    manifest.write(f"{args.out}.manifest.json")
     print(f"indexed {kb.meta.entry_count} windows from {len(dialogues)} dialogue(s) -> {args.out}")
     return EXIT_OK
 
@@ -177,30 +166,38 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_extract(args) -> int:
     cfg = _resolve_config(args)
-    kb = read_kb(args.kb)
-    dialogue = read_dialogue(args.dialogue, IngestOptions(strict=args.strict))
     provider = extractor_from_spec(args.provider)
-    sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs)
-    Path(args.out).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
-    _write_stage_manifest(Path(args.out), cfg, {"extractor": provider.id},
-                          [Path(args.kb), Path(args.dialogue)])
+    manifest = RunManifest(scoring_config_to_dict(cfg), {"extractor": provider.id})
+    manifest.add_input(args.kb)
+    manifest.add_input(args.dialogue)
+    with manifest.stage("validate"):
+        kb = read_kb(args.kb)
+        dialogue = read_dialogue(args.dialogue, IngestOptions(strict=args.strict))
+    with manifest.stage("extract"):
+        sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs)
+        Path(args.out).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
+        manifest.add_output(args.out)
+    manifest.write(f"{args.out}.manifest.json")
     print(f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
     cfg = _resolve_config(args)
-    dialogue_id, sextuplets = sextuplets_from_dict(json.loads(Path(args.sextuplets).read_text()))
     embedder = provider_from_spec(args.embedder)
     nli = nli_from_spec(args.nli)
-    graph = build_graph(sextuplets, cfg, embedder, nli, jobs=args.jobs)
-    fmt = "dot" if args.out.endswith(".dot") else "json"
-    Path(args.out).write_bytes(
-        export_graph(graph, fmt, sextuplets if fmt == "json" else None,
-                     dialogue_id if fmt == "json" else None)
-    )
-    _write_stage_manifest(Path(args.out), cfg, {"embedder": embedder.id, "nli": nli.id},
-                          [Path(args.sextuplets)])
+    manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": embedder.id, "nli": nli.id})
+    manifest.add_input(args.sextuplets)
+    with manifest.stage("graph"):
+        dialogue_id, sextuplets = sextuplets_from_dict(json.loads(Path(args.sextuplets).read_text()))
+        graph = build_graph(sextuplets, cfg, embedder, nli, jobs=args.jobs)
+        fmt = "dot" if args.out.endswith(".dot") else "json"
+        Path(args.out).write_bytes(
+            export_graph(graph, fmt, sextuplets if fmt == "json" else None,
+                         dialogue_id if fmt == "json" else None)
+        )
+        manifest.add_output(args.out)
+    manifest.write(f"{args.out}.manifest.json")
     print(f"graph for {dialogue_id}: {len(graph.vertices)} vertices, "
           f"{len(graph.edges)} edges -> {args.out}")
     return EXIT_OK
@@ -208,19 +205,24 @@ def _cmd_graph(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    graph, sextuplets, dialogue_id = graph_from_json(Path(args.predicted).read_bytes())
-    if sextuplets is None:
-        raise SchemaError(
-            "sextuplets",
-            "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
-        )
-    gold = match_gold(load_gold(Path(args.gold).read_bytes()), dialogue_id)
-    report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
+    manifest = RunManifest(scoring_config_to_dict(cfg), {})
+    manifest.add_input(args.predicted)
+    manifest.add_input(args.gold)
+    with manifest.stage("eval"):
+        graph, sextuplets, dialogue_id = graph_from_json(Path(args.predicted).read_bytes())
+        if sextuplets is None:
+            raise SchemaError(
+                "sextuplets",
+                "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
+            )
+        gold = match_gold(load_gold(Path(args.gold).read_bytes()), dialogue_id)
+        report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
+        if args.out:
+            Path(args.out).write_text(dumps_canonical(report.to_dict()))
+            manifest.add_output(args.out)
     print(render_report_text(report))
     if args.out:
-        Path(args.out).write_text(dumps_canonical(report.to_dict()))
-        _write_stage_manifest(Path(args.out), cfg, {},
-                              [Path(args.predicted), Path(args.gold)])
+        manifest.write(f"{args.out}.manifest.json")
     return EXIT_OK
 
 
@@ -237,14 +239,16 @@ def _cmd_gen(args) -> int:
         spec.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    dialogue, gold = generate(spec)
-    from .metrics import gold_to_dict
-
+    manifest = RunManifest(None, {"generator": f"chain:{args.seed}"})
     dialogue_path = Path(f"{args.out_prefix}.dialogue.json")
     gold_path = Path(f"{args.out_prefix}.gold.json")
-    dialogue_path.write_text(dumps_canonical(dialogue_to_dict(dialogue)))
-    gold_path.write_text(dumps_canonical(gold_to_dict(gold)))
-    _write_stage_manifest(dialogue_path, None, {"generator": f"chain:{args.seed}"}, [])
+    with manifest.stage("gen"):
+        dialogue, gold = generate(spec)
+        dialogue_path.write_text(dumps_canonical(dialogue_to_dict(dialogue)))
+        gold_path.write_text(dumps_canonical(gold_to_dict(gold)))
+        manifest.add_output(dialogue_path)
+        manifest.add_output(gold_path)
+    manifest.write(f"{dialogue_path}.manifest.json")
     print(f"wrote {dialogue_path} ({dialogue.n} utterances) and "
           f"{gold_path} ({len(gold.sextuplets)} sextuplets, {len(gold.causal_links)} links)")
     return EXIT_OK

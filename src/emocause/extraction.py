@@ -19,7 +19,8 @@ import requests
 
 from .errors import ResponseParseError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
-from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
+from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet, sextuplet_to_dict
+from .model import _as_obj, _as_str, _need, sextuplets_from_list
 from .transport import JsonEndpoint
 
 logger = logging.getLogger(__name__)
@@ -447,17 +448,10 @@ def extract_dialogue(
 
 
 def sextuplets_to_dict(dialogue_id: str, items: Sequence[Sextuplet]) -> dict:
-    from .model import sextuplet_to_dict
-
     return {"dialogue_id": dialogue_id, "sextuplets": [sextuplet_to_dict(s) for s in items]}
 
 
 def sextuplets_from_dict(obj: Mapping) -> tuple[str, list[Sextuplet]]:
-    from .model import _as_list, _as_obj, _as_str, _need, sextuplet_from_dict
-
     obj = _as_obj(obj, "")
-    items = [
-        sextuplet_from_dict(item, f"sextuplets[{i}]")
-        for i, item in enumerate(_as_list(_need(obj, "sextuplets", ""), "sextuplets"))
-    ]
+    items = sextuplets_from_list(_need(obj, "sextuplets", ""))
     return _as_str(_need(obj, "dialogue_id", ""), "dialogue_id"), items

@@ -21,7 +21,7 @@ import requests
 from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, TransportError
 from .kb import cosine_similarity
-from .model import ScoringConfig, Sextuplet, sextuplet_from_dict, sextuplet_to_dict
+from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
 from .model import _as_list, _as_number, _as_obj, _as_str, _need
 from .transport import JsonEndpoint
 
@@ -138,10 +138,12 @@ def semantic_score(
     """Cosine alignment between the cause's opinion and the effect's sentiment
     label, both passed through the text embedder; normalized into [0, 1] via
     (s + 1) / 2 when requested."""
-    raw = cosine_similarity(embed_text(embedder, opinion), embed_text(embedder, sentiment_text))
-    if not normalize:
-        return raw
-    return min(1.0, max(0.0, (raw + 1.0) / 2.0))
+    return _semantic(embed_text(embedder, opinion), embed_text(embedder, sentiment_text), normalize)
+
+
+def _semantic(opinion_vector, sentiment_vector, normalize: bool) -> float:
+    raw = cosine_similarity(opinion_vector, sentiment_vector)
+    return min(1.0, max(0.0, (raw + 1.0) / 2.0)) if normalize else raw
 
 
 def temporal_gap(cause: Sextuplet, effect: Sextuplet) -> float:
@@ -234,8 +236,9 @@ def build_graph(
         cause, effect = pair
         delta_t = temporal_gap(cause, effect)
         try:
-            raw = cosine_similarity(vectors[cause.opinion], vectors[effect.sentiment_label])
-            semantic = min(1.0, max(0.0, (raw + 1.0) / 2.0)) if cfg.normalize_scores else raw
+            semantic = _semantic(
+                vectors[cause.opinion], vectors[effect.sentiment_label], cfg.normalize_scores
+            )
             temporal = temporal_score(delta_t, cfg.tau)
             rationale = rationale_score(
                 cause.rationale, effect, nli, normalize=cfg.normalize_scores
@@ -334,12 +337,7 @@ def graph_from_json(
         for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices"))
     )
     raw = obj.get("sextuplets")
-    items = None
-    if raw is not None:
-        items = [
-            sextuplet_from_dict(o, f"sextuplets[{i}]")
-            for i, o in enumerate(_as_list(raw, "sextuplets"))
-        ]
+    items = None if raw is None else sextuplets_from_list(raw)
     did = obj.get("dialogue_id")
     return (
         CausalGraph(vertices=vertices, edges=edges),

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping, Sequence
-
-import networkx as nx
 
 from .errors import SchemaError
 from .graph import CausalEdge, CausalGraph
@@ -22,8 +21,8 @@ from .model import (
     _as_obj,
     _as_str,
     _need,
-    sextuplet_from_dict,
     sextuplet_to_dict,
+    sextuplets_from_list,
 )
 
 SPAN_ELEMENTS = ("holder", "target", "aspect", "opinion", "rationale", "sentiment")
@@ -79,10 +78,6 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _sextuplet_key(s: Sextuplet) -> tuple[str, str, str]:
-    return s.match_key()
-
-
 def match_links(
     predicted: CausalGraph,
     predicted_sextuplets: Sequence[Sextuplet],
@@ -98,7 +93,7 @@ def match_links(
 
     gold_pool: list[tuple[tuple, tuple[str, str]] | None] = []
     for cause_id, effect_id in gold.causal_links:
-        key = (_sextuplet_key(gold_by_id[cause_id]), _sextuplet_key(gold_by_id[effect_id]))
+        key = (gold_by_id[cause_id].match_key(), gold_by_id[effect_id].match_key())
         gold_pool.append((key, (cause_id, effect_id)))
 
     ordered = sorted(
@@ -113,7 +108,7 @@ def match_links(
         outcome[idx] = None
         if cause is None or effect is None:
             continue
-        key = (_sextuplet_key(cause), _sextuplet_key(effect))
+        key = (cause.match_key(), effect.match_key())
         for g, entry in enumerate(gold_pool):
             if not taken[g] and entry[0] == key:
                 taken[g] = True
@@ -142,24 +137,26 @@ def consistent_edges(
     predicted: CausalGraph, *, floor: float = DEFAULT_CONSISTENCY_FLOOR
 ) -> list[bool]:
     """Per-edge coherence flags: precedence holds, the edge lies on no
-    directed cycle, and its semantic component clears the floor."""
-    g = nx.DiGraph()
-    g.add_nodes_from(predicted.vertices)
-    g.add_edges_from((e.cause_id, e.effect_id) for e in predicted.edges)
-    cyclic_members = set()
-    for component in nx.strongly_connected_components(g):
-        if len(component) > 1:
-            cyclic_members.update(component)
-    on_cycle = {
-        (e.cause_id, e.effect_id)
-        for e in predicted.edges
-        if (e.cause_id in cyclic_members and e.effect_id in cyclic_members)
-        or e.cause_id == e.effect_id
-    }
+    directed cycle, and its semantic component clears the floor.
+
+    An edge u -> v lies on a cycle exactly when u is reachable from v, so
+    every self-loop does."""
+    successors: dict[str, list[str]] = {}
+    for e in predicted.edges:
+        successors.setdefault(e.cause_id, []).append(e.effect_id)
+
+    @cache
+    def reach(start: str) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in successors.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
     return [
-        e.delta_t >= 0.0
-        and (e.cause_id, e.effect_id) not in on_cycle
-        and e.semantic_score >= floor
+        e.delta_t >= 0.0 and e.cause_id not in reach(e.effect_id) and e.semantic_score >= floor
         for e in predicted.edges
     ]
 
@@ -328,10 +325,7 @@ def gold_to_dict(gold: GoldAnnotation) -> dict:
 
 def gold_from_dict(obj: Mapping) -> GoldAnnotation:
     obj = _as_obj(obj, "")
-    sextuplets = tuple(
-        sextuplet_from_dict(item, f"sextuplets[{i}]")
-        for i, item in enumerate(_as_list(_need(obj, "sextuplets", ""), "sextuplets"))
-    )
+    sextuplets = tuple(sextuplets_from_list(_need(obj, "sextuplets", "")))
     links = []
     for i, item in enumerate(_as_list(obj.get("causal_links", []), "causal_links")):
         item = _as_obj(item, f"causal_links[{i}]")

@@ -511,6 +511,21 @@ def sextuplet_from_dict(obj: Mapping[str, Any], path: str = "") -> Sextuplet:
     )
 
 
+def sextuplets_from_list(value: Any) -> list[Sextuplet]:
+    """Parse a document's `sextuplets` array; a SchemaError names the first item
+    that breaks a Sextuplet invariant (`sextuplets[i]`) or repeats an id
+    (`sextuplets[i].id`)."""
+    items: dict[str, Sextuplet] = {}
+    for i, obj in enumerate(_as_list(value, "sextuplets")):
+        s = sextuplet_from_dict(obj, f"sextuplets[{i}]")
+        if s.problems():
+            raise SchemaError(f"sextuplets[{i}]", "; ".join(s.problems()))
+        if s.id in items:
+            raise SchemaError(f"sextuplets[{i}].id", f"repeats sextuplet id {s.id!r}")
+        items[s.id] = s
+    return list(items.values())
+
+
 def scoring_config_to_dict(cfg: ScoringConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(ScoringConfig)}
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
 from . import __version__ as package_version
 from .embedding import EmbeddingProvider, provider_from_spec
@@ -42,28 +43,34 @@ def sha256_file(path: str | Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Everything needed to audit a run: config, providers, inputs, outputs,
-    and per-stage wall-clock timings."""
+    """Everything needed to audit a run, in the one manifest format: `run`
+    writes manifest.json; gen, index, extract, graph and eval --out write
+    <out>.manifest.json. Keys: `version`; `config` (ScoringConfig fields,
+    null for gen); `providers` (role -> provider id); `inputs` and `outputs`
+    (path -> SHA-256 of the file); `stages` ({"name", "seconds"} in run
+    order, named validate, index, extract, graph, eval, or gen)."""
 
-    config: dict
+    config: dict | None
     providers: dict[str, str]
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     stages: list[dict] = field(default_factory=list)
     version: str = package_version
 
-    def record_stage(self, name: str, seconds: float) -> None:
-        self.stages.append({"name": name, "seconds": round(seconds, 6)})
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        yield
+        self.stages.append({"name": name, "seconds": round(time.perf_counter() - t0, 6)})
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "providers": self.providers,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "stages": self.stages,
-        }
+    def add_input(self, path: str | Path) -> None:
+        self.inputs[str(path)] = sha256_file(path)
+
+    def add_output(self, path: str | Path) -> None:
+        self.outputs[str(path)] = sha256_file(path)
+
+    def write(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -75,20 +82,6 @@ class RunResult:
     report: EvalReport | None
     manifest: RunManifest
     out_dir: Path
-
-
-class _Timer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.record_stage(self.name, time.perf_counter() - self.t0)
-        return False
 
 
 def run_pipeline(
@@ -119,14 +112,14 @@ def run_pipeline(
         config=scoring_config_to_dict(cfg),
         providers={"embedder": embedder.id, "extractor": extractor.id, "nli": nli.id},
     )
-    manifest.inputs[str(dialogue_path)] = sha256_file(dialogue_path)
+    manifest.add_input(dialogue_path)
     if gold_path is not None:
-        manifest.inputs[str(gold_path)] = sha256_file(gold_path)
+        manifest.add_input(gold_path)
 
-    with _Timer(manifest, "validate"):
+    with manifest.stage("validate"):
         dialogue = read_dialogue(dialogue_path, IngestOptions(strict=strict))
 
-    with _Timer(manifest, "index"):
+    with manifest.stage("index"):
         kb = index_dialogue(
             dialogue,
             embedder,
@@ -136,31 +129,30 @@ def run_pipeline(
         )
         kb_path = out / "kb.cmkb"
         write_kb(kb, kb_path)
-        manifest.outputs[str(kb_path)] = sha256_file(kb_path)
+        manifest.add_output(kb_path)
 
-    with _Timer(manifest, "extract"):
+    with manifest.stage("extract"):
         sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs)
         sext_path = out / "sextuplets.json"
         sext_path.write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
-        manifest.outputs[str(sext_path)] = sha256_file(sext_path)
+        manifest.add_output(sext_path)
 
-    with _Timer(manifest, "graph"):
+    with manifest.stage("graph"):
         graph = build_graph(sextuplets, cfg, embedder, nli, jobs=jobs)
         graph_path = out / "graph.json"
         graph_path.write_bytes(export_graph(graph, "json", sextuplets, dialogue.id))
-        manifest.outputs[str(graph_path)] = sha256_file(graph_path)
+        manifest.add_output(graph_path)
 
     eval_report = None
     if gold_path is not None:
-        with _Timer(manifest, "eval"):
+        with manifest.stage("eval"):
             gold = match_gold(load_gold(Path(gold_path).read_bytes()), dialogue.id)
             eval_report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
             report_path = out / "report.json"
             report_path.write_text(dumps_canonical(eval_report.to_dict()))
-            manifest.outputs[str(report_path)] = sha256_file(report_path)
+            manifest.add_output(report_path)
 
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    manifest.write(out / "manifest.json")
 
     return RunResult(
         dialogue=dialogue,

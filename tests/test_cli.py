@@ -9,6 +9,7 @@ import pytest
 
 from emocause.cli import main
 from emocause.model import dumps_canonical
+from emocause.pipeline import sha256_file
 
 
 @pytest.fixture
@@ -250,6 +251,68 @@ def test_eval_edge_without_effect_names_the_field(generated, capsys):
     capsys.readouterr()
     assert main(["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]) == 4
     assert "edges[0].effect: missing required field" in capsys.readouterr().err
+
+
+MANIFEST_KEYS = {"version", "config", "providers", "inputs", "outputs", "stages"}
+
+
+def test_every_subcommand_manifest_has_the_run_format(generated):
+    tmp, dialogue_path, gold_path = generated
+    kb, sx, graph, report = tmp / "kb.cmkb", tmp / "sx.json", tmp / "g.json", tmp / "report.json"
+    sidecar = lambda out: Path(f"{out}.manifest.json")
+    steps = [
+        (["index", str(dialogue_path), "--out", str(kb)], sidecar(kb), ["validate", "index"]),
+        (["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx)],
+         sidecar(sx), ["validate", "extract"]),
+        (["graph", "--sextuplets", str(sx), "--out", str(graph)], sidecar(graph), ["graph"]),
+        (["eval", "--predicted", str(graph), "--gold", str(gold_path), "--out", str(report)],
+         sidecar(report), ["eval"]),
+        (["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),
+          "--out-dir", str(tmp / "out")], tmp / "out" / "manifest.json",
+         ["validate", "index", "extract", "graph", "eval"]),
+    ]
+    for argv, _, _ in steps:
+        assert main(argv) == 0
+    for manifest_path, stages in [(sidecar(dialogue_path), ["gen"])] + [s[1:] for s in steps]:
+        manifest = json.loads(manifest_path.read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert [stage["name"] for stage in manifest["stages"]] == stages
+        assert manifest["outputs"] and (manifest["inputs"] or stages == ["gen"])
+        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert sha256_file(path) == digest
+    gen_manifest = json.loads(sidecar(dialogue_path).read_text())
+    assert gen_manifest["config"] is None
+    assert set(gen_manifest["outputs"]) == {str(dialogue_path), str(gold_path)}
+
+
+_BROKEN_SEXTUPLETS = [
+    ({"sentiment": "bogus"}, "sextuplets[1]: sentiment_label 'bogus' not one of"),
+    ({"t_end": -1.0}, "sextuplets[1]: t_end must be >= t_start"),
+    ({"holder": "  "}, "sextuplets[1]: holder must be non-empty"),
+    ({"sentiment_score": 7}, "sextuplets[1]: sentiment_score 7.0 outside [-1, 1]"),
+    ("repeat", "sextuplets[1].id: repeats sextuplet id"),
+]
+
+
+@pytest.mark.parametrize("broken, message", _BROKEN_SEXTUPLETS)
+@pytest.mark.parametrize("reader", ["graph --sextuplets", "eval --predicted", "eval --gold"])
+def test_sextuplets_read_from_a_file_are_gated(generated, capsys, reader, broken, message):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    sx_path, graph_path = tmp / "out" / "sextuplets.json", tmp / "out" / "graph.json"
+    path = {"graph --sextuplets": sx_path, "eval --predicted": graph_path,
+            "eval --gold": gold_path}[reader]
+    doc = json.loads(path.read_text())
+    item = doc["sextuplets"][1]
+    item.update({"id": doc["sextuplets"][0]["id"]} if broken == "repeat" else broken)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if reader == "graph --sextuplets":
+        argv = ["graph", "--sextuplets", str(sx_path), "--out", str(tmp / "g.json")]
+    else:
+        argv = ["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emocause
 from emocause.errors import SchemaError
 from emocause.graph import CausalEdge, CausalGraph
 from emocause.metrics import (
@@ -17,6 +22,7 @@ from emocause.metrics import (
     causal_chain_score,
     causal_consistency,
     causal_correctness,
+    consistent_edges,
     evaluate,
     evaluate_many,
     gold_from_dict,
@@ -159,6 +165,34 @@ def test_causal_consistency_semantic_floor():
 def test_causal_consistency_negative_gap_fails():
     graph = CausalGraph(("a", "b"), (_edge("a", "b", delta_t=-1.0),))
     assert causal_consistency(graph) == 0.0
+
+
+def test_edge_leaving_one_cycle_for_another_is_consistent():
+    # a <-> b and c <-> d are cycles, but c cannot reach b, so b -> c is on none
+    pairs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c")]
+    graph = CausalGraph(("a", "b", "c", "d"), tuple(_edge(c, e, delta_t=0.0) for c, e in pairs))
+    assert consistent_edges(graph) == [False, False, True, False, False]
+
+
+def _reaches(edges, start, goal):
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = {e for c, e in edges if c in frontier} - seen
+        seen |= frontier
+    return goal in seen
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=10))
+def test_consistent_edges_flags_exactly_the_edges_on_a_cycle(pairs):
+    graph = CausalGraph(tuple("abcd"), tuple(_edge(c, e) for c, e in pairs))
+    assert consistent_edges(graph) == [not _reaches(pairs, e, c) for c, e in pairs]
+
+
+def test_importing_emocause_does_not_import_networkx():
+    code = "import sys, emocause; assert 'networkx' not in sys.modules"
+    src = str(Path(emocause.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_causal_consistency_empty_graph():

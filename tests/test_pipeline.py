@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import emocause
 import emocause.ingest
 import emocause.pipeline
 from emocause.errors import SchemaError
 from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical, validate_dialogue
 from emocause.metrics import gold_to_dict
-from emocause.pipeline import run_pipeline, sha256_file
+from emocause.pipeline import RunManifest, run_pipeline, sha256_file
 from emocause.synth import ChainSpec, generate
 
 
@@ -46,6 +47,28 @@ def test_run_pipeline_manifest_contents(workdir):
     assert stage_names == ["validate", "index", "extract", "graph", "eval"]
     for path, digest in manifest["outputs"].items():
         assert sha256_file(path) == digest
+
+
+def test_run_manifest_records_stages_and_digests_and_writes_sorted_json(tmp_path):
+    source, target = tmp_path / "in.txt", tmp_path / "out.txt"
+    source.write_text("in")
+    manifest = RunManifest(None, {"generator": "chain:1"})
+    manifest.add_input(source)
+    with manifest.stage("gen"):
+        target.write_text("out")
+        manifest.add_output(target)
+    manifest.write(tmp_path / "m.json")
+    doc = json.loads((tmp_path / "m.json").read_text())
+    assert doc == {
+        "version": emocause.__version__,
+        "config": None,
+        "providers": {"generator": "chain:1"},
+        "inputs": {str(source): sha256_file(source)},
+        "outputs": {str(target): sha256_file(target)},
+        "stages": [{"name": "gen", "seconds": doc["stages"][0]["seconds"]}],
+    }
+    assert doc["stages"][0]["seconds"] >= 0.0
+    assert (tmp_path / "m.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_run_pipeline_without_gold_skips_eval(workdir):
