@@ -148,12 +148,16 @@ def _dialogue_id_from_arg(value: str) -> str:
 def _cmd_retrieve(args) -> int:
     kb = read_kb(args.kb)
     dialogue_id = _dialogue_id_from_arg(args.dialogue)
-    idx = kb.find(dialogue_id, args.window)
-    if idx is None:
+    query = next(
+        ((w, v) for w, v in zip(kb.windows, kb.vectors)
+         if w.dialogue_id == dialogue_id and w.window_index == args.window),
+        None,
+    )
+    if query is None:
         raise SchemaError(
             "window", f"window {args.window} of dialogue {dialogue_id!r} is not in the index"
         )
-    hits = retrieve(kb.windows[idx], kb.vectors[idx], kb, args.top_n)
+    hits = retrieve(*query, kb, args.top_n)
     for rank, hit in enumerate(hits, start=1):
         w = hit.window
         print(f"#{rank} similarity={hit.similarity:.4f} "

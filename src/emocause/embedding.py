@@ -250,8 +250,13 @@ def window_embedding(
             audio = neutral_audio_record(utterance.index, emotion_dim, rate_scale)
         text_emb = embed_text(provider, utterance.text)
         rows.append(fuse(text_emb, audio, emotion_dim=emotion_dim, rate_scale=rate_scale).values)
-    mean = np.mean(np.stack(rows, axis=0), axis=0)
-    return EmbeddingVector(mean, KIND_FUSED)
+    return EmbeddingVector(window_mean(rows), KIND_FUSED)
+
+
+def window_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Element-wise mean of a window's fused rows; window_embedding and
+    kb.index_corpus both take it here, so the two agree bit for bit."""
+    return np.mean(np.stack(rows, axis=0), axis=0)
 
 
 def describe_audio_as_text(

@@ -19,7 +19,7 @@ from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
 import requests
 
 from .embedding import EmbeddingProvider, embed_text, embed_texts
-from .errors import PrecedenceError, ResponseParseError, TransportError
+from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
 from .model import _as_list, _as_number, _as_obj, _as_str, _need
@@ -326,7 +326,8 @@ def graph_from_json(
     data: bytes | str,
 ) -> tuple[CausalGraph, list[Sextuplet] | None, str | None]:
     """Parse a JSON export back into (graph, embedded sextuplets, dialogue id),
-    raising SchemaError with a field path on the first structural violation."""
+    raising SchemaError with a field path on the first structural violation:
+    an edge endpoint must be a vertex, and a vertex an embedded sextuplet id."""
     obj = _as_obj(json.loads(data), "")
     edges = tuple(
         _edge_from_dict(e, f"edges[{i}]")
@@ -336,8 +337,18 @@ def graph_from_json(
         _as_str(v, f"vertices[{i}]")
         for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices"))
     )
+    known = set(vertices)
+    for i, e in enumerate(edges):
+        for key, end in (("cause", e.cause_id), ("effect", e.effect_id)):
+            if end not in known:
+                raise SchemaError(f"edges[{i}].{key}", f"{end!r} is not among vertices")
     raw = obj.get("sextuplets")
     items = None if raw is None else sextuplets_from_list(raw)
+    if items is not None:
+        ids = {s.id for s in items}
+        for i, v in enumerate(vertices):
+            if v not in ids:
+                raise SchemaError(f"vertices[{i}]", f"{v!r} is not an embedded sextuplet id")
     did = obj.get("dialogue_id")
     return (
         CausalGraph(vertices=vertices, edges=edges),

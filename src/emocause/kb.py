@@ -1,7 +1,10 @@
 """Sliding-window knowledge base: construction, exact retrieval, persistence.
 
 Windows advance by a fixed stride so consecutive windows overlap and every
-utterance is covered. Retrieval is an exhaustive cosine-similarity scan —
+utterance is covered. index_corpus is the one indexing path, for one
+dialogue (index_dialogue) or many: it embeds the corpus's distinct texts
+with one embed_texts call and stores each window as the mean of its
+utterances' fused vectors. Retrieval is an exhaustive cosine-similarity scan —
 desk-scale corpora do not justify an approximate index, and exactness is
 what makes brute-force oracle testing possible.
 """
@@ -72,12 +75,6 @@ class KnowledgeBase:
     windows: list[TimeWindow]
     vectors: np.ndarray  # shape (entry_count, fused_dim)
     meta: KnowledgeBaseMeta
-
-    def find(self, dialogue_id: str, window_index: int) -> int | None:
-        for i, w in enumerate(self.windows):
-            if w.dialogue_id == dialogue_id and w.window_index == window_index:
-                return i
-        return None
 
 
 @dataclass(frozen=True)
@@ -150,52 +147,6 @@ def build_windows(
     return windows
 
 
-def index_windows(
-    windows: Sequence[TimeWindow],
-    dialogue: Dialogue,
-    provider: EmbeddingProvider,
-    *,
-    window_size: int,
-    stride: int,
-    categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
-    rate_scale: float = DEFAULT_RATE_SCALE,
-) -> KnowledgeBase:
-    """Embed each window and assemble the knowledge base entries: the
-    distinct utterance texts the windows cover are embedded with one
-    embed_texts call, each utterance is fused once, and a window's vector is
-    the mean of its fused rows, as window_embedding computes it."""
-    emotion_dim = len(categories)
-    spans = [range(w.start_index, w.end_index + 1) for w in windows]
-    covered = dict.fromkeys(k for span in spans for k in span)
-    texts = dict.fromkeys(dialogue.utterances[k].text for k in covered)
-    try:
-        vectors = embedding.embed_texts(provider, texts)
-        fused = {}
-        for k in covered:
-            u = dialogue.utterances[k]
-            audio = dialogue.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale)
-            fused[k] = embedding.fuse(
-                vectors[u.text], audio, emotion_dim=emotion_dim, rate_scale=rate_scale
-            ).values
-    except Exception as exc:
-        where = f"indexing dialogue {dialogue.id!r} ({len(texts)} distinct texts) failed"
-        if isinstance(exc, ResponseParseError):
-            raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
-        raise EmbeddingError(f"{where}: {exc}") from exc
-    rows = np.zeros((len(windows), provider.dim + emotion_dim + 1), dtype=np.float64)
-    for i, span in enumerate(spans):
-        rows[i] = np.mean(np.stack([fused[k] for k in span], axis=0), axis=0)
-    meta = KnowledgeBaseMeta(
-        text_dim=provider.dim,
-        emotion_dim=emotion_dim,
-        window_size=window_size,
-        stride=stride,
-        provider_id=provider.id,
-        entry_count=len(windows),
-    )
-    return KnowledgeBase(list(windows), rows, meta)
-
-
 def index_dialogue(
     dialogue: Dialogue,
     provider: EmbeddingProvider,
@@ -205,66 +156,14 @@ def index_dialogue(
     categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
-    windows = build_windows(
-        dialogue, window_size, stride, categories=categories, rate_scale=rate_scale
-    )
-    return index_windows(
-        windows,
-        dialogue,
+    return index_corpus(
+        [dialogue],
         provider,
         window_size=window_size,
         stride=stride,
         categories=categories,
         rate_scale=rate_scale,
     )
-
-
-def _repeated_key(windows) -> tuple[str, int] | None:
-    """The first (dialogue_id, window_index) key seen twice, if any."""
-    seen = set()
-    for w in windows:
-        key = (w.dialogue_id, w.window_index)
-        if key in seen:
-            return key
-        seen.add(key)
-    return None
-
-
-def merge(kbs: Sequence[KnowledgeBase]) -> KnowledgeBase:
-    """Combine per-dialogue bases; entries are re-sorted into the canonical
-    (dialogue_id, window_index) order. A dialogue id may come from one base only."""
-    if not kbs:
-        raise ValueError("nothing to merge")
-    first = kbs[0].meta
-    for kb in kbs[1:]:
-        m = kb.meta
-        if (m.text_dim, m.emotion_dim, m.window_size, m.stride, m.provider_id) != (
-            first.text_dim,
-            first.emotion_dim,
-            first.window_size,
-            first.stride,
-            first.provider_id,
-        ):
-            raise ValueError("knowledge bases were built with different parameters")
-    pairs = [(w, v) for kb in kbs for w, v in zip(kb.windows, kb.vectors)]
-    pairs.sort(key=lambda p: (p[0].dialogue_id, p[0].window_index))
-    repeated = _repeated_key(w for w, _ in pairs)
-    if repeated is not None:
-        raise ValueError(f"dialogue id {repeated[0]!r} is indexed more than once")
-    vectors = (
-        np.stack([v for _, v in pairs], axis=0)
-        if pairs
-        else np.zeros((0, first.fused_dim), dtype=np.float64)
-    )
-    meta = KnowledgeBaseMeta(
-        text_dim=first.text_dim,
-        emotion_dim=first.emotion_dim,
-        window_size=first.window_size,
-        stride=first.stride,
-        provider_id=first.provider_id,
-        entry_count=len(pairs),
-    )
-    return KnowledgeBase([w for w, _ in pairs], vectors, meta)
 
 
 def index_corpus(
@@ -276,19 +175,59 @@ def index_corpus(
     categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
-    return merge(
-        [
-            index_dialogue(
-                d,
-                provider,
-                window_size=window_size,
-                stride=stride,
-                categories=categories,
-                rate_scale=rate_scale,
-            )
-            for d in dialogues
-        ]
+    """Build one knowledge base over the dialogues, ordered by (dialogue_id,
+    window_index); a repeated dialogue id or an empty corpus raises ValueError.
+
+    The distinct utterance texts of the whole corpus are embedded with one
+    embed_texts call. Then, one dialogue at a time, each utterance is fused
+    once and a window's vector is the window_mean of its fused rows, the bits
+    window_embedding gives.
+    """
+    if not dialogues:
+        raise ValueError("cannot index an empty corpus")
+    ordered = sorted(dialogues, key=lambda d: d.id)
+    for prev, d in zip(ordered, ordered[1:]):
+        if prev.id == d.id:
+            raise ValueError(f"dialogue id {d.id!r} is indexed more than once")
+    emotion_dim = len(categories)
+    per_dialogue = [
+        build_windows(d, window_size, stride, categories=categories, rate_scale=rate_scale)
+        for d in ordered
+    ]
+    windows = [w for ws in per_dialogue for w in ws]
+    texts = dict.fromkeys(u.text for d in ordered for u in d.utterances)
+    rows = np.zeros((len(windows), provider.dim + emotion_dim + 1), dtype=np.float64)
+    try:
+        vectors = embedding.embed_texts(provider, texts)
+        row = 0
+        for d, ws in zip(ordered, per_dialogue):
+            fused = [
+                embedding.fuse(
+                    vectors[u.text],
+                    d.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale),
+                    emotion_dim=emotion_dim,
+                    rate_scale=rate_scale,
+                ).values
+                for k, u in enumerate(d.utterances)
+            ]
+            for w in ws:
+                rows[row] = embedding.window_mean(fused[w.start_index : w.end_index + 1])
+                row += 1
+    except Exception as exc:
+        what = f"dialogue {ordered[0].id!r}" if len(ordered) == 1 else f"{len(ordered)} dialogues"
+        where = f"indexing {what} ({len(texts)} distinct texts) failed"
+        if isinstance(exc, ResponseParseError):
+            raise ResponseParseError(f"{where}: {exc}", exc.raw) from exc
+        raise EmbeddingError(f"{where}: {exc}") from exc
+    meta = KnowledgeBaseMeta(
+        text_dim=provider.dim,
+        emotion_dim=emotion_dim,
+        window_size=window_size,
+        stride=stride,
+        provider_id=provider.id,
+        entry_count=len(windows),
     )
+    return KnowledgeBase(windows, rows, meta)
 
 
 # Norms inside this range are computed from normal (not subnormal, not
@@ -427,6 +366,17 @@ def save_kb(kb: KnowledgeBase) -> bytes:
         + _pack_section(windows_payload)
         + _pack_section(matrix)
     )
+
+
+def _repeated_key(windows) -> tuple[str, int] | None:
+    """The first (dialogue_id, window_index) key seen twice, if any."""
+    seen = set()
+    for w in windows:
+        key = (w.dialogue_id, w.window_index)
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
 
 
 def load_kb(data: bytes) -> KnowledgeBase:

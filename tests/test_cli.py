@@ -253,6 +253,27 @@ def test_eval_edge_without_effect_names_the_field(generated, capsys):
     assert "edges[0].effect: missing required field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["edges"][0].update(cause="ghost"), "edges[0].cause: 'ghost'"),
+        (lambda doc: doc["edges"][0].update(effect="ghost"), "edges[0].effect: 'ghost'"),
+        (lambda doc: doc["vertices"].insert(0, "ghost"), "vertices[0]: 'ghost' is not an embedded"),
+    ],
+    ids=["cause", "effect", "vertex"],
+)
+def test_eval_rejects_unknown_graph_endpoints(generated, capsys, edit, field):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    graph_path = tmp / "out" / "graph.json"
+    doc = json.loads(graph_path.read_text())
+    edit(doc)
+    graph_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]) == 4
+    assert field in capsys.readouterr().err
+
+
 MANIFEST_KEYS = {"version", "config", "providers", "inputs", "outputs", "stages"}
 
 

@@ -22,7 +22,6 @@ from emocause.kb import (
     index_corpus,
     index_dialogue,
     load_kb,
-    merge,
     retrieve,
     save_kb,
 )
@@ -108,17 +107,15 @@ def test_index_dialogue_counts_and_dims(embedder):
     assert kb.meta.provider_id == "hash:64:0"
 
 
-def test_index_empty_merge_error():
-    with pytest.raises(ValueError):
-        merge([])
+def test_index_empty_corpus_error(embedder):
+    with pytest.raises(ValueError, match="empty corpus"):
+        index_corpus([], embedder)
 
 
 def test_index_corpus_rejects_duplicate_dialogue_ids(embedder):
     d = make_dialogue(n=10, dialogue_id="dup-7")
     with pytest.raises(ValueError, match="dup-7"):
         index_corpus([d, d], embedder, window_size=4, stride=2)
-    with pytest.raises(ValueError, match="dup-7"):
-        merge([index_dialogue(d, embedder, window_size=4, stride=2)] * 2)
 
 
 class _CountingEmbedder(HashTextEmbedder):
@@ -176,6 +173,35 @@ def test_index_embeds_a_dialogue_in_one_batch_with_the_same_bytes():
         for w in kb.windows
     ]
     assert save_kb(kb) == save_kb(replace(kb, vectors=np.stack(reference)))
+
+
+def test_index_corpus_embeds_shared_texts_in_one_call_in_canonical_order():
+    fillers = ["okay", "noted thanks", "sure thing"]
+
+    def dialogue(did, n):
+        texts = [fillers[i % 3] if i % 2 else f"{did} point {i}" for i in range(n)]
+        return Dialogue(
+            id=did,
+            scenario="customer_service",
+            utterances=tuple(make_utterance(i, text) for i, text in enumerate(texts)),
+            audio={i: make_audio(i, peak=i % 8) for i in range(0, n, 3)},
+        )
+
+    corpus = [dialogue("dlg-c", 9), dialogue("dlg-a", 14), dialogue("dlg-b", 5)]
+    provider = _BatchingEmbedder()
+    kb = index_corpus(corpus, provider, window_size=4, stride=2)
+    texts = [u.text for d in corpus for u in d.utterances]
+    assert len(provider.batches) == 1 and not provider.calls
+    assert sorted(provider.batches[0]) == sorted(set(texts))
+    keys = [(w.dialogue_id, w.window_index) for w in kb.windows]
+    assert keys == sorted(keys) and [k[0] for k in keys].count("dlg-b") == 2
+    by_id = {d.id: d for d in corpus}
+    reference = _CountingEmbedder()
+    for window, vector in zip(kb.windows, kb.vectors, strict=True):
+        d = by_id[window.dialogue_id]
+        pairs = [(d.utterances[k], d.audio.get(k))
+                 for k in range(window.start_index, window.end_index + 1)]
+        assert np.array_equal(vector, window_embedding(pairs, reference).values)
 
 
 def test_index_twice_is_byte_identical(embedder):
