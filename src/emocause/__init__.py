@@ -25,7 +25,7 @@ from .model import (
     compute_speech_rate,
     validate_dialogue,
 )
-from .ingest import IngestOptions, parse_corpus, parse_dialogue_file
+from .ingest import parse_corpus, parse_dialogue_file
 from .embedding import (
     EmbeddingProvider,
     EmbeddingVector,
@@ -99,7 +99,6 @@ __all__ = [
     "ExtractionPrompt",
     "GoldAnnotation",
     "HashTextEmbedder",
-    "IngestOptions",
     "JaccardNli",
     "KnowledgeBase",
     "MockExtractor",

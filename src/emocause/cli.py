@@ -33,7 +33,7 @@ from .errors import (
 from .extraction import extract_dialogue, extractor_from_spec, sextuplets_from_dict, sextuplets_to_dict
 from .embedding import provider_from_spec
 from .graph import build_graph, export_graph, graph_from_json, nli_from_spec
-from .ingest import IngestOptions, load_raw_dialogue, read_corpus, read_dialogue
+from .ingest import load_raw_dialogue, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
 from .metrics import evaluate, gold_to_dict, load_gold, match_gold, render_report_text
 from .model import (
@@ -121,7 +121,7 @@ def _cmd_index(args) -> int:
         manifest.add_input(path)
     with manifest.stage("validate"):
         dialogues = [d for path in args.dialogues
-                     for d in read_corpus(path, IngestOptions(strict=args.strict))]
+                     for d in read_corpus(path, strict=args.strict)]
     with manifest.stage("index"):
         kb = index_corpus(
             dialogues,
@@ -176,7 +176,7 @@ def _cmd_extract(args) -> int:
     manifest.add_input(args.dialogue)
     with manifest.stage("validate"):
         kb = read_kb(args.kb)
-        dialogue = read_dialogue(args.dialogue, IngestOptions(strict=args.strict))
+        dialogue = read_dialogue(args.dialogue, strict=args.strict)
     with manifest.stage("extract"):
         sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs)
         Path(args.out).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))

@@ -24,6 +24,7 @@ from .transport import JsonEndpoint
 UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = 5.0
 EMBED_BATCH_SIZE = 64  # texts per /embed request; bounds one long dialogue's body
+EMOTION_DIM = len(DEFAULT_EMOTION_CATEGORIES)
 
 KIND_TEXT = "text"
 KIND_AUDIO_EMOTION = "audio_emotion"
@@ -220,15 +221,13 @@ def fuse(
 
 
 def neutral_audio_record(
-    utterance_index: int,
-    emotion_dim: int = len(DEFAULT_EMOTION_CATEGORIES),
-    rate_scale: float = DEFAULT_RATE_SCALE,
+    utterance_index: int, rate_scale: float = DEFAULT_RATE_SCALE
 ) -> AudioFeatureRecord:
     """Stand-in record for utterances without audio: uniform emotion,
     mid-range intensity and speech rate, so text-only corpora still fuse."""
     return AudioFeatureRecord(
         utterance_index=utterance_index,
-        emotion=tuple(1.0 / emotion_dim for _ in range(emotion_dim)),
+        emotion=tuple(1.0 / EMOTION_DIM for _ in range(EMOTION_DIM)),
         intensity=0.5,
         speech_rate=rate_scale * 0.5,
     )
@@ -237,9 +236,6 @@ def neutral_audio_record(
 def window_embedding(
     window_utterances: Sequence[tuple[Utterance, AudioFeatureRecord | None]],
     provider: EmbeddingProvider,
-    *,
-    emotion_dim: int = len(DEFAULT_EMOTION_CATEGORIES),
-    rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> EmbeddingVector:
     """Element-wise mean of the per-utterance fused embeddings of a window."""
     if not window_utterances:
@@ -247,9 +243,9 @@ def window_embedding(
     rows = []
     for utterance, audio in window_utterances:
         if audio is None:
-            audio = neutral_audio_record(utterance.index, emotion_dim, rate_scale)
+            audio = neutral_audio_record(utterance.index)
         text_emb = embed_text(provider, utterance.text)
-        rows.append(fuse(text_emb, audio, emotion_dim=emotion_dim, rate_scale=rate_scale).values)
+        rows.append(fuse(text_emb, audio, emotion_dim=EMOTION_DIM).values)
     return EmbeddingVector(window_mean(rows), KIND_FUSED)
 
 
@@ -259,23 +255,21 @@ def window_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack(rows, axis=0), axis=0)
 
 
-def describe_audio_as_text(
-    audio: AudioFeatureRecord, categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES
-) -> str:
+def describe_audio_as_text(audio: AudioFeatureRecord) -> str:
     """Render audio features as a deterministic inline annotation.
 
     Argmax ties break toward the lowest category index.
     """
-    if len(audio.emotion) != len(categories):
+    if len(audio.emotion) != EMOTION_DIM:
         raise ValueError(
-            f"emotion vector has {len(audio.emotion)} components "
-            f"but {len(categories)} categories were given"
+            f"emotion vector has {len(audio.emotion)} components, "
+            f"expected {EMOTION_DIM}: one per category of {DEFAULT_EMOTION_CATEGORIES}"
         )
     best = 0
     for i, value in enumerate(audio.emotion):
         if value > audio.emotion[best]:
             best = i
     return (
-        f"[voice: {categories[best]}, intensity: {audio.intensity:.2f}, "
+        f"[voice: {DEFAULT_EMOTION_CATEGORIES[best]}, intensity: {audio.intensity:.2f}, "
         f"rate: {audio.speech_rate:.2f} w/s]"
     )

@@ -17,7 +17,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 import requests
 
-from .errors import ResponseParseError
+from .errors import ResponseParseError, SchemaError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet, sextuplet_to_dict
 from .model import _as_obj, _as_str, _need, sextuplets_from_list
@@ -51,15 +51,14 @@ _SECTION_OUTPUT = "=== OUTPUT FORMAT ==="
 
 @dataclass(frozen=True)
 class ExtractionPrompt:
-    """All sections of one extraction request; rendering is deterministic."""
+    """One request's current window and retrieved context; render sets them
+    between the fixed DEFAULT_*_INSTRUCTIONS, deterministically."""
 
-    system_instructions: str
     current_window_text: str
     retrieved_context: tuple[tuple[str, float], ...]
-    output_schema_instructions: str
 
     def render(self) -> str:
-        parts = [_SECTION_TASK, self.system_instructions, "", _SECTION_CONTEXT]
+        parts = [_SECTION_TASK, DEFAULT_SYSTEM_INSTRUCTIONS, "", _SECTION_CONTEXT]
         if not self.retrieved_context:
             parts.append(NO_CONTEXT_MARKER)
         else:
@@ -67,7 +66,7 @@ class ExtractionPrompt:
                 parts.append(f"--- context {rank} (similarity {similarity:.4f}) ---")
                 parts.append(text)
         parts += ["", _SECTION_WINDOW, self.current_window_text, "", _SECTION_OUTPUT,
-                  self.output_schema_instructions]
+                  DEFAULT_SCHEMA_INSTRUCTIONS]
         return "\n".join(parts)
 
 
@@ -75,20 +74,15 @@ def assemble_prompt(
     window: TimeWindow,
     context: Sequence[RetrievalHit],
     cfg: ScoringConfig | None = None,
-    *,
-    system_instructions: str = DEFAULT_SYSTEM_INSTRUCTIONS,
-    schema_instructions: str = DEFAULT_SCHEMA_INSTRUCTIONS,
 ) -> ExtractionPrompt:
-    """Order: instructions, retrieved context by descending similarity,
-    current window, output schema."""
+    """Order: the fixed task instructions, retrieved context by descending
+    similarity, current window, the fixed output schema."""
     hits = sorted(context, key=lambda h: -h.similarity)
     if cfg is not None:
         hits = hits[: cfg.top_n]
     return ExtractionPrompt(
-        system_instructions=system_instructions,
         current_window_text=window.text,
         retrieved_context=tuple((h.window.text, h.similarity) for h in hits),
-        output_schema_instructions=schema_instructions,
     )
 
 
@@ -419,7 +413,8 @@ def extract_dialogue(
     jobs: int = 1,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
-    augmented prompts, then deduplicate across overlapping windows.
+    augmented prompts, then deduplicate across overlapping windows. A window
+    that spans utterances the dialogue does not have raises SchemaError.
 
     Windows may run concurrently; results are re-sorted by window index so
     the output is independent of scheduling.
@@ -430,6 +425,13 @@ def extract_dialogue(
     ]
     if not indexed:
         raise ValueError(f"dialogue {dialogue.id!r} has no windows in the knowledge base")
+    for _, w in indexed:
+        if not 0 <= w.start_index <= w.end_index < dialogue.n:
+            raise SchemaError(
+                f"window {w.window_index}",
+                f"spans utterances [{w.start_index}..{w.end_index}] but dialogue "
+                f"{dialogue.id!r} has {dialogue.n} utterances",
+            )
 
     def run_one(item: tuple[int, TimeWindow]) -> tuple[int, list[Sextuplet]]:
         i, window = item

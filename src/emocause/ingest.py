@@ -3,7 +3,8 @@
 Accepts a single JSON document per dialogue, a JSON array of dialogues, or
 a line-delimited corpus (one JSON object per line). Each document is
 decoded once, parsed by ``model.dialogue_from_dict`` and passed through one
-validation gate. Audio records pointing at nonexistent utterances are a
+validation gate; with the keyword-only ``strict=True`` its warnings reject
+the dialogue too. Audio records pointing at nonexistent utterances are a
 hard error because silent misalignment would corrupt fusion downstream.
 """
 
@@ -13,7 +14,6 @@ import itertools
 import json
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -29,13 +29,6 @@ logger = logging.getLogger(__name__)
 
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    """strict: treat validation warnings as rejection."""
-
-    strict: bool = False
 
 
 def _decode_utf8(data: bytes | str) -> str:
@@ -63,7 +56,7 @@ def _documents(text: str) -> Iterator[tuple[int, Any]]:
         pos = _JSON_SPACE.match(text, end).end()
 
 
-def _admit(dialogue: Dialogue, opts: IngestOptions) -> Dialogue:
+def _admit(dialogue: Dialogue, strict: bool) -> Dialogue:
     """The validation gate: errors reject the dialogue; warnings reject it in
     strict mode and are logged otherwise."""
     report = validate_dialogue(dialogue)
@@ -73,7 +66,7 @@ def _admit(dialogue: Dialogue, opts: IngestOptions) -> Dialogue:
         )
     if report.warnings:
         messages = [f"{i.location}: {i.message}" for i in report.warnings]
-        if opts.strict:
+        if strict:
             raise StrictModeError(messages, dialogue.id)
         for m in messages:
             logger.warning("dialogue %s: %s", dialogue.id, m)
@@ -94,17 +87,16 @@ def load_raw_dialogue(data: bytes | str) -> Dialogue:
     return dialogue_from_dict(obj)
 
 
-def parse_dialogue_file(data: bytes | str, opts: IngestOptions | None = None) -> Dialogue:
+def parse_dialogue_file(data: bytes | str, *, strict: bool = False) -> Dialogue:
     """Parse one dialogue document; the result passes validation with zero errors."""
-    return _admit(load_raw_dialogue(data), opts or IngestOptions())
+    return _admit(load_raw_dialogue(data), strict)
 
 
-def parse_corpus(data: bytes | str, opts: IngestOptions | None = None) -> list[Dialogue]:
+def parse_corpus(data: bytes | str, *, strict: bool = False) -> list[Dialogue]:
     """Parse a corpus: a single JSON document, a JSON array of dialogues, or
     one JSON object per line. A schema error names the failing document by
     its array position (``[1].utterances[0].t_start``) or by its line
     (``line 2: utterances[0].t_start``)."""
-    opts = opts or IngestOptions()
     docs = _documents(_decode_utf8(data))
     first = next(docs, None)
     if first is None:
@@ -113,28 +105,28 @@ def parse_corpus(data: bytes | str, opts: IngestOptions | None = None) -> list[D
     if following is None:
         obj = first[1]
         if isinstance(obj, list):
-            return [_corpus_item(item, opts, f"[{i}]", ".") for i, item in enumerate(obj)]
-        return [_admit(dialogue_from_dict(obj), opts)]
+            return [_corpus_item(item, strict, f"[{i}]", ".") for i, item in enumerate(obj)]
+        return [_admit(dialogue_from_dict(obj), strict)]
     return [
-        _corpus_item(obj, opts, f"line {line}", ": ")
+        _corpus_item(obj, strict, f"line {line}", ": ")
         for line, obj in itertools.chain((first, following), docs)
     ]
 
 
-def _corpus_item(obj: Any, opts: IngestOptions, where: str, sep: str) -> Dialogue:
+def _corpus_item(obj: Any, strict: bool, where: str, sep: str) -> Dialogue:
     """Parse and admit one document of a corpus, prefixing `where` to the
     path of a schema error."""
     try:
         dialogue = dialogue_from_dict(obj)
     except SchemaError as exc:
         raise SchemaError(sep.join(filter(None, (where, exc.path))), exc.message) from exc
-    return _admit(dialogue, opts)
+    return _admit(dialogue, strict)
 
 
-def read_dialogue(path: str | Path, opts: IngestOptions | None = None) -> Dialogue:
-    return parse_dialogue_file(Path(path).read_bytes(), opts)
+def read_dialogue(path: str | Path, *, strict: bool = False) -> Dialogue:
+    return parse_dialogue_file(Path(path).read_bytes(), strict=strict)
 
 
-def read_corpus(path: str | Path, opts: IngestOptions | None = None) -> list[Dialogue]:
+def read_corpus(path: str | Path, *, strict: bool = False) -> list[Dialogue]:
     """Read `.json` (single document or array) or `.jsonl` (one dialogue per line) files."""
-    return parse_corpus(Path(path).read_bytes(), opts)
+    return parse_corpus(Path(path).read_bytes(), strict=strict)

@@ -4,9 +4,11 @@ Windows advance by a fixed stride so consecutive windows overlap and every
 utterance is covered. index_corpus is the one indexing path, for one
 dialogue (index_dialogue) or many: it embeds the corpus's distinct texts
 with one embed_texts call and stores each window as the mean of its
-utterances' fused vectors. Retrieval is an exhaustive cosine-similarity scan —
-desk-scale corpora do not justify an approximate index, and exactness is
-what makes brute-force oracle testing possible.
+utterances' fused vectors, text_dim + 8 + 1 wide: the emotion categories
+are the fixed DEFAULT_EMOTION_CATEGORIES. Retrieval is an exhaustive
+cosine-similarity scan — desk-scale corpora do not justify an approximate
+index, and exactness is what makes brute-force oracle testing possible.
+load_kb reads each stored field with the model's typed readers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -24,14 +26,15 @@ import numpy as np
 from . import embedding
 from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.window_embedding
     DEFAULT_RATE_SCALE,
+    EMOTION_DIM,
     EmbeddingProvider,
     EmbeddingVector,
     describe_audio_as_text,
     neutral_audio_record,
     window_embedding,
 )
-from .errors import EmbeddingError, ResponseParseError, StoreFormatError
-from .model import DEFAULT_EMOTION_CATEGORIES, Dialogue
+from .errors import EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
+from .model import Dialogue, _as_int, _as_list, _as_obj, _as_str, _need
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -84,13 +87,11 @@ class RetrievalHit:
     similarity: float
 
 
-def render_window_line(
-    utterance, audio, categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES
-) -> str:
+def render_window_line(utterance, audio) -> str:
     """One window-text line: "[#idx] speaker: text [voice: ...]"."""
     return (
         f"[#{utterance.index}] {utterance.speaker}: {utterance.text} "
-        f"{describe_audio_as_text(audio, categories)}"
+        f"{describe_audio_as_text(audio)}"
     )
 
 
@@ -99,7 +100,6 @@ def build_windows(
     window_size: int,
     stride: int,
     *,
-    categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> list[TimeWindow]:
     """Slice the dialogue into overlapping windows of up to window_size
@@ -121,7 +121,6 @@ def build_windows(
     if n == 0:
         return []
 
-    emotion_dim = len(categories)
     windows = []
     j = 0
     while True:
@@ -130,8 +129,8 @@ def build_windows(
         lines = []
         for i in range(start, end + 1):
             u = dialogue.utterances[i]
-            audio = dialogue.audio.get(i) or neutral_audio_record(i, emotion_dim, rate_scale)
-            lines.append(render_window_line(u, audio, categories))
+            audio = dialogue.audio.get(i) or neutral_audio_record(i, rate_scale)
+            lines.append(render_window_line(u, audio))
         windows.append(
             TimeWindow(
                 window_index=j,
@@ -153,16 +152,10 @@ def index_dialogue(
     *,
     window_size: int = 10,
     stride: int = 5,
-    categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
     return index_corpus(
-        [dialogue],
-        provider,
-        window_size=window_size,
-        stride=stride,
-        categories=categories,
-        rate_scale=rate_scale,
+        [dialogue], provider, window_size=window_size, stride=stride, rate_scale=rate_scale
     )
 
 
@@ -172,7 +165,6 @@ def index_corpus(
     *,
     window_size: int = 10,
     stride: int = 5,
-    categories: Sequence[str] = DEFAULT_EMOTION_CATEGORIES,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
     """Build one knowledge base over the dialogues, ordered by (dialogue_id,
@@ -189,14 +181,10 @@ def index_corpus(
     for prev, d in zip(ordered, ordered[1:]):
         if prev.id == d.id:
             raise ValueError(f"dialogue id {d.id!r} is indexed more than once")
-    emotion_dim = len(categories)
-    per_dialogue = [
-        build_windows(d, window_size, stride, categories=categories, rate_scale=rate_scale)
-        for d in ordered
-    ]
+    per_dialogue = [build_windows(d, window_size, stride, rate_scale=rate_scale) for d in ordered]
     windows = [w for ws in per_dialogue for w in ws]
     texts = dict.fromkeys(u.text for d in ordered for u in d.utterances)
-    rows = np.zeros((len(windows), provider.dim + emotion_dim + 1), dtype=np.float64)
+    rows = np.zeros((len(windows), provider.dim + EMOTION_DIM + 1), dtype=np.float64)
     try:
         vectors = embedding.embed_texts(provider, texts)
         row = 0
@@ -204,8 +192,8 @@ def index_corpus(
             fused = [
                 embedding.fuse(
                     vectors[u.text],
-                    d.audio.get(k) or neutral_audio_record(u.index, emotion_dim, rate_scale),
-                    emotion_dim=emotion_dim,
+                    d.audio.get(k) or neutral_audio_record(u.index, rate_scale),
+                    emotion_dim=EMOTION_DIM,
                     rate_scale=rate_scale,
                 ).values
                 for k, u in enumerate(d.utterances)
@@ -221,7 +209,7 @@ def index_corpus(
         raise EmbeddingError(f"{where}: {exc}") from exc
     meta = KnowledgeBaseMeta(
         text_dim=provider.dim,
-        emotion_dim=emotion_dim,
+        emotion_dim=EMOTION_DIM,
         window_size=window_size,
         stride=stride,
         provider_id=provider.id,
@@ -332,40 +320,31 @@ class _Reader:
 
 def save_kb(kb: KnowledgeBase) -> bytes:
     """Serialize to the versioned binary format; bit-identical for equal inputs."""
-    meta_payload = json.dumps(
-        {
-            "text_dim": kb.meta.text_dim,
-            "emotion_dim": kb.meta.emotion_dim,
-            "window_size": kb.meta.window_size,
-            "stride": kb.meta.stride,
-            "provider_id": kb.meta.provider_id,
-            "entry_count": kb.meta.entry_count,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    windows_payload = json.dumps(
-        [
-            {
-                "window_index": w.window_index,
-                "dialogue_id": w.dialogue_id,
-                "start_index": w.start_index,
-                "end_index": w.end_index,
-                "text": w.text,
-            }
-            for w in kb.windows
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+    def compact(value) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
     matrix = np.ascontiguousarray(kb.vectors, dtype="<f8").tobytes()
     return (
         MAGIC
         + struct.pack("<H", FORMAT_VERSION)
-        + _pack_section(meta_payload)
-        + _pack_section(windows_payload)
+        + _pack_section(compact(asdict(kb.meta)))
+        + _pack_section(compact([asdict(w) for w in kb.windows]))
         + _pack_section(matrix)
     )
+
+
+# Keyed by field annotation, a string under `from __future__ import annotations`.
+_FIELD_READERS = {"int": _as_int, "str": _as_str}
+
+
+def _stored_record(cls, obj, path: str):
+    """One stored meta or window record: every field of the dataclass `cls`
+    read with the model's typed readers; a SchemaError names the field."""
+    obj = _as_obj(obj, path)
+    return cls(**{
+        f.name: _FIELD_READERS[f.type](_need(obj, f.name, path), f"{path}.{f.name}")
+        for f in fields(cls)
+    })
 
 
 def _repeated_key(windows) -> tuple[str, int] | None:
@@ -380,7 +359,8 @@ def _repeated_key(windows) -> tuple[str, int] | None:
 
 
 def load_kb(data: bytes) -> KnowledgeBase:
-    """Parse bytes produced by save_kb; corruption, version drift and a
+    """Parse bytes produced by save_kb; corruption, version drift, a field
+    of the wrong type, a window whose start_index exceeds its end_index and a
     repeated (dialogue_id, window_index) key are rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
@@ -399,26 +379,19 @@ def load_kb(data: bytes) -> KnowledgeBase:
         raise StoreFormatError("trailing bytes after final section")
 
     try:
-        meta = KnowledgeBaseMeta(
-            text_dim=int(meta_obj["text_dim"]),
-            emotion_dim=int(meta_obj["emotion_dim"]),
-            window_size=int(meta_obj["window_size"]),
-            stride=int(meta_obj["stride"]),
-            provider_id=str(meta_obj["provider_id"]),
-            entry_count=int(meta_obj["entry_count"]),
-        )
+        meta = _stored_record(KnowledgeBaseMeta, meta_obj, "meta")
         windows = [
-            TimeWindow(
-                window_index=int(o["window_index"]),
-                dialogue_id=str(o["dialogue_id"]),
-                start_index=int(o["start_index"]),
-                end_index=int(o["end_index"]),
-                text=str(o["text"]),
-            )
-            for o in window_objs
+            _stored_record(TimeWindow, o, f"windows[{i}]")
+            for i, o in enumerate(_as_list(window_objs, "windows"))
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except SchemaError as exc:
         raise StoreFormatError(f"corrupt metadata: {exc}") from exc
+    for i, w in enumerate(windows):
+        if w.start_index > w.end_index:
+            raise StoreFormatError(
+                f"corrupt metadata: windows[{i}]: start_index {w.start_index} "
+                f"exceeds end_index {w.end_index}"
+            )
 
     if len(windows) != meta.entry_count:
         raise StoreFormatError(

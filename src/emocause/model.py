@@ -27,7 +27,7 @@ SCENARIOS = (
 SENTIMENT_LABELS = ("positive", "negative", "neutral")
 
 # Fixed ordered emotion category list; vectors in AudioFeatureRecord are soft
-# distributions over this list unless a caller supplies its own.
+# distributions over this list, and validate_dialogue rejects any other length.
 DEFAULT_EMOTION_CATEGORIES = (
     "happy",
     "sad",
@@ -305,7 +305,6 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             err("t_start must be non-decreasing in utterance index", loc)
         prev_start = u.t_start
 
-    emo_dim = None
     for key in sorted(d.audio):
         rec = d.audio[key]
         loc = f"audio[{key}]"
@@ -315,11 +314,12 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             err(f"audio record key {key} disagrees with utterance_index {rec.utterance_index}", loc)
         for problem in rec.problems():
             err(problem, loc)
-        if rec.emotion:
-            if emo_dim is None:
-                emo_dim = len(rec.emotion)
-            elif len(rec.emotion) != emo_dim:
-                err(f"emotion vector length {len(rec.emotion)} differs from {emo_dim} seen earlier", loc)
+        if rec.emotion and len(rec.emotion) != len(DEFAULT_EMOTION_CATEGORIES):
+            err(
+                f"emotion vector has {len(rec.emotion)} components, expected one per "
+                f"category: {', '.join(DEFAULT_EMOTION_CATEGORIES)}",
+                f"{loc}.emotion",
+            )
 
     missing = [i for i in range(n) if i not in d.audio]
     if missing and len(missing) < n:

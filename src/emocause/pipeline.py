@@ -24,7 +24,7 @@ from .extraction import (
     sextuplets_to_dict,
 )
 from .graph import CausalGraph, NliProvider, build_graph, export_graph, nli_from_spec
-from .ingest import IngestOptions, read_dialogue
+from .ingest import read_dialogue
 from .kb import KnowledgeBase, index_dialogue, write_kb
 from .metrics import EvalReport, evaluate, load_gold, match_gold, render_report_text
 from .model import (  # validate_dialogue: benchmarks/tracing.py patches pipeline.validate_dialogue
@@ -117,7 +117,7 @@ def run_pipeline(
         manifest.add_input(gold_path)
 
     with manifest.stage("validate"):
-        dialogue = read_dialogue(dialogue_path, IngestOptions(strict=strict))
+        dialogue = read_dialogue(dialogue_path, strict=strict)
 
     with manifest.stage("index"):
         kb = index_dialogue(

@@ -53,6 +53,25 @@ def test_validate_clean_and_broken(generated, tmp_path, capsys):
     assert "utterances[3]" in out
 
 
+@pytest.mark.parametrize("records, short", [(range(80), [0.25] * 4), ([0], [0.5, 0.5])],
+                         ids=["every-record", "first-record"])
+def test_emotion_vector_of_the_wrong_length_is_a_validation_error(generated, tmp_path, capsys,
+                                                                   records, short):
+    tmp, dialogue_path, _ = generated
+    doc = json.loads(dialogue_path.read_text())
+    for i in records:
+        doc["audio"][i]["emotion"] = short
+    broken = tmp_path / "short.json"
+    broken.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(broken)]) == 1
+    errors = [line for line in capsys.readouterr().out.splitlines() if line.startswith("ERROR")]
+    assert [line.split()[1] for line in errors] == [f"audio[{i}].emotion:" for i in records]
+    assert f"has {len(short)} components, expected one per category: happy, sad," in errors[0]
+    assert main(["run", "--dialogue", str(broken), "--out-dir", str(tmp / "out")]) == 1
+    assert "audio[0].emotion: emotion vector has" in capsys.readouterr().err
+
+
 def test_validate_malformed_json_is_format_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -106,6 +125,20 @@ def test_extract_graph_eval_flow(generated, capsys):
     report = json.loads(report_path.read_text())
     assert report["causal_correctness"] == 1.0
     assert report["causal_chain_score"] == 1.0
+
+
+def test_extract_rejects_kb_windows_beyond_the_dialogue(generated, tmp_path, capsys):
+    tmp, dialogue_path, _ = generated
+    kb_path = tmp / "kb.cmkb"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    doc = json.loads(dialogue_path.read_text())
+    doc["utterances"], doc["audio"] = doc["utterances"][:20], doc["audio"][:20]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(short),
+                 "--out", str(tmp / "sx.json")]) == 4
+    assert "error: window 3: spans utterances [15..24] but dialogue" in capsys.readouterr().err
 
 
 def test_graph_dot_output(generated):

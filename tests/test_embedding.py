@@ -152,7 +152,7 @@ def test_window_embedding_matches_bruteforce_mean(embedder):
 def test_window_embedding_uses_neutral_default(embedder):
     u = make_utterance(0)
     implicit = window_embedding([(u, None)], embedder)
-    explicit = window_embedding([(u, neutral_audio_record(0, 8, 5.0))], embedder)
+    explicit = window_embedding([(u, neutral_audio_record(0, 5.0))], embedder)
     assert np.array_equal(implicit.values, explicit.values)
 
 
@@ -187,7 +187,7 @@ def test_describe_audio_rounding():
 
 def test_describe_audio_category_count_mismatch():
     with pytest.raises(ValueError):
-        describe_audio_as_text(make_audio(0, dim=4), categories=("a", "b"))
+        describe_audio_as_text(make_audio(0, dim=4))
 
 
 def test_remote_embedder_normalizes_and_posts_contract():

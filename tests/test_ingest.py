@@ -14,7 +14,7 @@ from emocause.errors import (
     SchemaError,
     StrictModeError,
 )
-from emocause.ingest import IngestOptions, compute_speech_rate, parse_corpus, parse_dialogue_file
+from emocause.ingest import compute_speech_rate, parse_corpus, parse_dialogue_file
 from emocause.model import Utterance, dialogue_to_dict
 from emocause.synth import ChainSpec, generate
 
@@ -55,8 +55,8 @@ def test_parse_missing_field_path():
 def test_parse_fills_missing_speech_rate():
     doc = json.loads(json.dumps(MINIMAL))
     doc["audio"] = [
-        {"utterance_index": 0, "emotion": [1.0, 0.0], "intensity": 0.4},
-        {"utterance_index": 1, "emotion": [0.0, 1.0], "intensity": 0.6, "speech_rate": 3.0},
+        {"utterance_index": 0, "emotion": [1.0] + [0.0] * 7, "intensity": 0.4},
+        {"utterance_index": 1, "emotion": [0.0, 1.0] + [0.0] * 6, "intensity": 0.6, "speech_rate": 3.0},
     ]
     d = parse_dialogue_file(json.dumps(doc))
     assert d.audio[0].speech_rate == pytest.approx(2.0 / 2.0)  # 2 words in 2 seconds
@@ -91,8 +91,8 @@ def test_parse_invalid_dialogue_raises():
 def test_strict_mode_rejects_warning_dialogues():
     # 2 turns is well below the expected range, which is only a warning.
     with pytest.raises(StrictModeError):
-        parse_dialogue_file(json.dumps(MINIMAL), IngestOptions(strict=True))
-    assert parse_dialogue_file(json.dumps(MINIMAL), IngestOptions(strict=False)).n == 2
+        parse_dialogue_file(json.dumps(MINIMAL), strict=True)
+    assert parse_dialogue_file(json.dumps(MINIMAL), strict=False).n == 2
 
 
 def test_parse_counts_preserved_on_generated_fixture():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -405,6 +406,23 @@ def test_persist_rejects_repeated_window_key(embedder):
     )
     with pytest.raises(StoreFormatError, match=r"\('dlg-1', 1\)"):
         load_kb(save_kb(twice))
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"text": None}, "windows[0].text: expected string"),
+    ({"window_index": 1.7}, "windows[0].window_index: expected integer"),
+    ({"start_index": True}, "windows[0].start_index: expected integer"),
+    ({"start_index": 4}, "windows[0]: start_index 4 exceeds end_index 3"),
+    ({"provider_id": 7}, "meta.provider_id: expected string"),
+], ids=["null-text", "float-index", "bool-start", "start-after-end", "int-provider"])
+def test_persist_rejects_a_field_of_the_wrong_type_behind_valid_checksums(embedder, change, field):
+    kb = index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2)
+    if "provider_id" in change:
+        kb.meta = replace(kb.meta, **change)
+    else:
+        kb.windows[0] = replace(kb.windows[0], **change)
+    with pytest.raises(StoreFormatError, match=re.escape(field)):
+        load_kb(save_kb(kb))
 
 
 def test_persist_rejects_future_version(embedder):
