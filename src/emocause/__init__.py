@@ -28,7 +28,6 @@ from .model import (
 from .ingest import parse_corpus, parse_dialogue_file
 from .embedding import (
     EmbeddingProvider,
-    EmbeddingVector,
     HashTextEmbedder,
     RemoteTextEmbedder,
     describe_audio_as_text,
@@ -94,7 +93,6 @@ __all__ = [
     "DEFAULT_EMOTION_CATEGORIES",
     "Dialogue",
     "EmbeddingProvider",
-    "EmbeddingVector",
     "EvalReport",
     "ExtractionPrompt",
     "GoldAnnotation",

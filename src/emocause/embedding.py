@@ -1,17 +1,17 @@
 """Text embedding providers, multimodal fusion, and window-level aggregation.
 
-A fused vector is the concatenation of a unit-norm text embedding, the
-soft emotion distribution, and the speech rate scaled into a comparable
-range, so the fused dimensionality is always text_dim + emotion_dim + 1.
-embed_texts embeds a stage's distinct texts through a provider's optional
-embed_many (one /embed request per EMBED_BATCH_SIZE texts), else per text.
+Every vector is a plain float64 np.ndarray. A fused vector is the
+concatenation of a unit-norm text embedding, the soft emotion distribution,
+and the speech rate scaled into a comparable range: text_dim + emotion_dim +
+1 wide. embed_texts embeds a stage's distinct texts, read-only, through a
+provider's optional embed_many (one /embed request per EMBED_BATCH_SIZE
+texts), else per text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -25,28 +25,6 @@ UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = 5.0
 EMBED_BATCH_SIZE = 64  # texts per /embed request; bounds one long dialogue's body
 EMOTION_DIM = len(DEFAULT_EMOTION_CATEGORIES)
-
-KIND_TEXT = "text"
-KIND_AUDIO_EMOTION = "audio_emotion"
-KIND_FUSED = "fused"
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    """A vector tagged with what it represents (text, emotion, or fused)."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
 
 @runtime_checkable
 class EmbeddingProvider(Protocol):
@@ -163,41 +141,45 @@ def provider_from_spec(spec: str) -> EmbeddingProvider:
     raise EmbeddingError(f"unknown embedding provider spec {spec!r}")
 
 
-def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, EmbeddingVector]:
+def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, np.ndarray]:
     """Embed each distinct non-blank text once, keyed in first-seen order:
     one provider.embed_many call when the provider has that method, else one
-    provider.embed call per text. Each result is unit-norm within 1e-6."""
+    provider.embed call per text. Each result is a read-only float64 array,
+    unit-norm within 1e-6."""
     distinct = list(dict.fromkeys(texts))
     if not all(text.strip() for text in distinct):
         raise ValueError("text must be non-empty")
     embed_many = getattr(provider, "embed_many", None)
     rows = embed_many(distinct) if embed_many else [provider.embed(t) for t in distinct]
+    rows = [np.asarray(v, dtype=np.float64) for v in rows]
     for values in rows:
         norm = float(np.linalg.norm(values))
         if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
             raise EmbeddingError(f"provider {provider.id} returned a non-unit vector (norm {norm!r})")
-    return dict(zip(distinct, [EmbeddingVector(v, KIND_TEXT) for v in rows], strict=True))
+        values.setflags(write=False)
+    return dict(zip(distinct, rows, strict=True))
 
 
-def embed_text(provider: EmbeddingProvider, text: str) -> EmbeddingVector:
+def embed_text(provider: EmbeddingProvider, text: str) -> np.ndarray:
     """Embed non-blank text; the result is unit-norm within 1e-6."""
     return embed_texts(provider, [text])[text]
 
 
 def fuse(
-    text_emb: EmbeddingVector,
+    text_emb: np.ndarray,
     audio: AudioFeatureRecord,
     *,
     emotion_dim: int,
     rate_scale: float = DEFAULT_RATE_SCALE,
-) -> EmbeddingVector:
-    """Concatenate text embedding, emotion distribution and scaled speech rate.
-
-    The output has dimension text_dim + emotion_dim + 1 and each component
-    slice is recoverable by offset.
+) -> np.ndarray:
+    """Concatenate a unit-norm text embedding (a fused vector never is one),
+    the emotion distribution and the scaled speech rate. The output has
+    dimension text_dim + emotion_dim + 1 and each component slice is
+    recoverable by offset.
     """
-    if text_emb.kind != KIND_TEXT:
-        raise FusionError(f"expected a text embedding, got kind {text_emb.kind!r}")
+    text_norm = float(np.linalg.norm(text_emb))
+    if abs(text_norm - 1.0) > UNIT_NORM_TOLERANCE:
+        raise FusionError(f"expected a unit-norm text embedding, got norm {text_norm!r}")
     problems = audio.problems()
     if problems:
         raise FusionError(
@@ -210,14 +192,13 @@ def fuse(
         )
     if rate_scale <= 0.0:
         raise FusionError(f"rate_scale must be > 0, got {rate_scale!r}")
-    fused = np.concatenate(
+    return np.concatenate(
         [
-            text_emb.values,
+            text_emb,
             np.asarray(audio.emotion, dtype=np.float64),
             np.asarray([audio.speech_rate / rate_scale], dtype=np.float64),
         ]
     )
-    return EmbeddingVector(fused, KIND_FUSED)
 
 
 def neutral_audio_record(
@@ -236,7 +217,7 @@ def neutral_audio_record(
 def window_embedding(
     window_utterances: Sequence[tuple[Utterance, AudioFeatureRecord | None]],
     provider: EmbeddingProvider,
-) -> EmbeddingVector:
+) -> np.ndarray:
     """Element-wise mean of the per-utterance fused embeddings of a window."""
     if not window_utterances:
         raise ValueError("window must contain at least one utterance")
@@ -245,8 +226,8 @@ def window_embedding(
         if audio is None:
             audio = neutral_audio_record(utterance.index)
         text_emb = embed_text(provider, utterance.text)
-        rows.append(fuse(text_emb, audio, emotion_dim=EMOTION_DIM).values)
-    return EmbeddingVector(window_mean(rows), KIND_FUSED)
+        rows.append(fuse(text_emb, audio, emotion_dim=EMOTION_DIM))
+    return window_mean(rows)
 
 
 def window_mean(rows: Sequence[np.ndarray]) -> np.ndarray:

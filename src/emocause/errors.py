@@ -30,20 +30,26 @@ class DialogueParseError(EmocauseError):
         self.column = column
 
 
+def _quote(issues: list[str]) -> str:
+    """The first 5 issues and a count of the rest: one short line, however many."""
+    rest = len(issues) - 5
+    return "; ".join(issues[:5]) + (f"; and {rest} more" if rest > 0 else "")
+
+
 class InvalidDialogueError(EmocauseError):
-    """A parsed dialogue failed invariant validation."""
+    """A parsed dialogue failed invariant validation (all issues in .errors)."""
 
     def __init__(self, errors: list[str], dialogue_id: str):
-        super().__init__(f"dialogue {dialogue_id!r} failed validation: " + "; ".join(errors))
+        super().__init__(f"dialogue {dialogue_id!r} failed validation: " + _quote(errors))
         self.errors = errors
 
 
 class StrictModeError(EmocauseError):
-    """Strict ingestion rejected a dialogue that only carried warnings."""
+    """Strict ingestion rejected a dialogue that only carried warnings (all in .warnings)."""
 
     def __init__(self, warnings: list[str], dialogue_id: str):
         super().__init__(
-            f"strict mode rejected dialogue {dialogue_id!r} with warnings: " + "; ".join(warnings)
+            f"strict mode rejected dialogue {dialogue_id!r} with warnings: " + _quote(warnings)
         )
         self.warnings = warnings
 

@@ -4,8 +4,8 @@ Windows advance by a fixed stride so consecutive windows overlap and every
 utterance is covered. index_corpus is the one indexing path, for one
 dialogue (index_dialogue) or many: it embeds the corpus's distinct texts
 with one embed_texts call and stores each window as the mean of its
-utterances' fused vectors, text_dim + 8 + 1 wide: the emotion categories
-are the fixed DEFAULT_EMOTION_CATEGORIES. Retrieval is an exhaustive
+utterances' fused vectors, one float64 row of text_dim + 8 + 1 (the fixed
+DEFAULT_EMOTION_CATEGORIES) per window. Retrieval is an exhaustive
 cosine-similarity scan — desk-scale corpora do not justify an approximate
 index, and exactness is what makes brute-force oracle testing possible.
 load_kb reads each stored field with the model's typed readers.
@@ -28,7 +28,6 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     DEFAULT_RATE_SCALE,
     EMOTION_DIM,
     EmbeddingProvider,
-    EmbeddingVector,
     describe_audio_as_text,
     neutral_audio_record,
     window_embedding,
@@ -50,10 +49,6 @@ class TimeWindow:
     start_index: int
     end_index: int  # inclusive
     text: str
-
-    @property
-    def size(self) -> int:
-        return self.end_index - self.start_index + 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,6 @@ class KnowledgeBase:
 @dataclass(frozen=True)
 class RetrievalHit:
     window: TimeWindow
-    embedding: np.ndarray
     similarity: float
 
 
@@ -195,7 +189,7 @@ def index_corpus(
                     d.audio.get(k) or neutral_audio_record(u.index, rate_scale),
                     emotion_dim=EMOTION_DIM,
                     rate_scale=rate_scale,
-                ).values
+                )
                 for k, u in enumerate(d.utterances)
             ]
             for w in ws:
@@ -226,8 +220,8 @@ _NORM_SAFE_MAX = 1e100
 
 def cosine_similarity(a, b) -> float:
     """(a . b) / (|a| |b|); raises on dimension mismatch or zero vectors."""
-    va = a.values if isinstance(a, EmbeddingVector) else np.asarray(a, dtype=np.float64)
-    vb = b.values if isinstance(b, EmbeddingVector) else np.asarray(b, dtype=np.float64)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     # np.vdot does not warn on overflow as np.linalg.norm does: an infinite
@@ -262,11 +256,7 @@ def retrieve(
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    q = (
-        query_embedding.values
-        if isinstance(query_embedding, EmbeddingVector)
-        else np.asarray(query_embedding, dtype=np.float64)
-    )
+    q = np.asarray(query_embedding, dtype=np.float64)
     if kb.meta.entry_count and q.shape[0] != kb.vectors.shape[1]:
         raise ValueError(
             f"query dimension {q.shape[0]} does not match index dimension {kb.vectors.shape[1]}"
@@ -282,7 +272,7 @@ def retrieve(
         scored.append((-sim, window.dialogue_id, window.window_index, i))
     scored.sort()
     return [
-        RetrievalHit(kb.windows[i], kb.vectors[i], -neg_sim)
+        RetrievalHit(kb.windows[i], -neg_sim)
         for neg_sim, _, _, i in scored[:top_n]
     ]
 

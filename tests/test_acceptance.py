@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from emocause.cli import main as cli_main
-from emocause.embedding import EmbeddingVector, HashTextEmbedder, fuse
+from emocause.embedding import HashTextEmbedder, fuse
 from emocause.errors import StoreFormatError
 from emocause.extraction import MockExtractor, apply_rule_table, dedup_sextuplets, extract_dialogue
 from emocause.graph import (
@@ -147,14 +147,14 @@ def test_criterion_3_fusion_shape_and_slices():
         for d_t in (8, 64, 384):
             for d_e in (4, 8, 16):
                 raw = rng.standard_normal(d_t)
-                text = EmbeddingVector(raw / np.linalg.norm(raw), "text")
+                text = raw / np.linalg.norm(raw)
                 weights = rng.random(d_e) + 0.01
                 emotion = tuple(float(x) for x in weights / weights.sum())
                 rate = float(rng.uniform(0.5, 8.0))
                 record = AudioFeatureRecord(0, emotion, intensity=0.5, speech_rate=rate)
-                fused = fuse(text, record, emotion_dim=d_e, rate_scale=5.0).values
+                fused = fuse(text, record, emotion_dim=d_e, rate_scale=5.0)
                 assert fused.shape == (d_t + d_e + 1,)
-                assert np.array_equal(fused[:d_t], text.values)
+                assert np.array_equal(fused[:d_t], text)
                 assert np.array_equal(fused[d_t : d_t + d_e], np.asarray(emotion))
                 assert fused[d_t + d_e] == rate / 5.0
 

@@ -23,15 +23,13 @@ from emocause.model import Dialogue, ScoringConfig, Utterance
 
 from conftest import ScriptedSession, make_dialogue, make_sextuplet
 
-import numpy as np
-
 
 def _window(text, index=0, dialogue_id="dlg-1", start=0, end=1):
     return TimeWindow(index, dialogue_id, start, end, text)
 
 
 def _hit(text, similarity):
-    return RetrievalHit(_window(text, index=90), np.zeros(3), similarity)
+    return RetrievalHit(_window(text, index=90), similarity)
 
 
 def test_prompt_sections_in_order():

@@ -88,6 +88,19 @@ def test_parse_invalid_dialogue_raises():
         parse_dialogue_file(json.dumps(doc))
 
 
+def test_validation_message_quotes_five_issues_and_counts_the_rest():
+    doc = dialogue_to_dict(generate(ChainSpec(seed=1))[0])
+    for record in doc["audio"]:
+        record["emotion"] = [0.25] * 4
+    with pytest.raises(InvalidDialogueError) as exc:
+        parse_dialogue_file(json.dumps(doc))
+    assert len(exc.value.errors) == 80
+    assert len(str(exc.value)) <= 1000
+    assert str(exc.value).endswith("; and 75 more")
+    strict = StrictModeError(exc.value.errors, "x")
+    assert str(strict).endswith("; and 75 more") and len(strict.warnings) == 80
+
+
 def test_strict_mode_rejects_warning_dialogues():
     # 2 turns is well below the expected range, which is only a warning.
     with pytest.raises(StrictModeError):

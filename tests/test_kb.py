@@ -145,7 +145,7 @@ def test_index_embeds_each_distinct_text_once_and_matches_window_embedding():
     for window, vector in zip(kb.windows, kb.vectors):
         span = range(window.start_index, window.end_index + 1)
         pairs = [(d.utterances[k], d.audio.get(k)) for k in span]
-        assert np.array_equal(vector, window_embedding(pairs, provider).values)
+        assert np.array_equal(vector, window_embedding(pairs, provider))
 
 
 class _BatchingEmbedder(_CountingEmbedder):
@@ -170,7 +170,7 @@ def test_index_embeds_a_dialogue_in_one_batch_with_the_same_bytes():
             [(dialogue.utterances[k], dialogue.audio.get(k))
              for k in range(w.start_index, w.end_index + 1)],
             counting,
-        ).values
+        )
         for w in kb.windows
     ]
     assert save_kb(kb) == save_kb(replace(kb, vectors=np.stack(reference)))
@@ -202,7 +202,7 @@ def test_index_corpus_embeds_shared_texts_in_one_call_in_canonical_order():
         d = by_id[window.dialogue_id]
         pairs = [(d.utterances[k], d.audio.get(k))
                  for k in range(window.start_index, window.end_index + 1)]
-        assert np.array_equal(vector, window_embedding(pairs, reference).values)
+        assert np.array_equal(vector, window_embedding(pairs, reference))
 
 
 def test_index_twice_is_byte_identical(embedder):
