@@ -136,9 +136,9 @@ def provider_from_spec(spec: str) -> EmbeddingProvider:
         return HashTextEmbedder(dim=dim, seed=seed)
     if parts[0] == "remote":
         if len(parts) < 3:
-            raise EmbeddingError("remote embedder spec must be remote:<model>:<dim>")
+            raise ValueError("remote embedder spec must be remote:<model>:<dim>")
         return RemoteTextEmbedder(model=parts[1], dim=int(parts[2]))
-    raise EmbeddingError(f"unknown embedding provider spec {spec!r}")
+    raise ValueError(f"unknown embedding provider spec {spec!r}")
 
 
 def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, np.ndarray]:

@@ -13,8 +13,8 @@ import json
 import math
 import string
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
-from typing import Any, Mapping, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol, Sequence, runtime_checkable
 
 import requests
 
@@ -22,7 +22,7 @@ from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
-from .model import _as_list, _as_number, _as_obj, _as_str, _need
+from .model import _as_list, _as_obj, _as_str, dumps_canonical, record_from_dict, record_to_dict
 from .transport import JsonEndpoint
 
 LN2 = math.log(2.0)
@@ -41,8 +41,9 @@ class CausalEdge:
     delta_t: float
 
 
-# JSON keys of an exported edge, in CausalEdge field order.
-_EDGE_KEYS = ("cause", "effect", "semantic", "temporal", "rationale", "weight", "delta_t")
+# JSON keys of an exported edge that differ from its CausalEdge field names.
+_EDGE_KEYS = {"cause_id": "cause", "effect_id": "effect", "semantic_score": "semantic",
+              "temporal_score": "temporal", "rationale_score": "rationale"}
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def export_graph(
         doc: dict = {
             "vertices": sorted(graph.vertices),
             "edges": [
-                dict(zip(_EDGE_KEYS, astuple(e)))
+                record_to_dict(e, _EDGE_KEYS)
                 for e in sorted(graph.edges, key=lambda e: (e.cause_id, e.effect_id))
             ],
         }
@@ -312,14 +313,8 @@ def export_graph(
             ]
         if dialogue_id is not None:
             doc["dialogue_id"] = dialogue_id
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        return dumps_canonical(doc).encode("utf-8")
     raise ValueError(f"unknown export format {fmt!r} (use 'dot' or 'json')")
-
-
-def _edge_from_dict(obj: Mapping[str, Any], path: str) -> CausalEdge:
-    obj = _as_obj(obj, path)
-    cause, effect, *scores = ((_need(obj, key, path), f"{path}.{key}") for key in _EDGE_KEYS)
-    return CausalEdge(_as_str(*cause), _as_str(*effect), *(_as_number(*s) for s in scores))
 
 
 def graph_from_json(
@@ -330,7 +325,7 @@ def graph_from_json(
     an edge endpoint must be a vertex, and a vertex an embedded sextuplet id."""
     obj = _as_obj(json.loads(data), "")
     edges = tuple(
-        _edge_from_dict(e, f"edges[{i}]")
+        record_from_dict(CausalEdge, e, f"edges[{i}]", _EDGE_KEYS)
         for i, e in enumerate(_as_list(obj.get("edges", []), "edges"))
     )
     vertices = tuple(

@@ -8,7 +8,7 @@ utterances' fused vectors, one float64 row of text_dim + 8 + 1 (the fixed
 DEFAULT_EMOTION_CATEGORIES) per window. Retrieval is an exhaustive
 cosine-similarity scan — desk-scale corpora do not justify an approximate
 index, and exactness is what makes brute-force oracle testing possible.
-load_kb reads each stored field with the model's typed readers.
+save_kb and load_kb write and read records with the model's record codec.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +33,7 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     window_embedding,
 )
 from .errors import EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
-from .model import Dialogue, _as_int, _as_list, _as_obj, _as_str, _need
+from .model import Dialogue, _as_list, record_from_dict, record_to_dict
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -317,24 +317,10 @@ def save_kb(kb: KnowledgeBase) -> bytes:
     return (
         MAGIC
         + struct.pack("<H", FORMAT_VERSION)
-        + _pack_section(compact(asdict(kb.meta)))
-        + _pack_section(compact([asdict(w) for w in kb.windows]))
+        + _pack_section(compact(record_to_dict(kb.meta)))
+        + _pack_section(compact([record_to_dict(w) for w in kb.windows]))
         + _pack_section(matrix)
     )
-
-
-# Keyed by field annotation, a string under `from __future__ import annotations`.
-_FIELD_READERS = {"int": _as_int, "str": _as_str}
-
-
-def _stored_record(cls, obj, path: str):
-    """One stored meta or window record: every field of the dataclass `cls`
-    read with the model's typed readers; a SchemaError names the field."""
-    obj = _as_obj(obj, path)
-    return cls(**{
-        f.name: _FIELD_READERS[f.type](_need(obj, f.name, path), f"{path}.{f.name}")
-        for f in fields(cls)
-    })
 
 
 def _repeated_key(windows) -> tuple[str, int] | None:
@@ -369,9 +355,9 @@ def load_kb(data: bytes) -> KnowledgeBase:
         raise StoreFormatError("trailing bytes after final section")
 
     try:
-        meta = _stored_record(KnowledgeBaseMeta, meta_obj, "meta")
+        meta = record_from_dict(KnowledgeBaseMeta, meta_obj, "meta")
         windows = [
-            _stored_record(TimeWindow, o, f"windows[{i}]")
+            record_from_dict(TimeWindow, o, f"windows[{i}]")
             for i, o in enumerate(_as_list(window_objs, "windows"))
         ]
     except SchemaError as exc:

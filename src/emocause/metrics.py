@@ -34,11 +34,14 @@ DEFAULT_CONSISTENCY_FLOOR = 0.5
 
 @dataclass(frozen=True)
 class GoldAnnotation:
-    """Reference sextuplets and directed causal links for one dialogue."""
+    """Reference sextuplets and directed causal links for one dialogue;
+    `triplet_schema` marks a document of a triplet-schema file, whose doc_id
+    comes from the external corpus."""
 
     dialogue_id: str
     sextuplets: tuple[Sextuplet, ...]
     causal_links: tuple[tuple[str, str], ...]
+    triplet_schema: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "sextuplets", tuple(self.sextuplets))
@@ -388,7 +391,7 @@ def gold_from_triplet_doc(obj: Mapping) -> GoldAnnotation:
                 rationale="unannotated",
             )
         )
-    return GoldAnnotation(dialogue_id=doc_id, sextuplets=tuple(sextuplets), causal_links=())
+    return GoldAnnotation(doc_id, tuple(sextuplets), causal_links=(), triplet_schema=True)
 
 
 def load_gold(data: bytes | str) -> list[GoldAnnotation]:
@@ -409,13 +412,12 @@ def load_gold(data: bytes | str) -> list[GoldAnnotation]:
 
 
 def match_gold(golds: Sequence[GoldAnnotation], dialogue_id: str | None) -> GoldAnnotation:
-    """The gold annotation with dialogue_id, else the sole one of a
-    single-document file; anything else names the id in a SchemaError."""
+    """The gold annotation with dialogue_id, else the sole document of a
+    triplet-schema file; anything else names the ids in a SchemaError."""
     for gold in golds:
         if dialogue_id and gold.dialogue_id == dialogue_id:
             return gold
-    if len(golds) == 1:
+    if len(golds) == 1 and golds[0].triplet_schema:
         return golds[0]
-    raise SchemaError(
-        "gold", f"no gold annotation for dialogue {dialogue_id!r} among {len(golds)} documents"
-    )
+    among = repr(golds[0].dialogue_id) if len(golds) == 1 else f"{len(golds)} documents"
+    raise SchemaError("gold", f"no gold annotation for dialogue {dialogue_id!r} among {among}")

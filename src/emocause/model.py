@@ -8,7 +8,7 @@ permissive (so test fixtures can hold deliberately broken values);
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Iterable, Mapping
 
 from .errors import ConfigError, SchemaError
@@ -231,6 +231,8 @@ class ScoringConfig:
             raise ConfigError(f"window_size={self.window_size!r} must be >= 2")
         if self.stride < 1:
             raise ConfigError(f"stride={self.stride!r} must be >= 1")
+        if self.stride > self.window_size:
+            raise ConfigError(f"stride={self.stride!r} must not exceed window_size={self.window_size!r}")
         if not self.rate_scale > 0.0:
             raise ConfigError(f"rate_scale={self.rate_scale!r} must be > 0")
         if self.max_gap is not None and not self.max_gap > 0.0:
@@ -334,17 +336,23 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # Canonical JSON schema
 # ---------------------------------------------------------------------------
 #
+# A stored record (Utterance, Sextuplet, kb.KnowledgeBaseMeta, kb.TimeWindow,
+# graph.CausalEdge) is one JSON object whose keys are its dataclass fields,
+# read by record_from_dict and written by record_to_dict. The renames:
+#   Sextuplet.sentiment_label -> sentiment;
+#   CausalEdge.cause_id, effect_id -> cause, effect, and its semantic_score,
+#   temporal_score, rationale_score -> semantic, temporal, rationale.
+# A field with a dataclass default may be absent and reads as that default:
+# a Sextuplet's window_index, t_start, t_end and sentiment_score. A
+# Sextuplet's aspect may be absent too, the implicit aspect "". A None field
+# whose default is None is left out when written.
+#
 # Dialogue document:
-#   {id, scenario,
-#    utterances: [{index, speaker, text, t_start, t_end}],
+#   {id, scenario, utterances: [Utterance],
 #    audio: [{utterance_index, emotion: [...], intensity, speech_rate?}]}
 #
 # A missing speech_rate is computed from the timing of the utterance it
 # belongs to (compute_speech_rate).
-#
-# Sextuplet object:
-#   {id, holder, target, aspect, opinion, sentiment, sentiment_score?,
-#    rationale, window_index, t_start, t_end}
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
@@ -383,33 +391,38 @@ def _as_obj(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def utterance_to_dict(u: Utterance) -> dict:
+# Keyed by field annotation, a string under `from __future__ import annotations`.
+_FIELD_READERS = {
+    "int": _as_int,
+    "str": _as_str,
+    "float": _as_number,
+    "float | None": lambda value, path: None if value is None else _as_number(value, path),
+}
+
+
+def record_from_dict(cls, obj: Any, path: str, keys: Mapping[str, str] | None = None):
+    """One record of the dataclass `cls`: each field read from its JSON key
+    (its name, unless `keys` renames it) by the typed reader of its
+    annotation. A field with a default may be absent; a SchemaError names
+    `<path>.<key>`."""
+    obj, keys = _as_obj(obj, path), keys or {}
+    values = {}
+    for f in fields(cls):
+        key = keys.get(f.name, f.name)
+        if key in obj or f.default is MISSING:
+            values[f.name] = _FIELD_READERS[f.type](_need(obj, key, path), f"{path}.{key}")
+    return cls(**values)
+
+
+def record_to_dict(record, keys: Mapping[str, str] | None = None) -> dict:
+    """The JSON object of a dataclass record, the inverse of record_from_dict:
+    a tuple is written as a list, and a None field whose default is None is
+    left out."""
+    keys = keys or {}
     return {
-        "index": u.index,
-        "speaker": u.speaker,
-        "text": u.text,
-        "t_start": u.t_start,
-        "t_end": u.t_end,
-    }
-
-
-def utterance_from_dict(obj: Mapping[str, Any], path: str = "") -> Utterance:
-    obj = _as_obj(obj, path)
-    return Utterance(
-        index=_as_int(_need(obj, "index", path), f"{path}.index"),
-        speaker=_as_str(_need(obj, "speaker", path), f"{path}.speaker"),
-        text=_as_str(_need(obj, "text", path), f"{path}.text"),
-        t_start=_as_number(_need(obj, "t_start", path), f"{path}.t_start"),
-        t_end=_as_number(_need(obj, "t_end", path), f"{path}.t_end"),
-    )
-
-
-def audio_record_to_dict(rec: AudioFeatureRecord) -> dict:
-    return {
-        "utterance_index": rec.utterance_index,
-        "emotion": list(rec.emotion),
-        "intensity": rec.intensity,
-        "speech_rate": rec.speech_rate,
+        keys.get(f.name, f.name): list(value) if isinstance(value, tuple) else value
+        for f in fields(record)
+        if (value := getattr(record, f.name)) is not None or f.default is not None
     }
 
 
@@ -444,8 +457,8 @@ def dialogue_to_dict(d: Dialogue) -> dict:
     return {
         "id": d.id,
         "scenario": d.scenario,
-        "utterances": [utterance_to_dict(u) for u in d.utterances],
-        "audio": [audio_record_to_dict(d.audio[k]) for k in sorted(d.audio)],
+        "utterances": [record_to_dict(u) for u in d.utterances],
+        "audio": [record_to_dict(d.audio[k]) for k in sorted(d.audio)],
     }
 
 
@@ -454,7 +467,7 @@ def dialogue_from_dict(obj: Mapping[str, Any]) -> Dialogue:
     a field path on the first structural violation."""
     obj = _as_obj(obj, "")
     utterances = tuple(
-        utterance_from_dict(item, f"utterances[{i}]")
+        record_from_dict(Utterance, item, f"utterances[{i}]")
         for i, item in enumerate(_as_list(_need(obj, "utterances", ""), "utterances"))
     )
     by_index = {u.index: u for u in utterances}
@@ -475,40 +488,15 @@ def dialogue_from_dict(obj: Mapping[str, Any]) -> Dialogue:
     )
 
 
+_SEXTUPLET_KEYS = {"sentiment_label": "sentiment"}
+
+
 def sextuplet_to_dict(s: Sextuplet) -> dict:
-    out = {
-        "id": s.id,
-        "holder": s.holder,
-        "target": s.target,
-        "aspect": s.aspect,
-        "opinion": s.opinion,
-        "sentiment": s.sentiment_label,
-        "rationale": s.rationale,
-        "window_index": s.window_index,
-        "t_start": s.t_start,
-        "t_end": s.t_end,
-    }
-    if s.sentiment_score is not None:
-        out["sentiment_score"] = s.sentiment_score
-    return out
+    return record_to_dict(s, _SEXTUPLET_KEYS)
 
 
 def sextuplet_from_dict(obj: Mapping[str, Any], path: str = "") -> Sextuplet:
-    obj = _as_obj(obj, path)
-    score = obj.get("sentiment_score")
-    return Sextuplet(
-        id=_as_str(_need(obj, "id", path), f"{path}.id"),
-        holder=_as_str(_need(obj, "holder", path), f"{path}.holder"),
-        target=_as_str(_need(obj, "target", path), f"{path}.target"),
-        aspect=_as_str(obj.get("aspect", ""), f"{path}.aspect"),
-        opinion=_as_str(_need(obj, "opinion", path), f"{path}.opinion"),
-        sentiment_label=_as_str(_need(obj, "sentiment", path), f"{path}.sentiment"),
-        rationale=_as_str(_need(obj, "rationale", path), f"{path}.rationale"),
-        window_index=_as_int(obj.get("window_index", 0), f"{path}.window_index"),
-        t_start=_as_number(obj.get("t_start", 0.0), f"{path}.t_start"),
-        t_end=_as_number(obj.get("t_end", 0.0), f"{path}.t_end"),
-        sentiment_score=None if score is None else _as_number(score, f"{path}.sentiment_score"),
-    )
+    return record_from_dict(Sextuplet, {"aspect": "", **_as_obj(obj, path)}, path, _SEXTUPLET_KEYS)
 
 
 def sextuplets_from_list(value: Any) -> list[Sextuplet]:

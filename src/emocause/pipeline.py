@@ -8,7 +8,6 @@ produce byte-identical output files regardless of worker count.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -70,7 +69,7 @@ class RunManifest:
         self.outputs[str(path)] = sha256_file(path)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(dumps_canonical(asdict(self)))
 
 
 @dataclass

@@ -186,6 +186,49 @@ def test_eval_accepts_triplet_gold(generated, tmp_path, capsys):
     assert "span_f1[sentiment]" in out
 
 
+def test_gold_of_another_dialogue_is_format_error(generated, capsys):
+    tmp, dialogue_path, _ = generated
+    assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+    other_gold = tmp / "other.gold.json"
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"),
+                 "--gold", str(other_gold)]) == 4
+    err = capsys.readouterr().err
+    assert "'synth-00000007'" in err and "'synth-00000008'" in err
+    assert main(["run", "--dialogue", str(dialogue_path), "--gold", str(other_gold),
+                 "--out-dir", str(tmp / "out2")]) == 4
+    assert "'synth-00000008'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, code", [("foo", 2), ("remote:m", 2), ("hash:x", 2), ("remote:m:8", 3)])
+def test_embedder_spec_errors_are_usage_errors_and_a_missing_endpoint_a_provider_error(
+    generated, monkeypatch, spec, code
+):
+    tmp, dialogue_path, _ = generated
+    monkeypatch.delenv("EMBED_ENDPOINT", raising=False)
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out"),
+                 "--embedder", spec]) == code
+
+
+@pytest.mark.parametrize("command", ["extract", "graph", "eval"])
+def test_config_with_a_stride_beyond_the_window_is_usage_error(generated, tmp_path, capsys, command):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    out = tmp / "out"
+    config = tmp_path / "stride.json"
+    config.write_text(json.dumps({"window_size": 4, "stride": 5}))
+    argv = {
+        "extract": ["--kb", str(out / "kb.cmkb"), "--dialogue", str(dialogue_path),
+                    "--out", str(tmp_path / "sx.json")],
+        "graph": ["--sextuplets", str(out / "sextuplets.json"), "--out", str(tmp_path / "g.json")],
+        "eval": ["--predicted", str(out / "graph.json"), "--gold", str(gold_path)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--config", str(config)]) == 2
+    assert "stride=5 must not exceed window_size=4" in capsys.readouterr().err
+
+
 def test_run_end_to_end(generated, capsys):
     tmp, dialogue_path, gold_path = generated
     code = main(["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),

@@ -60,8 +60,9 @@ def test_embedder_casefolds_tokens(embedder):
 def test_provider_from_spec_round_trip():
     p = provider_from_spec("hash:32:5")
     assert (p.dim, p.seed, p.id) == (32, 5, "hash:32:5")
-    with pytest.raises(EmbeddingError):
-        provider_from_spec("unknown:thing")
+    for spec in ("unknown:thing", "remote:m"):
+        with pytest.raises(ValueError, match="spec"):
+            provider_from_spec(spec)
 
 
 def test_fuse_concatenation_example():

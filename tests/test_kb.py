@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -413,11 +413,20 @@ def test_persist_rejects_repeated_window_key(embedder):
     ({"window_index": 1.7}, "windows[0].window_index: expected integer"),
     ({"start_index": True}, "windows[0].start_index: expected integer"),
     ({"start_index": 4}, "windows[0]: start_index 4 exceeds end_index 3"),
+    ({"dialogue_id": 3}, "windows[0].dialogue_id: expected string"),
+    ({"end_index": "3"}, "windows[0].end_index: expected integer"),
     ({"provider_id": 7}, "meta.provider_id: expected string"),
-], ids=["null-text", "float-index", "bool-start", "start-after-end", "int-provider"])
+    ({"text_dim": 64.0}, "meta.text_dim: expected integer"),
+    ({"emotion_dim": None}, "meta.emotion_dim: expected integer"),
+    ({"window_size": "4"}, "meta.window_size: expected integer"),
+    ({"stride": False}, "meta.stride: expected integer"),
+    ({"entry_count": [5]}, "meta.entry_count: expected integer"),
+], ids=["null-text", "float-index", "bool-start", "start-after-end", "int-dialogue",
+        "str-end", "int-provider", "float-text-dim", "null-emotion-dim", "str-window-size",
+        "bool-stride", "list-entry-count"])
 def test_persist_rejects_a_field_of_the_wrong_type_behind_valid_checksums(embedder, change, field):
     kb = index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2)
-    if "provider_id" in change:
+    if set(change) <= {f.name for f in fields(KnowledgeBaseMeta)}:
         kb.meta = replace(kb.meta, **change)
     else:
         kb.windows[0] = replace(kb.windows[0], **change)

@@ -28,6 +28,7 @@ from emocause.metrics import (
     gold_from_dict,
     gold_to_dict,
     load_gold,
+    match_gold,
     match_links,
     render_report_text,
     span_and_pair_f1,
@@ -338,6 +339,18 @@ def test_load_gold_triplet_dict_entries():
     }
     gold = load_gold(json.dumps(doc))[0]
     assert gold.sextuplets[0].sentiment_label == "negative"
+
+
+def test_match_gold_falls_back_to_the_sole_document_of_a_triplet_file_only():
+    native = load_gold(json.dumps(gold_to_dict(GoldAnnotation("d", tuple(_fixture(2, "g")), ()))))
+    assert match_gold(native, "d") == native[0]
+    with pytest.raises(SchemaError, match=r"dialogue 'other' among 'd'") as exc:
+        match_gold(native, "other")
+    assert exc.value.path == "gold"
+    triplets = load_gold(json.dumps([_TRIPLET_DOC]))
+    assert match_gold(triplets, "other") == triplets[0]
+    with pytest.raises(SchemaError, match="among 2 documents"):
+        match_gold(triplets * 2, "other")
 
 
 def test_load_gold_unrecognized_layout():

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocause.errors import ConfigError, SchemaError
+from emocause.graph import CausalEdge
+from emocause.kb import KnowledgeBaseMeta, TimeWindow
 from emocause.model import (
     AudioFeatureRecord,
     Dialogue,
@@ -18,6 +20,8 @@ from emocause.model import (
     Utterance,
     dialogue_from_dict,
     dialogue_to_dict,
+    record_from_dict,
+    record_to_dict,
     scoring_config_from_dict,
     scoring_config_to_dict,
     sextuplet_from_dict,
@@ -145,6 +149,14 @@ def test_scoring_config_is_validated_when_built():
             ScoringConfig(**{name: float("nan")})
 
 
+def test_scoring_config_rejects_a_stride_beyond_the_window():
+    with pytest.raises(ConfigError, match=r"stride=5 must not exceed window_size=4"):
+        ScoringConfig(window_size=4, stride=5)
+    with pytest.raises(ConfigError, match="stride"):
+        scoring_config_from_dict({"window_size": 4})
+    assert ScoringConfig(window_size=4, stride=4).stride == 4
+
+
 def test_scoring_config_accepts_json_integers_for_float_fields():
     assert scoring_config_from_dict({"tau": 30, "edge_threshold": 1}).tau == 30
 
@@ -268,3 +280,56 @@ def test_sextuplet_dict_uses_sentiment_key():
     doc = sextuplet_to_dict(make_sextuplet("s1"))
     assert doc["sentiment"] == "negative"
     assert "sentiment_label" not in doc
+
+
+# ---------------------------------------------------------------------------
+# The record codec: every stored record through record_from_dict/record_to_dict
+# ---------------------------------------------------------------------------
+
+_SEXTUPLET_KEYS = {"sentiment_label": "sentiment"}
+_EDGE_KEYS = {"cause_id": "cause", "effect_id": "effect", "semantic_score": "semantic",
+              "temporal_score": "temporal", "rationale_score": "rationale"}
+
+_RECORDS = [
+    (Utterance(3, "ana", "hello there", 1.5, 2.25), {}),
+    (replace(make_sextuplet("s1"), sentiment_score=-0.5), _SEXTUPLET_KEYS),
+    (make_sextuplet("s2", aspect=""), _SEXTUPLET_KEYS),
+    (CausalEdge("a", "b", 0.75, 0.9, 0.5, 0.72, 3.0), _EDGE_KEYS),
+    (KnowledgeBaseMeta(64, 8, 10, 5, "hash:64:0", 12), {}),
+    (TimeWindow(2, "dlg-1", 10, 19, "[#10] ana: hello"), {}),
+]
+_RECORD_IDS = ["utterance", "sextuplet-scored", "sextuplet-implicit-aspect", "edge", "kb-meta",
+               "kb-window"]
+
+
+@pytest.mark.parametrize("record, keys", _RECORDS, ids=_RECORD_IDS)
+def test_record_codec_json_round_trip(record, keys):
+    doc = json.loads(json.dumps(record_to_dict(record, keys)))
+    assert set(doc) >= set(keys.values())
+    assert record_from_dict(type(record), doc, "rec", keys) == record
+
+
+@pytest.mark.parametrize("record, keys", _RECORDS, ids=_RECORD_IDS)
+def test_record_codec_names_each_field_of_the_wrong_type(record, keys):
+    doc = record_to_dict(record, keys)
+    for key, value in doc.items():
+        wrong = 7 if isinstance(value, str) else "7"
+        with pytest.raises(SchemaError) as exc:
+            record_from_dict(type(record), {**doc, key: wrong}, "rec", keys)
+        assert exc.value.path == f"rec.{key}"
+
+
+def test_sextuplet_codec_leaves_out_an_absent_score_and_fills_defaults():
+    s = make_sextuplet("s1", aspect="")
+    doc = sextuplet_to_dict(s)
+    assert "sentiment_score" not in doc
+    assert sextuplet_from_dict(json.loads(json.dumps(doc))) == s
+    for key in ("aspect", "window_index", "t_start", "t_end"):
+        del doc[key]
+    assert sextuplet_from_dict(doc) == replace(s, aspect="", window_index=0, t_start=0.0, t_end=0.0)
+    with pytest.raises(SchemaError) as exc:
+        sextuplet_from_dict({**doc, "sentiment_score": "high"}, "sextuplets[2]")
+    assert exc.value.path == "sextuplets[2].sentiment_score"
+    with pytest.raises(SchemaError, match="missing required field") as exc:
+        sextuplet_from_dict({k: v for k, v in doc.items() if k != "sentiment"}, "sextuplets[2]")
+    assert exc.value.path == "sextuplets[2].sentiment"
