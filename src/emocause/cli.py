@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialogue", required=True, help="dialogue JSON file")
     p.add_argument("--provider", default="mock", help="mock or remote:<model>")
     p.add_argument("--out", required=True, help="output sextuplets JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent windows")
+    p.add_argument("--jobs", type=int, default=1, help="threads for window calls; remote calls always overlap")
     p.add_argument("--strict", action="store_true", help="treat ingest warnings as errors")
     _add_config_flags(p, {"top_n"})
     p.set_defaults(func=_cmd_extract)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output graph file (.json or .dot)")
     p.add_argument("--embedder", default="hash:64:0")
     p.add_argument("--nli", default="overlap", help="overlap or remote")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent pair scoring")
+    p.add_argument("--jobs", type=int, default=1, help="threads for NLI calls; remote calls always overlap")
     _add_config_flags(p, {"alpha", "beta", "gamma", "tau", "edge_threshold", "max_gap"})
     p.set_defaults(func=_cmd_graph)
 
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provider", default="mock", help="extractor: mock or remote:<model>")
     p.add_argument("--embedder", default="hash:64:0")
     p.add_argument("--nli", default="overlap")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="threads for provider calls; remote ones overlap")
     p.add_argument("--strict", action="store_true", help="treat ingest warnings as errors")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_run)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -21,7 +20,7 @@ from .errors import ResponseParseError, SchemaError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet, sextuplet_to_dict
 from .model import _as_obj, _as_str, _need, sextuplets_from_list
-from .transport import JsonEndpoint
+from .transport import JsonEndpoint, map_calls
 
 logger = logging.getLogger(__name__)
 
@@ -416,8 +415,8 @@ def extract_dialogue(
     augmented prompts, then deduplicate across overlapping windows. A window
     that spans utterances the dialogue does not have raises SchemaError.
 
-    Windows may run concurrently; results are re-sorted by window index so
-    the output is independent of scheduling.
+    Windows run through map_calls (a remote provider overlaps them) and
+    are re-sorted by window index, so the output is independent of scheduling.
     """
     cfg = cfg or ScoringConfig()
     indexed = [
@@ -439,11 +438,7 @@ def extract_dialogue(
         prompt = assemble_prompt(window, context, cfg)
         return window.window_index, extract_sextuplets(prompt, provider, window, dialogue)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, indexed))
-    else:
-        outcomes = [run_one(item) for item in indexed]
+    outcomes = map_calls(run_one, indexed, provider, jobs)
     outcomes.sort(key=lambda pair: pair[0])
     flat = [s for _, found in outcomes for s in found]
     return dedup_sextuplets(flat)

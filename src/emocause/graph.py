@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -23,7 +22,7 @@ from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportE
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
 from .model import _as_list, _as_obj, _as_str, dumps_canonical, record_from_dict, record_to_dict
-from .transport import JsonEndpoint
+from .transport import JsonEndpoint, map_calls
 
 LN2 = math.log(2.0)
 
@@ -214,9 +213,10 @@ def build_graph(
     10 * tau the temporal component is below 5e-5, negligible against any
     practical threshold. The distinct cause opinions and effect sentiment
     labels of the admissible pairs are embedded with one embed_texts call
-    before scoring starts, so `jobs` threads only share NLI calls. Vertices
-    include isolated events. Output is deterministic and independent of
-    evaluation order and thread count.
+    before scoring; the NLI calls, one per pair, run through map_calls (a
+    remote provider overlaps them), and a failure names the first failing
+    pair in enumeration order. Vertices include isolated events. Output is
+    deterministic and independent of evaluation order and thread count.
     """
     ids = [s.id for s in sextuplets]
     if len(set(ids)) != len(ids):
@@ -262,12 +262,7 @@ def build_graph(
             delta_t=delta_t,
         )
 
-    if jobs > 1 and candidates:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(score, candidates))
-    else:
-        scored = [score(pair) for pair in candidates]
-
+    scored = map_calls(score, candidates, nli, jobs)
     edges = sorted(
         (e for e in scored if e is not None), key=lambda e: (e.cause_id, e.effect_id)
     )

@@ -352,15 +352,14 @@ def _triplet_fields(entry, path: str) -> tuple[str, str, str, str]:
     """(target, aspect, opinion, sentiment) from either the 10-column list
     layout or a keyed object."""
     if isinstance(entry, Mapping):
-        target = str(entry.get("target", ""))
-        aspect = str(entry.get("aspect", ""))
-        opinion = str(entry.get("opinion", ""))
-        polarity = str(entry.get("sentiment", entry.get("polarity", ""))).casefold()
+        keys = ("sentiment" if "sentiment" in entry else "polarity", "target", "aspect", "opinion")
+        fields = [_as_str(entry.get(key, ""), f"{path}.{key}") for key in keys]
     elif isinstance(entry, list) and len(entry) >= 10:
-        polarity = str(entry[6]).casefold()
-        target, aspect, opinion = (str(entry[7]), str(entry[8]), str(entry[9]))
+        fields = [_as_str(entry[col], f"{path}[{col}]") for col in (6, 7, 8, 9)]
     else:
         raise SchemaError(path, "unrecognized triplet layout")
+    polarity, target, aspect, opinion = fields
+    polarity = polarity.casefold()
     sentiment = _TRIPLET_POLARITIES.get(polarity, polarity)
     if sentiment not in ("positive", "negative", "neutral"):
         raise SchemaError(f"{path}", f"unrecognized polarity {polarity!r}")

@@ -98,8 +98,6 @@ def run_pipeline(
     """Run every stage over one dialogue file, writing all artifacts to out_dir."""
     cfg = cfg or ScoringConfig()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     if isinstance(embedder, str):
         embedder = provider_from_spec(embedder)
     if isinstance(extractor, str):
@@ -117,6 +115,8 @@ def run_pipeline(
 
     with manifest.stage("validate"):
         dialogue = read_dialogue(dialogue_path, strict=strict)
+    # a run refused for its providers or its dialogue leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
 
     with manifest.stage("index"):
         kb = index_dialogue(

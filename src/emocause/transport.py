@@ -23,13 +23,22 @@ is posted at most four times before TransportError is raised. Any other
 non-200 status is final and raises TransportError after one post. A 200
 whose body is not JSON raises ResponseParseError carrying the raw text and
 is not retried: the same request would get the same reply.
+
+Concurrency: map_calls overlaps the independent calls of one stage (a chat
+per window, an NLI per event pair) on REMOTE_WORKERS threads, or `jobs` if
+more, for a remote provider; a local one runs on `jobs` threads. Retries stay
+per call. After a failure no new call starts, the calls in flight finish, and
+the first failing item in input order raises, as in the serial loop.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import requests
 
@@ -39,6 +48,28 @@ logger = logging.getLogger(__name__)
 
 MAX_RETRIES = 3
 BACKOFF_BASE = 0.5
+REMOTE_WORKERS = 4
+
+
+def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
+    """[fn(x) for x in items] in input order, on max(jobs, REMOTE_WORKERS)
+    threads for a remote provider and on `jobs` threads otherwise."""
+    workers = max(jobs, REMOTE_WORKERS) if provider.mode == "remote" else jobs
+    if min(workers, len(items)) <= 1:
+        return [fn(x) for x in items]
+    failed = threading.Event()
+
+    def call(x):
+        if failed.is_set():  # an earlier item failed, and map raises its error first
+            return None
+        try:
+            return fn(x)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(call, items))
 
 
 class JsonEndpoint:

@@ -70,6 +70,7 @@ def test_emotion_vector_of_the_wrong_length_is_a_validation_error(generated, tmp
     assert f"has {len(short)} components, expected one per category: happy, sad," in errors[0]
     assert main(["run", "--dialogue", str(broken), "--out-dir", str(tmp / "out")]) == 1
     assert "audio[0].emotion: emotion vector has" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
 
 
 def test_validate_malformed_json_is_format_error(tmp_path):
@@ -209,6 +210,7 @@ def test_embedder_spec_errors_are_usage_errors_and_a_missing_endpoint_a_provider
     monkeypatch.delenv("EMBED_ENDPOINT", raising=False)
     assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out"),
                  "--embedder", spec]) == code
+    assert not (tmp / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["extract", "graph", "eval"])

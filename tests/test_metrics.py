@@ -341,6 +341,19 @@ def test_load_gold_triplet_dict_entries():
     assert gold.sextuplets[0].sentiment_label == "negative"
 
 
+@pytest.mark.parametrize("entry, path", [
+    ({"target": None, "aspect": "glare", "opinion": "bad", "polarity": "neg"}, "triplets[0].target"),
+    ({"target": "screen", "aspect": 3, "opinion": "bad", "polarity": "neg"}, "triplets[0].aspect"),
+    ({"target": "screen", "opinion": "bad", "sentiment": None}, "triplets[0].sentiment"),
+    ([0, 1, 0, 1, 0, 1, "neg", None, None, "bad"], "triplets[0][7]"),
+    ([0, 1, 0, 1, 0, 1, 1, "screen", "glare", "bad"], "triplets[0][6]"),
+], ids=["keyed-null", "keyed-number", "keyed-sentiment", "columns-null", "columns-number"])
+def test_load_gold_triplet_field_that_is_not_a_string_is_a_schema_error(entry, path):
+    with pytest.raises(SchemaError, match="expected string") as exc:
+        load_gold(json.dumps({"doc_id": "x", "triplets": [entry]}))
+    assert exc.value.path == path
+
+
 def test_match_gold_falls_back_to_the_sole_document_of_a_triplet_file_only():
     native = load_gold(json.dumps(gold_to_dict(GoldAnnotation("d", tuple(_fixture(2, "g")), ()))))
     assert match_gold(native, "d") == native[0]

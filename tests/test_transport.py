@@ -4,8 +4,12 @@ real socket, plus the CLI exit codes their failures map to."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 import requests
@@ -13,11 +17,19 @@ import requests
 from emocause.cli import main
 from emocause.embedding import EMBED_BATCH_SIZE, HashTextEmbedder, RemoteTextEmbedder
 from emocause.errors import ResponseParseError, TransportError
-from emocause.extraction import MockExtractor, RemoteExtractor, assemble_prompt, extract_sextuplets
-from emocause.graph import JaccardNli, RemoteNli
-from emocause.kb import build_windows
-from emocause.model import Dialogue, Utterance
-from emocause.transport import JsonEndpoint
+from emocause.extraction import (
+    MockExtractor,
+    RemoteExtractor,
+    assemble_prompt,
+    extract_dialogue,
+    extract_sextuplets,
+    sextuplets_from_dict,
+)
+from emocause.graph import JaccardNli, RemoteNli, build_graph, temporal_gap
+from emocause.kb import build_windows, index_dialogue
+from emocause.model import Dialogue, ScoringConfig, Utterance
+from emocause.synth import ChainSpec, generate
+from emocause.transport import REMOTE_WORKERS, JsonEndpoint, map_calls
 
 from conftest import ScriptedSession
 
@@ -236,6 +248,79 @@ def test_provider_connection_refused_is_retried(backoff_sleeps, name):
 
 
 # ---------------------------------------------------------------------------
+# Fan-out of the calls of one stage to a remote provider
+# ---------------------------------------------------------------------------
+
+
+class _Rendezvous:
+    """The first two calls return only when both are in flight at once:
+    made one after the other, the first breaks the barrier after 5 s."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.calls = itertools.count()
+
+    def __call__(self):
+        if next(self.calls) < 2:
+            self.barrier.wait()
+
+
+class _PairedExtractor(MockExtractor):
+    mode = "remote"
+
+    def __init__(self):
+        self.rendezvous = _Rendezvous()
+
+    def complete(self, prompt_text):
+        self.rendezvous()
+        return super().complete(prompt_text)
+
+
+class _PairedNli(JaccardNli):
+    mode = "remote"
+
+    def __init__(self):
+        self.rendezvous = _Rendezvous()
+
+    def entailment_probability(self, premise, hypothesis):
+        self.rendezvous()
+        return super().entailment_probability(premise, hypothesis)
+
+
+def test_remote_calls_of_one_stage_overlap_at_one_job(embedder, nli, cfg):
+    dialogue, _ = generate(ChainSpec(seed=4, turns=30, chain_length=2))
+    kb = index_dialogue(dialogue, embedder, window_size=10, stride=5)
+    found = extract_dialogue(dialogue, kb, _PairedExtractor(), cfg, jobs=1)
+    assert found == extract_dialogue(dialogue, kb, MockExtractor(), cfg, jobs=1)
+    graph = build_graph(found, cfg, embedder, _PairedNli(), jobs=1)
+    assert graph == build_graph(found, cfg, embedder, nli, jobs=1)
+    assert len(graph.edges) > 0
+
+
+def test_map_calls_keeps_input_order_and_the_first_error_under_contention():
+    """Eight threads on two cores with a shortened switch interval: results
+    come back in input order, and with every item from 300 on failing, the
+    error raised is item 300's, whichever call failed first."""
+
+    def square_below_300(x):
+        if x >= 300:
+            raise ValueError(x)
+        return x * x
+
+    local = SimpleNamespace(mode="mock")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert map_calls(square_below_300, range(300), local, 8) == [x * x for x in range(300)]
+        for _ in range(20):
+            with pytest.raises(ValueError) as exc:
+                map_calls(square_below_300, range(600), local, 8)
+            assert exc.value.args == (300,)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
 # CLI exit codes for remote runs configured through the environment
 # ---------------------------------------------------------------------------
 
@@ -277,19 +362,43 @@ def _serve_offline_providers(http_stub, monkeypatch, dim=8):
 
 
 def test_remote_run_embeds_each_stage_in_one_post(http_stub, monkeypatch, tmp_path):
-    assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "3",
+    # 15 events and 105 admissible pairs: the remote graph stage fans out 105 NLI calls
+    assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
                  "--out-prefix", str(tmp_path / "d")]) == 0
-    remote = _serve_offline_providers(http_stub, monkeypatch)
-    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
-                 "--out-dir", str(tmp_path / "out"), *remote]) == 0
-    embeds = [body["input"] for path, _, body in http_stub.requests if path == "/embed"]
-    assert len(embeds) == 2  # one for the index, one for the graph
-    assert len(embeds[0]) == len(set(embeds[0])) <= EMBED_BATCH_SIZE
+    inputs = ["--dialogue", str(tmp_path / "d.dialogue.json"), "--gold", str(tmp_path / "d.gold.json")]
     offline = tmp_path / "offline"
-    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
-                 "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
-    for name in ("sextuplets.json", "graph.json"):
-        assert (tmp_path / "out" / name).read_bytes() == (offline / name).read_bytes()
+    assert main(["run", *inputs, "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    for jobs in ("1", "4"):
+        http_stub.requests.clear()
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", *inputs, "--out-dir", str(out), "--jobs", jobs, *remote]) == 0
+        embeds = [body["input"] for path, _, body in http_stub.requests if path == "/embed"]
+        assert len(embeds) == 2  # one for the index, one for the graph
+        assert len(embeds[0]) == len(set(embeds[0])) <= EMBED_BATCH_SIZE
+        assert sum(path == "/nli" for path, _, _ in http_stub.requests) == 105
+        for name in ("sextuplets.json", "graph.json", "report.json"):
+            assert (out / name).read_bytes() == (offline / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path, capsys, jobs):
+    assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
+                 "--out-prefix", str(tmp_path / "d")]) == 0
+    dialogue = ["--dialogue", str(tmp_path / "d.dialogue.json")]
+    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "offline")]) == 0
+    _, events = sextuplets_from_dict(json.loads((tmp_path / "offline" / "sextuplets.json").read_text()))
+    max_gap = ScoringConfig().effective_max_gap()
+    cause, effect = next((c, e) for c in events for e in events
+                         if c.id != e.id and 0.0 <= temporal_gap(c, e) <= max_gap)
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    del http_stub.routes["/nli"]
+    http_stub.default = (503, b"{}")
+    capsys.readouterr()
+    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "out"), "--jobs", jobs, *remote]) == 3
+    assert f"scoring failed for pair ({cause.id} -> {effect.id})" in capsys.readouterr().err
+    # each worker's call fails after four posts, and then no worker starts another
+    assert sum(path == "/nli" for path, _, _ in http_stub.requests) <= 4 * REMOTE_WORKERS
 
 
 def test_remote_run_with_wrong_embedding_row_count_exits_4(http_stub, monkeypatch, tmp_path, capsys):
