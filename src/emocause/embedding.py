@@ -11,6 +11,7 @@ texts), else per text.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
@@ -77,8 +78,9 @@ class RemoteTextEmbedder:
     POST {model, input: [text, ...]} -> {embeddings: [[...], ...]}, one row
     per text in input order; embed_many posts each chunk of at most
     EMBED_BATCH_SIZE texts, and embed(text) is embed_many([text])[0]. A reply
-    without one numeric row per text raises ResponseParseError; a zero row or
-    one of the wrong dimension raises EmbeddingError. Rows are unit-normalized.
+    without one row of JSON numbers per text raises ResponseParseError; a zero
+    row or one of the wrong dimension raises EmbeddingError. Rows are
+    unit-normalized.
     """
 
     mode = "remote"
@@ -112,6 +114,10 @@ class RemoteTextEmbedder:
                 got = reply["embeddings"]
                 if len(got) != len(chunk):
                     raise ValueError(f"{len(got)} embeddings for {len(chunk)} texts")
+                # np.asarray would read null as NaN and true or "0.6" as numbers
+                kinds = set(map(type, itertools.chain.from_iterable(got))) - {int, float}
+                if kinds:
+                    raise TypeError(f"non-number components: {sorted(k.__name__ for k in kinds)}")
                 vecs = [np.asarray(row, dtype=np.float64) for row in got]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ResponseParseError(f"malformed embedding response: {exc}", json.dumps(reply)) from exc
@@ -154,7 +160,7 @@ def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, 
     rows = [np.asarray(v, dtype=np.float64) for v in rows]
     for values in rows:
         norm = float(np.linalg.norm(values))
-        if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= UNIT_NORM_TOLERANCE:  # NaN fails too
             raise EmbeddingError(f"provider {provider.id} returned a non-unit vector (norm {norm!r})")
         values.setflags(write=False)
     return dict(zip(distinct, rows, strict=True))
@@ -178,7 +184,7 @@ def fuse(
     recoverable by offset.
     """
     text_norm = float(np.linalg.norm(text_emb))
-    if abs(text_norm - 1.0) > UNIT_NORM_TOLERANCE:
+    if not abs(text_norm - 1.0) <= UNIT_NORM_TOLERANCE:  # NaN fails too
         raise FusionError(f"expected a unit-norm text embedding, got norm {text_norm!r}")
     problems = audio.problems()
     if problems:

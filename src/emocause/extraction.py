@@ -190,7 +190,7 @@ def _current_window_section(prompt_text: str) -> str:
 class RemoteExtractor:
     """Chat-completion HTTP provider.
 
-    POST {model, messages, temperature: 0} -> {content}. The prompt's task
+    POST {model, messages, temperature: 0} -> {content: str}. The prompt's task
     section becomes the system message and the rest the user message.
     Temperature is pinned to 0 for determinism where the backend honors it.
     """
@@ -216,12 +216,10 @@ class RemoteExtractor:
             {"role": "user", "content": (_SECTION_CONTEXT + body) if body else prompt_text},
         ]
         reply = self._http.call({"model": self.model, "messages": messages, "temperature": 0})
-        try:
-            return str(reply["content"])
-        except (KeyError, TypeError) as exc:
-            raise ResponseParseError(
-                f"malformed extractor response: {exc}", json.dumps(reply)
-            ) from exc
+        content = reply.get("content") if isinstance(reply, dict) else None
+        if not isinstance(content, str):
+            raise ResponseParseError(f"chat content {content!r} is not a string", json.dumps(reply))
+        return content
 
 
 def extractor_from_spec(spec: str) -> ExtractorProvider:

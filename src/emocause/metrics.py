@@ -4,12 +4,15 @@ Link matching is content-based: a predicted edge matches a gold link when
 both endpoints agree on case-folded (holder, target, aspect) and the
 direction agrees. Span and pair metrics are exact-match micro-F1 in the
 usual aspect-sentiment-evaluation style.
+
+Empty graphs: with no predicted link, causal correctness is 1.0 when the
+gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Mapping, Sequence
 
@@ -27,7 +30,12 @@ from .model import (
 
 SPAN_ELEMENTS = ("holder", "target", "aspect", "opinion", "rationale", "sentiment")
 PAIR_KEYS = ("T-A", "T-O", "A-O")
-_PAIR_FIELDS = {"T-A": ("target", "aspect"), "T-O": ("target", "opinion"), "A-O": ("aspect", "opinion")}
+# The Sextuplet fields each span or pair metric compares, case-folded.
+_COMPARED_FIELDS = {
+    **{element: (element,) for element in SPAN_ELEMENTS[:-1]},
+    "sentiment": ("sentiment_label",),
+    "T-A": ("target", "aspect"), "T-O": ("target", "opinion"), "A-O": ("aspect", "opinion"),
+}
 
 DEFAULT_CONSISTENCY_FLOOR = 0.5
 
@@ -66,14 +74,7 @@ class EvalReport:
     counts: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "causal_correctness": self.causal_correctness,
-            "causal_consistency": self.causal_consistency,
-            "causal_chain_score": self.causal_chain_score,
-            "span_f1": dict(self.span_f1),
-            "pair_f1": dict(self.pair_f1),
-            "counts": dict(self.counts),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -89,35 +90,35 @@ def match_links(
     """Pair each predicted edge with at most one gold link.
 
     Greedy by descending predicted weight, ties broken by canonical edge
-    order; a gold link can absorb only one predicted edge.
+    order; each edge takes the first unmatched gold link, in gold order,
+    whose endpoints share its content key.
     """
     pred_by_id = {s.id: s for s in predicted_sextuplets}
     gold_by_id = {s.id: s for s in gold.sextuplets}
-
-    gold_pool: list[tuple[tuple, tuple[str, str]] | None] = []
+    unmatched: dict[tuple, list[tuple[str, str]]] = {}
     for cause_id, effect_id in gold.causal_links:
         key = (gold_by_id[cause_id].match_key(), gold_by_id[effect_id].match_key())
-        gold_pool.append((key, (cause_id, effect_id)))
+        unmatched.setdefault(key, []).append((cause_id, effect_id))
 
     ordered = sorted(
         enumerate(predicted.edges),
         key=lambda pair: (-pair[1].weight, pair[1].cause_id, pair[1].effect_id, pair[0]),
     )
-    outcome: dict[int, tuple[str, str] | None] = {}
-    taken = [False] * len(gold_pool)
-    for idx, edge in ordered:
-        cause = pred_by_id.get(edge.cause_id)
-        effect = pred_by_id.get(edge.effect_id)
-        outcome[idx] = None
-        if cause is None or effect is None:
-            continue
-        key = (cause.match_key(), effect.match_key())
-        for g, entry in enumerate(gold_pool):
-            if not taken[g] and entry[0] == key:
-                taken[g] = True
-                outcome[idx] = entry[1]
-                break
-    return [(edge, outcome[i]) for i, edge in enumerate(predicted.edges)]
+    outcome: list[tuple[str, str] | None] = [None] * len(predicted.edges)
+    for i, edge in ordered:
+        cause, effect = pred_by_id.get(edge.cause_id), pred_by_id.get(edge.effect_id)
+        if cause is not None and effect is not None:
+            links = unmatched.get((cause.match_key(), effect.match_key()))
+            if links:
+                outcome[i] = links.pop(0)
+    return list(zip(predicted.edges, outcome))
+
+
+def _causal_ratios(correct: int, consistent: int, predicted: int, gold: int) -> tuple[float, float]:
+    """(correctness, consistency) under the empty-graph rules of the module docstring."""
+    if not predicted:
+        return (0.0 if gold else 1.0), 1.0
+    return correct / predicted, consistent / predicted
 
 
 def causal_correctness(
@@ -125,15 +126,9 @@ def causal_correctness(
     predicted_sextuplets: Sequence[Sextuplet],
     gold: GoldAnnotation,
 ) -> float:
-    """Matched predicted links over total predicted links.
-
-    With no predicted links the metric is vacuous: 1.0 when there was
-    nothing to find, else 0.0.
-    """
-    if not predicted.edges:
-        return 1.0 if not gold.causal_links else 0.0
+    """Matched predicted links over total predicted links."""
     matched = sum(1 for _, link in match_links(predicted, predicted_sextuplets, gold) if link)
-    return matched / len(predicted.edges)
+    return _causal_ratios(matched, 0, len(predicted.edges), len(gold.causal_links))[0]
 
 
 def consistent_edges(
@@ -167,12 +162,9 @@ def consistent_edges(
 def causal_consistency(
     predicted: CausalGraph, *, floor: float = DEFAULT_CONSISTENCY_FLOOR
 ) -> float:
-    """Share of predicted edges that are logically coherent; 1.0 for an
-    empty graph."""
-    if not predicted.edges:
-        return 1.0
-    flags = consistent_edges(predicted, floor=floor)
-    return sum(flags) / len(flags)
+    """Share of predicted edges that are logically coherent."""
+    consistent = sum(consistent_edges(predicted, floor=floor))
+    return _causal_ratios(0, consistent, len(predicted.edges), 0)[1]
 
 
 def causal_chain_score(correctness: float, consistency: float) -> float:
@@ -196,41 +188,34 @@ class _MicroCounts:
         r = self.correct / self.gold if self.gold else 0.0
         return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
-
-def _span_values(items: Sequence[Sextuplet], element: str) -> set[str]:
-    if element == "sentiment":
-        return {s.sentiment_label.casefold() for s in items}
-    return {getattr(s, element).casefold() for s in items}
-
-
-def _pair_values(items: Sequence[Sextuplet], key: str) -> set[tuple[str, str]]:
-    a, b = _PAIR_FIELDS[key]
-    return {(getattr(s, a).casefold(), getattr(s, b).casefold()) for s in items}
+    def __iadd__(self, other: _MicroCounts) -> _MicroCounts:
+        self.correct += other.correct
+        self.predicted += other.predicted
+        self.gold += other.gold
+        return self
 
 
 def span_and_pair_counts(
     predicted: Sequence[Sextuplet], gold: Sequence[Sextuplet]
-) -> tuple[dict[str, _MicroCounts], dict[str, _MicroCounts]]:
-    span = {}
-    for element in SPAN_ELEMENTS:
-        p, g = _span_values(predicted, element), _span_values(gold, element)
-        span[element] = _MicroCounts(correct=len(p & g), predicted=len(p), gold=len(g))
-    pair = {}
-    for key in PAIR_KEYS:
-        p, g = _pair_values(predicted, key), _pair_values(gold, key)
-        pair[key] = _MicroCounts(correct=len(p & g), predicted=len(p), gold=len(g))
-    return span, pair
+) -> dict[str, _MicroCounts]:
+    """Counts of distinct case-folded values for every span and pair key."""
+    counts = {}
+    for key, fields in _COMPARED_FIELDS.items():
+        p, g = (
+            {tuple(getattr(s, f).casefold() for f in fields) for s in items}
+            for items in (predicted, gold)
+        )
+        counts[key] = _MicroCounts(correct=len(p & g), predicted=len(p), gold=len(g))
+    return counts
 
 
 def span_and_pair_f1(
     predicted: Sequence[Sextuplet], gold: Sequence[Sextuplet]
 ) -> tuple[dict[str, float], dict[str, float]]:
-    """Exact-match micro-F1 per element and per element pair (case-folded)."""
-    span, pair = span_and_pair_counts(predicted, gold)
-    return (
-        {k: c.f1() for k, c in span.items()},
-        {k: c.f1() for k, c in pair.items()},
-    )
+    """Exact-match micro-F1 per element and per element pair (case-folded):
+    the span and pair F1 that `evaluate` reports for sextuplets without links."""
+    report = evaluate_many([(CausalGraph((), ()), predicted, GoldAnnotation("", tuple(gold), ()))])
+    return report.span_f1, report.pair_f1
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +242,22 @@ def evaluate_many(
 ) -> EvalReport:
     """Evaluate one or more dialogues, merging by micro-averaged counts."""
     correct = predicted_total = consistent = gold_total = 0
-    span_totals = {k: _MicroCounts() for k in SPAN_ELEMENTS}
-    pair_totals = {k: _MicroCounts() for k in PAIR_KEYS}
-
+    totals = {k: _MicroCounts() for k in _COMPARED_FIELDS}
     for graph, pred_sextuplets, gold in items:
-        matches = match_links(graph, pred_sextuplets, gold)
-        correct += sum(1 for _, link in matches if link)
+        correct += sum(1 for _, link in match_links(graph, pred_sextuplets, gold) if link)
         predicted_total += len(graph.edges)
         consistent += sum(consistent_edges(graph, floor=consistency_floor))
         gold_total += len(gold.causal_links)
-        span, pair = span_and_pair_counts(pred_sextuplets, gold.sextuplets)
-        for k, c in span.items():
-            span_totals[k].correct += c.correct
-            span_totals[k].predicted += c.predicted
-            span_totals[k].gold += c.gold
-        for k, c in pair.items():
-            pair_totals[k].correct += c.correct
-            pair_totals[k].predicted += c.predicted
-            pair_totals[k].gold += c.gold
+        for k, c in span_and_pair_counts(pred_sextuplets, gold.sextuplets).items():
+            totals[k] += c
 
-    if predicted_total:
-        correctness = correct / predicted_total
-        consistency = consistent / predicted_total
-    else:
-        correctness = 1.0 if gold_total == 0 else 0.0
-        consistency = 1.0
-
+    correctness, consistency = _causal_ratios(correct, consistent, predicted_total, gold_total)
     return EvalReport(
         causal_correctness=correctness,
         causal_consistency=consistency,
         causal_chain_score=causal_chain_score(correctness, consistency),
-        span_f1={k: c.f1() for k, c in span_totals.items()},
-        pair_f1={k: c.f1() for k, c in pair_totals.items()},
+        span_f1={k: totals[k].f1() for k in SPAN_ELEMENTS},
+        pair_f1={k: totals[k].f1() for k in PAIR_KEYS},
         counts={
             "correct_links": correct,
             "predicted_links": predicted_total,
@@ -373,7 +342,8 @@ def gold_from_triplet_doc(obj: Mapping) -> GoldAnnotation:
     placeholders are substituted so span/pair metrics still apply.
     """
     obj = _as_obj(obj, "")
-    doc_id = str(obj.get("doc_id", obj.get("dialogue_id", "doc")))
+    id_key = "doc_id" if "doc_id" in obj else "dialogue_id"
+    doc_id = _as_str(obj.get(id_key, "doc"), id_key)
     sextuplets = []
     for i, entry in enumerate(_as_list(obj.get("triplets", []), "triplets")):
         target, aspect, opinion, sentiment = _triplet_fields(entry, f"triplets[{i}]")

@@ -27,8 +27,9 @@ is not retried: the same request would get the same reply.
 Concurrency: map_calls overlaps the independent calls of one stage (a chat
 per window, an NLI per event pair) on REMOTE_WORKERS threads, or `jobs` if
 more, for a remote provider; a local one runs on `jobs` threads. Retries stay
-per call. After a failure no new call starts, the calls in flight finish, and
-the first failing item in input order raises, as in the serial loop.
+per call. After a failure no call for a later item starts, the calls in
+flight finish, and the first failing item in input order raises, as in the
+serial loop.
 """
 
 from __future__ import annotations
@@ -57,19 +58,23 @@ def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
     workers = max(jobs, REMOTE_WORKERS) if provider.mode == "remote" else jobs
     if min(workers, len(items)) <= 1:
         return [fn(x) for x in items]
-    failed = threading.Event()
+    # lowest index of a failed call so far: a later item may fail first, and
+    # the items before it still run, so that the first failing one raises
+    first_failed = [len(items)]
+    lock = threading.Lock()
 
-    def call(x):
-        if failed.is_set():  # an earlier item failed, and map raises its error first
+    def call(i, x):
+        if i > first_failed[0]:  # map raises an earlier item's error first
             return None
         try:
             return fn(x)
         except BaseException:
-            failed.set()
+            with lock:
+                first_failed[0] = min(first_failed[0], i)
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, items))
+        return list(pool.map(call, range(len(items)), items))
 
 
 class JsonEndpoint:

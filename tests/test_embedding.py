@@ -258,6 +258,36 @@ def test_remote_embedder_row_count_mismatch_is_parse_error(rows):
         provider.embed("a")  # one text, any other row count
 
 
+@pytest.mark.parametrize("bad", [None, True, "0.6"], ids=["null", "true", "string"])
+def test_remote_embedder_rejects_components_that_are_not_json_numbers(bad):
+    # np.asarray reads null as NaN and true or "0.6" as numbers
+    reply = {"embeddings": [[0.6, 0.8], [bad, 0.8]]}
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=ScriptedSession((200, reply)))
+    with pytest.raises(ResponseParseError, match="non-number components") as info:
+        provider.embed_many(["a", "b"])
+    assert info.value.raw == json.dumps(reply)
+
+
+def test_remote_embedder_takes_integer_components():
+    provider = RemoteTextEmbedder(
+        "m1", dim=2, endpoint="http://e", session=ScriptedSession((200, {"embeddings": [[0, 2]]}))
+    )
+    assert provider.embed("a").tolist() == [0.0, 1.0]
+
+
+def test_nan_embedding_fails_the_unit_norm_checks():
+    class _NanEmbedder:
+        id, dim, mode = "nan", 2, "deterministic_test"
+
+        def embed(self, text):
+            return np.array([math.nan, 1.0])
+
+    with pytest.raises(EmbeddingError, match="non-unit vector"):
+        embed_texts(_NanEmbedder(), ["a"])
+    with pytest.raises(FusionError, match="unit-norm"):
+        fuse(np.array([math.nan, 1.0]), make_audio(0), emotion_dim=8)
+
+
 def test_embed_texts_without_embed_many_calls_embed_once_per_distinct_text(embedder):
     seen = []
 

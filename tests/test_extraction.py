@@ -287,6 +287,15 @@ def test_remote_extractor_contract():
     assert "=== RETRIEVED CONTEXT ===" in body["messages"][1]["content"]
 
 
+@pytest.mark.parametrize("content", [[], None, 5, {"events": []}], ids=["list", "null", "number", "object"])
+def test_remote_extractor_rejects_content_that_is_not_a_string(content):
+    reply = {"content": content}
+    provider = RemoteExtractor("glm", endpoint="http://llm", session=ScriptedSession((200, reply)))
+    with pytest.raises(ResponseParseError, match="is not a string") as exc:
+        provider.complete("prompt")
+    assert exc.value.raw == json.dumps(reply)
+
+
 def test_remote_extractor_http_error():
     session = ScriptedSession((500, {}))
     provider = RemoteExtractor("glm", endpoint="http://llm", session=session)

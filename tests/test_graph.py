@@ -319,6 +319,22 @@ def test_remote_nli_rejects_out_of_range():
         nli.entailment_probability("p", "h")
 
 
+@pytest.mark.parametrize("value", [True, "0.7", None, [0.5]], ids=["true", "string", "null", "list"])
+def test_remote_nli_rejects_a_probability_that_is_not_a_json_number(value):
+    reply = {"entailment_probability": value}
+    nli = RemoteNli(endpoint="http://nli", session=ScriptedSession((200, reply)))
+    with pytest.raises(ResponseParseError, match="not a number in") as exc:
+        nli.entailment_probability("p", "h")
+    assert exc.value.raw == json.dumps(reply)
+
+
+def test_remote_nli_takes_json_numbers_in_range():
+    replies = [(200, {"entailment_probability": p}) for p in (0, 1, 0.5)]
+    nli = RemoteNli(endpoint="http://nli", session=ScriptedSession(*replies))
+    got = [nli.entailment_probability("p", "h") for _ in replies]
+    assert got == [0.0, 1.0, 0.5] and all(type(p) is float for p in got)
+
+
 def test_remote_nli_http_error():
     session = ScriptedSession((502, {}))
     nli = RemoteNli(endpoint="http://nli", session=session)

@@ -100,6 +100,26 @@ def test_match_links_one_to_one():
     assert by_edge[("p0bis", "p1")] is None
 
 
+def test_match_links_takes_same_key_gold_links_in_gold_order_by_edge_weight():
+    # g0 -> g1 and g2 -> g3 share one content key, and so do the three edges
+    gold_sx = _fixture(2, "g") + [
+        make_sextuplet("g2", holder="H0", target="T0", aspect="a0"),
+        make_sextuplet("g3", holder="H1", target="T1", aspect="a1"),
+    ]
+    gold = GoldAnnotation("d", tuple(gold_sx), (("g2", "g3"), ("g0", "g1")))
+    pred_sx = _fixture(2, "p") + [
+        make_sextuplet("p0bis", holder="H0", target="T0", aspect="a0"),
+        make_sextuplet("p1bis", holder="H1", target="T1", aspect="a1"),
+    ]
+    graph = CausalGraph(
+        tuple(s.id for s in pred_sx),
+        (_edge("p0bis", "p1", 0.7), _edge("p0", "p1", 0.9), _edge("p0", "p1bis", 0.8)),
+    )
+    assert [link for _, link in match_links(graph, pred_sx, gold)] == [
+        None, ("g2", "g3"), ("g0", "g1"),
+    ]
+
+
 def test_match_links_permutation_invariant():
     gold_sx = _fixture(4, "g")
     pred_sx = _fixture(4, "p")
@@ -139,6 +159,19 @@ def test_causal_correctness_zero_denominator_conventions():
     )
     assert causal_correctness(empty_graph, [], no_links) == 1.0
     assert causal_correctness(empty_graph, [], some_links) == 0.0
+    # evaluate and evaluate_many follow the same rules; consistency is 1.0 either way
+    for items, correctness in (
+        ([(empty_graph, [], no_links)], 1.0),
+        ([(empty_graph, [], some_links)], 0.0),
+        ([(empty_graph, [], no_links), (empty_graph, [], some_links)], 0.0),
+        ([], 1.0),
+    ):
+        reports = [evaluate_many(items)]
+        if len(items) == 1:
+            reports.append(evaluate(*items[0]))
+        for report in reports:
+            assert (report.causal_correctness, report.causal_consistency) == (correctness, 1.0)
+            assert report.causal_chain_score == 0.5 * correctness + 0.5
 
 
 def test_causal_consistency_all_good():
@@ -280,6 +313,24 @@ def test_evaluate_many_micro_merges():
     assert merged.counts["correct_links"] == 1
 
 
+def test_evaluate_many_merges_span_and_pair_f1_as_micro_averages():
+    # a: 1 of 1 predicted targets correct (F1 1); b: 0 of 3 against 1 gold (F1 0).
+    # Micro: 1 correct, 4 predicted, 2 gold -> P=1/4, R=1/2, F1=1/3; the macro mean is 1/2.
+    a_pred, a_gold = [make_sextuplet("pa", target="T0")], [make_sextuplet("ga", target="T0")]
+    b_pred = [make_sextuplet(f"pb{i}", target=t) for i, t in enumerate("XYZ")]
+    b_gold = [make_sextuplet("gb", target="T1")]
+    empty = CausalGraph((), ())
+    items = [(empty, a_pred, GoldAnnotation("a", tuple(a_gold), ())),
+             (empty, b_pred, GoldAnnotation("b", tuple(b_gold), ()))]
+    per_dialogue = [evaluate(*item) for item in items]
+    merged = evaluate_many(items)
+    for key, metric in (("target", "span_f1"), ("T-A", "pair_f1"), ("T-O", "pair_f1")):
+        assert [getattr(r, metric)[key] for r in per_dialogue] == [1.0, 0.0]
+        assert getattr(merged, metric)[key] == pytest.approx(1.0 / 3.0)
+    assert merged.span_f1["holder"] == 1.0  # one distinct holder on every side
+    assert merged.pair_f1["A-O"] == 1.0
+
+
 def test_render_report_text_aligned():
     report = evaluate(CausalGraph((), ()), [], GoldAnnotation("d", (), ()))
     text = render_report_text(report)
@@ -352,6 +403,18 @@ def test_load_gold_triplet_field_that_is_not_a_string_is_a_schema_error(entry, p
     with pytest.raises(SchemaError, match="expected string") as exc:
         load_gold(json.dumps({"doc_id": "x", "triplets": [entry]}))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"doc_id": None}, "doc_id"),
+    ({"doc_id": 42}, "doc_id"),
+    ({"dialogue_id": ["d"]}, "dialogue_id"),
+], ids=["doc-id-null", "doc-id-number", "dialogue-id-list"])
+def test_load_gold_triplet_document_id_that_is_not_a_string_is_a_schema_error(doc, path):
+    with pytest.raises(SchemaError, match="expected string") as exc:
+        load_gold(json.dumps({**doc, "triplets": _TRIPLET_DOC["triplets"]}))
+    assert exc.value.path == path
+    assert load_gold(json.dumps({"dialogue_id": "d", "triplets": []}))[0].dialogue_id == "d"
 
 
 def test_match_gold_falls_back_to_the_sole_document_of_a_triplet_file_only():

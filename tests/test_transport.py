@@ -401,6 +401,16 @@ def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path,
     assert sum(path == "/nli" for path, _, _ in http_stub.requests) <= 4 * REMOTE_WORKERS
 
 
+def test_remote_run_with_a_null_embedding_component_exits_4(http_stub, monkeypatch, tmp_path, capsys):
+    assert main(["gen", "--seed", "1", "--out-prefix", str(tmp_path / "d")]) == 0
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    http_stub.routes["/embed"] = lambda req: {"embeddings": [[None] + [0.5] * 7] * len(req["input"])}
+    assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
+                 "--out-dir", str(tmp_path / "out"), *remote]) == 4
+    assert "non-number components: ['NoneType']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "graph.json").exists()
+
+
 def test_remote_run_with_wrong_embedding_row_count_exits_4(http_stub, monkeypatch, tmp_path, capsys):
     assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
                  "--out-prefix", str(tmp_path / "d")]) == 0
