@@ -78,8 +78,8 @@ class RemoteTextEmbedder:
     POST {model, input: [text, ...]} -> {embeddings: [[...], ...]}, one row
     per text in input order; embed_many posts each chunk of at most
     EMBED_BATCH_SIZE texts, and embed(text) is embed_many([text])[0]. A reply
-    without one row of JSON numbers per text raises ResponseParseError; a zero
-    row or one of the wrong dimension raises EmbeddingError. Rows are
+    without one row of finite JSON numbers per text raises ResponseParseError;
+    a zero row or one of the wrong dimension raises EmbeddingError. Rows are
     unit-normalized.
     """
 
@@ -119,7 +119,9 @@ class RemoteTextEmbedder:
                 if kinds:
                     raise TypeError(f"non-number components: {sorted(k.__name__ for k in kinds)}")
                 vecs = [np.asarray(row, dtype=np.float64) for row in got]
-            except (KeyError, TypeError, ValueError) as exc:
+                if not all(np.isfinite(vec).all() for vec in vecs):
+                    raise ValueError("non-finite components")
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ResponseParseError(f"malformed embedding response: {exc}", json.dumps(reply)) from exc
             for vec in vecs:
                 if vec.ndim != 1 or vec.shape[0] != self.dim:

@@ -3,7 +3,9 @@
 Providers are pluggable: the mock provider applies a fixed rule table to
 the current window so the whole pipeline runs offline and deterministically;
 the remote provider speaks a chat-completion HTTP contract. Both return raw
-text that flows through the same response parser.
+text that flows through the same response parser. The rule table is one
+pattern table, `_RULES`, read by `apply_rule_table`; the mock provider, the
+synthetic generator (`synth`) and the test oracle all share it.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def assemble_prompt(
 
 
 # ---------------------------------------------------------------------------
-# Rule table shared by the mock provider, the synthetic generator, and the
-# brute-force test oracle. Surface patterns are single sentences of the form
+# The rule table. Its surface patterns are single sentences of the form
 #   "<Holder> praises/criticizes <Target>'s <aspect> because <rationale>."
 #   "<Holder> feels/is/sounded positive|negative|neutral about <Target>'s
 #    <aspect> because <rationale>."
@@ -95,13 +96,15 @@ def assemble_prompt(
 
 VERB_SENTIMENTS = {"praises": "positive", "criticizes": "negative"}
 
-_RULE_VERB = re.compile(
-    r"(?P<holder>[A-Z][\w-]*) (?P<verb>praises|criticizes) "
-    r"(?P<target>[A-Z][\w-]*)'s (?P<aspect>[\w-]+) because (?P<rationale>[^.!?\n]+)"
-)
-_RULE_FEELING = re.compile(
-    r"(?P<holder>[A-Z][\w-]*) (?:feels|is|sounded) (?P<label>positive|negative|neutral) "
-    r"about (?P<target>[A-Z][\w-]*)'s (?P<aspect>[\w-]+) because (?P<rationale>[^.!?\n]+)"
+_RULES = (
+    re.compile(
+        r"(?P<holder>[A-Z][\w-]*) (?P<opinion>praises|criticizes) "
+        r"(?P<target>[A-Z][\w-]*)'s (?P<aspect>[\w-]+) because (?P<rationale>[^.!?\n]+)"
+    ),
+    re.compile(
+        r"(?P<holder>[A-Z][\w-]*) (?:feels|is|sounded) (?P<opinion>positive|negative|neutral) "
+        r"about (?P<target>[A-Z][\w-]*)'s (?P<aspect>[\w-]+) because (?P<rationale>[^.!?\n]+)"
+    ),
 )
 
 _WINDOW_LINE = re.compile(
@@ -111,37 +114,18 @@ _WINDOW_LINE = re.compile(
 
 def apply_rule_table(text: str) -> list[dict]:
     """All rule-table matches in one utterance text, in match order."""
-    found = []
-    for match in _RULE_VERB.finditer(text):
-        found.append(
-            (
-                match.start(),
-                {
-                    "holder": match["holder"],
-                    "target": match["target"],
-                    "aspect": match["aspect"],
-                    "opinion": match["verb"],
-                    "sentiment": VERB_SENTIMENTS[match["verb"]],
-                    "rationale": match["rationale"].strip(),
-                },
-            )
-        )
-    for match in _RULE_FEELING.finditer(text):
-        found.append(
-            (
-                match.start(),
-                {
-                    "holder": match["holder"],
-                    "target": match["target"],
-                    "aspect": match["aspect"],
-                    "opinion": match["label"],
-                    "sentiment": match["label"],
-                    "rationale": match["rationale"].strip(),
-                },
-            )
-        )
-    found.sort(key=lambda pair: pair[0])
-    return [item for _, item in found]
+    matches = sorted((m for rule in _RULES for m in rule.finditer(text)), key=lambda m: m.start())
+    return [
+        {
+            "holder": m["holder"],
+            "target": m["target"],
+            "aspect": m["aspect"],
+            "opinion": m["opinion"],
+            "sentiment": VERB_SENTIMENTS.get(m["opinion"], m["opinion"]),
+            "rationale": m["rationale"].strip(),
+        }
+        for m in matches
+    ]
 
 
 @runtime_checkable
@@ -256,6 +240,10 @@ class RejectedElement:
 
 
 _FIELD_ALIASES = {"sentiment_label": "sentiment", "polarity": "sentiment"}
+# A reply element's text fields in TupleCandidate order; a non-string reads
+# as "". The aspect may be implicit and the sentiment is checked on its own.
+_TEXT_FIELDS = ("holder", "target", "aspect", "opinion", "sentiment", "rationale")
+_REQUIRED_FIELDS = ("holder", "target", "opinion", "rationale")
 
 
 def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[RejectedElement]]:
@@ -282,35 +270,18 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
         if not isinstance(element, dict):
             rejections.append(RejectedElement(pos, "element is not an object"))
             continue
-        fields: dict[str, object] = {}
-        for key, value in element.items():
-            k = str(key).casefold()
-            fields[_FIELD_ALIASES.get(k, k)] = value
-
-        def text_field(name: str) -> str:
-            v = fields.get(name, "")
-            return v.strip() if isinstance(v, str) else ""
-
-        holder = text_field("holder")
-        target = text_field("target")
-        opinion = text_field("opinion")
-        rationale = text_field("rationale")
-        sentiment = text_field("sentiment").casefold()
-        missing = [
-            n
-            for n, v in (
-                ("holder", holder),
-                ("target", target),
-                ("opinion", opinion),
-                ("rationale", rationale),
-            )
-            if not v
-        ]
+        fields = {_FIELD_ALIASES.get(k := str(key).casefold(), k): v for key, v in element.items()}
+        text = {
+            name: v.strip() if isinstance(v := fields.get(name, ""), str) else ""
+            for name in _TEXT_FIELDS
+        }
+        missing = [name for name in _REQUIRED_FIELDS if not text[name]]
         if missing:
             rejections.append(RejectedElement(pos, f"missing or empty: {', '.join(missing)}"))
             continue
-        if sentiment not in SENTIMENT_LABELS:
-            rejections.append(RejectedElement(pos, f"sentiment {sentiment!r} not recognized"))
+        text["sentiment"] = text["sentiment"].casefold()
+        if text["sentiment"] not in SENTIMENT_LABELS:
+            rejections.append(RejectedElement(pos, f"sentiment {text['sentiment']!r} not recognized"))
             continue
 
         score = fields.get("sentiment_score")
@@ -323,18 +294,7 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
         if isinstance(index, bool) or not isinstance(index, int):
             index = None
 
-        candidates.append(
-            TupleCandidate(
-                holder=holder,
-                target=target,
-                aspect=text_field("aspect"),
-                opinion=opinion,
-                sentiment=sentiment,
-                rationale=rationale,
-                sentiment_score=score,
-                utterance_index=index,
-            )
-        )
+        candidates.append(TupleCandidate(**text, sentiment_score=score, utterance_index=index))
     return candidates, rejections
 
 
@@ -390,15 +350,11 @@ def dedup_sextuplets(items: Sequence[Sextuplet]) -> list[Sextuplet]:
     """Merge duplicates from overlapping windows: case-folded (holder, target,
     aspect, opinion) keys keep the instance with the earliest window_index."""
     best: dict[tuple, Sextuplet] = {}
-    order: list[tuple] = []
     for s in items:
         key = s.dedup_key()
-        if key not in best:
-            best[key] = s
-            order.append(key)
-        elif s.window_index < best[key].window_index:
-            best[key] = s
-    return [best[key] for key in order]
+        if key not in best or s.window_index < best[key].window_index:
+            best[key] = s  # a re-assigned key keeps its first position
+    return list(best.values())
 
 
 def extract_dialogue(

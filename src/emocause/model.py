@@ -8,6 +8,7 @@ permissive (so test fixtures can hold deliberately broken values);
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Iterable, Mapping
 
@@ -41,6 +42,15 @@ DEFAULT_EMOTION_CATEGORIES = (
 
 EMOTION_SUM_TOLERANCE = 1e-6
 WEIGHT_SUM_TOLERANCE = 1e-9
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_finite_number(value: Any) -> bool:
+    """An int or float that a float holds finitely: not a bool, NaN or ±inf."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and (
+        -_FLOAT_MAX <= value <= _FLOAT_MAX
+    )
+
 
 # Dialogues outside this turn range are flagged with a warning, not an error,
 # so short unit-test fixtures remain usable.
@@ -98,14 +108,14 @@ class AudioFeatureRecord:
         out: list[str] = []
         if not self.emotion:
             out.append("emotion vector is empty")
-        elif any(c < 0.0 for c in self.emotion):
-            out.append("emotion components must be non-negative")
-        elif abs(sum(self.emotion) - 1.0) > EMOTION_SUM_TOLERANCE:
+        elif not all(0.0 <= c <= 1.0 for c in self.emotion):  # NaN and ±inf fail too
+            out.append("emotion components must lie in [0, 1]")
+        elif not abs(sum(self.emotion) - 1.0) <= EMOTION_SUM_TOLERANCE:
             out.append(f"emotion components sum to {sum(self.emotion)!r}, expected 1")
         if not 0.0 <= self.intensity <= 1.0:
             out.append(f"intensity {self.intensity!r} outside [0, 1]")
-        if self.speech_rate <= 0.0:
-            out.append(f"speech_rate {self.speech_rate!r} must be > 0")
+        if not 0.0 < self.speech_rate <= _FLOAT_MAX:
+            out.append(f"speech_rate {self.speech_rate!r} must be finite and > 0")
         return out
 
 
@@ -208,8 +218,8 @@ class ScoringConfig:
             v = getattr(self, name)
             if v is None and name == "max_gap":
                 continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{name}={v!r} must be a number")
+            if not _is_finite_number(v):
+                raise ConfigError(f"{name}={v!r} must be a finite number")
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -220,7 +230,7 @@ class ScoringConfig:
                 f"alpha + beta + gamma must equal 1 (got {total!r}); "
                 "the three edge-weight components are a convex combination"
             )
-        if not self.tau > 0.0:  # also rejects NaN
+        if not self.tau > 0.0:
             raise ConfigError(f"tau={self.tau!r} must be > 0 seconds")
         for name in ("edge_threshold", "consistency_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -301,6 +311,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
             err(f"utterance index {u.index} at position {pos}; indices must be contiguous from 0", loc)
         if u.word_count < 1:
             err("utterance text must contain at least one token", loc)
+        for name in ("t_start", "t_end"):
+            if not _is_finite_number(getattr(u, name)):
+                err(f"{name} {getattr(u, name)!r} must be finite", f"{loc}.{name}")
         if not u.t_end > u.t_start:
             err(f"t_end ({u.t_end!r}) must be strictly greater than t_start ({u.t_start!r})", loc)
         if prev_start is not None and u.t_start < prev_start:
@@ -370,6 +383,8 @@ def _as_str(value: Any, path: str) -> str:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected number, got {type(value).__name__}")
+    if not _is_finite_number(value):
+        raise SchemaError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

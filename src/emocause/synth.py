@@ -18,15 +18,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .extraction import apply_rule_table
+from .extraction import VERB_SENTIMENTS, apply_rule_table
 from .metrics import GoldAnnotation
 from .model import (
     AudioFeatureRecord,
     DEFAULT_EMOTION_CATEGORIES,
     Dialogue,
     SCENARIOS,
-    Sextuplet,
     Utterance,
+    sextuplet_from_dict,
 )
 
 SPEAKER_NAMES = (
@@ -201,14 +201,7 @@ def generate(spec: ChainSpec) -> tuple[Dialogue, GoldAnnotation]:
         if i in position_of:
             k = position_of[i]
             speaker = holders[k]
-            text = frames[k].format(
-                holder=holders[k],
-                label=chain_sentiment,
-                target=targets[k],
-                aspect=aspects[k],
-                rationale=rationales[k],
-            )
-            expected_matches[i] = {
+            event = {
                 "holder": holders[k],
                 "target": targets[k],
                 "aspect": aspects[k],
@@ -216,28 +209,23 @@ def generate(spec: ChainSpec) -> tuple[Dialogue, GoldAnnotation]:
                 "sentiment": chain_sentiment,
                 "rationale": rationales[k],
             }
-            peak = DEFAULT_EMOTION_CATEGORIES.index(_SENTIMENT_TO_CATEGORY[chain_sentiment])
-            emotion = _emotion_vector(rng, peak, 1.0)
-            intensity = round(rng.uniform(0.7, 0.95), 3)
-        elif i in noise_kind and noise_kind[i]:
+            text = frames[k].format(label=chain_sentiment, **event)
+        elif noise_kind.get(i):
             name, target, aspect = decoy_for[i]
             verb = rng.choice(["praises", "criticizes"])
             rationale = rng.choice(DISTRACTOR_RATIONALES)
             speaker = rng.choice(speakers)
             text = f"{name} {verb} {target}'s {aspect} because {rationale}."
-            sentiment = "positive" if verb == "praises" else "negative"
-            expected_matches[i] = {
+            event = {
                 "holder": name,
                 "target": target,
                 "aspect": aspect,
                 "opinion": verb,
-                "sentiment": sentiment,
+                "sentiment": VERB_SENTIMENTS[verb],
                 "rationale": rationale,
             }
-            peak = DEFAULT_EMOTION_CATEGORIES.index(_SENTIMENT_TO_CATEGORY[sentiment])
-            emotion = _emotion_vector(rng, peak, 1.0)
-            intensity = round(rng.uniform(0.7, 0.95), 3)
         else:
+            event = None
             if i in noise_kind:
                 frame = rng.choice(NEAR_MISS_FRAMES)
                 text = frame.format(
@@ -246,9 +234,13 @@ def generate(spec: ChainSpec) -> tuple[Dialogue, GoldAnnotation]:
             else:
                 text = rng.choice(FILLERS)
             speaker = rng.choice(speakers)
-            peak = DEFAULT_EMOTION_CATEGORIES.index("neutral")
-            emotion = _emotion_vector(rng, peak, 0.3)
-            intensity = round(rng.uniform(0.15, 0.5), 3)
+        if event is None:
+            category, peak_mass, low, high = "neutral", 0.3, 0.15, 0.5
+        else:
+            expected_matches[i] = event
+            category, peak_mass, low, high = _SENTIMENT_TO_CATEGORY[event["sentiment"]], 1.0, 0.7, 0.95
+        emotion = _emotion_vector(rng, DEFAULT_EMOTION_CATEGORIES.index(category), peak_mass)
+        intensity = round(rng.uniform(low, high), 3)
 
         duration = round(rng.uniform(2.0, 6.0), 2)
         u = Utterance(index=i, speaker=speaker, text=text, t_start=clock, t_end=clock + duration)
@@ -263,23 +255,16 @@ def generate(spec: ChainSpec) -> tuple[Dialogue, GoldAnnotation]:
 
     _check_rule_table_contract(utterances, expected_matches)
 
-    gold_sextuplets = []
-    for k, pos in enumerate(positions):
-        u = utterances[pos]
-        gold_sextuplets.append(
-            Sextuplet(
-                id=f"{dialogue_id}-gold-{k:02d}",
-                holder=holders[k],
-                target=targets[k],
-                aspect=aspects[k],
-                opinion=chain_sentiment,
-                sentiment_label=chain_sentiment,
-                rationale=rationales[k],
-                window_index=0,
-                t_start=u.t_start,
-                t_end=u.t_end,
-            )
-        )
+    # an expected match is a sextuplet document without its id and timing
+    gold_sextuplets = [
+        sextuplet_from_dict({
+            **expected_matches[pos],
+            "id": f"{dialogue_id}-gold-{k:02d}",
+            "t_start": utterances[pos].t_start,
+            "t_end": utterances[pos].t_end,
+        })
+        for k, pos in enumerate(positions)
+    ]
     links = tuple(
         (gold_sextuplets[k].id, gold_sextuplets[k + 1].id) for k in range(spec.chain_length)
     )

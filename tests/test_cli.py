@@ -287,6 +287,26 @@ def test_config_value_of_wrong_type_is_usage_error(generated, tmp_path, capsys, 
     assert f"error: {name}=" in capsys.readouterr().err
 
 
+def test_non_finite_number_in_a_dialogue_is_format_error(generated, tmp_path, capsys):
+    tmp, dialogue_path, _ = generated
+    doc = json.loads(dialogue_path.read_text())
+    doc["audio"][3]["emotion"][0] = float("nan")
+    bad = tmp_path / "nan.dialogue.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 4
+    assert main(["run", "--dialogue", str(bad), "--out-dir", str(tmp / "nan")]) == 4
+    assert "audio[3].emotion[0]" in capsys.readouterr().err
+    assert not (tmp / "nan").exists()
+
+
+@pytest.mark.parametrize("flags", [["--tau", "inf"], ["--max-gap", "inf"], ["--rate-scale", "nan"]])
+def test_non_finite_scoring_flag_is_usage_error(generated, capsys, flags):
+    tmp, dialogue_path, _ = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "x"), *flags]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp / "x").exists()
+
+
 @pytest.mark.parametrize("value", [5, -0.5, 1.5])
 def test_consistency_floor_outside_unit_range_is_usage_error(generated, tmp_path, capsys, value):
     tmp, dialogue_path, _ = generated

@@ -268,6 +268,16 @@ def test_remote_embedder_rejects_components_that_are_not_json_numbers(bad):
     assert info.value.raw == json.dumps(reply)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400", "int-1e400"])
+def test_remote_embedder_rejects_components_that_are_not_finite(literal):
+    body = '{"embeddings": [[0.6, 0.8], [%s, 0.5]]}' % literal
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=ScriptedSession((200, body)))
+    with pytest.raises(ResponseParseError, match="malformed embedding response") as info:
+        provider.embed_many(["a", "b"])
+    assert info.value.raw == json.dumps(json.loads(body))
+
+
 def test_remote_embedder_takes_integer_components():
     provider = RemoteTextEmbedder(
         "m1", dim=2, endpoint="http://e", session=ScriptedSession((200, {"embeddings": [[0, 2]]}))

@@ -83,6 +83,17 @@ def test_rule_table_criticizes_and_feeling_patterns():
     assert found[0]["rationale"] == "nothing changed"
 
 
+def test_rule_table_returns_every_pattern_in_position_order():
+    text = (
+        "Ana is negative about Volt's billing because the fees doubled. "
+        "Ben praises Nova's support because the reply came fast."
+    )
+    assert [(m["holder"], m["opinion"], m["sentiment"], m["rationale"]) for m in apply_rule_table(text)] == [
+        ("Ana", "negative", "negative", "the fees doubled"),
+        ("Ben", "praises", "positive", "the reply came fast"),
+    ]
+
+
 def test_rule_table_ignores_plain_text():
     assert apply_rule_table("Ana praised Volt yesterday.") == []
     assert apply_rule_table("Let's circle back to the agenda.") == []
@@ -158,6 +169,42 @@ def test_parse_response_rejects_bad_score_and_sentiment():
     assert [r.position for r in rejections] == [0, 1]
 
 
+_EVENT = {"holder": "A", "target": "B", "aspect": "x", "opinion": "o",
+          "sentiment": "positive", "rationale": "r"}
+
+
+def test_parse_response_reads_odd_field_values():
+    raw = json.dumps(
+        [
+            {**_EVENT, "aspect": None, "utterance_index": True},
+            {**{k: v for k, v in _EVENT.items() if k != "sentiment"}, "polarity": "Negative"},
+        ]
+    )
+    candidates, rejections = parse_provider_response(raw)
+    assert rejections == []
+    assert candidates[0].aspect == "" and candidates[0].utterance_index is None
+    assert candidates[1].sentiment == "negative"
+
+
+def test_parse_response_rejection_reasons():
+    raw = json.dumps(
+        [
+            {**_EVENT, "holder": 7},
+            {**_EVENT, "sentiment_score": True},
+            {**_EVENT, "holder": " ", "rationale": None, "sentiment": "angry", "sentiment_score": 5},
+            {**_EVENT, "sentiment": "angry", "sentiment_score": 5},
+        ]
+    )
+    candidates, rejections = parse_provider_response(raw)
+    assert candidates == []
+    assert [(r.position, r.reason) for r in rejections] == [
+        (0, "missing or empty: holder"),
+        (1, "sentiment_score True outside [-1, 1]"),
+        (2, "missing or empty: holder, rationale"),
+        (3, "sentiment 'angry' not recognized"),
+    ]
+
+
 def test_parse_response_no_array_is_error():
     with pytest.raises(ResponseParseError):
         parse_provider_response("the model rambled with no structure")
@@ -225,6 +272,13 @@ def test_dedup_keeps_earliest_window():
     c = make_sextuplet("c", holder="Ben", window_index=9)
     kept = dedup_sextuplets([a, b, c])
     assert [s.id for s in kept] == ["b", "c"]
+
+
+def test_dedup_replacement_keeps_the_first_position_of_its_key():
+    a = make_sextuplet("a", window_index=4)
+    c = make_sextuplet("c", holder="Ben", window_index=9)
+    b = make_sextuplet("b", window_index=2)  # same content as a, earlier window
+    assert [s.id for s in dedup_sextuplets([a, c, b])] == ["b", "c"]
 
 
 def test_dedup_key_is_case_folded():

@@ -81,6 +81,21 @@ def test_missing_rate_on_zero_duration_utterance_is_schema_error():
     assert exc.value.path == "audio[0].speech_rate"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_in_a_dialogue_fails_at_its_field(literal):
+    dialogue, _ = generate(ChainSpec(seed=1))
+    doc = dialogue_to_dict(dialogue)
+    doc["audio"][3]["emotion"][0] = "HERE"
+    text = json.dumps(doc).replace('"HERE"', literal)
+    with pytest.raises(SchemaError, match="finite") as exc:
+        parse_dialogue_file(text)
+    assert exc.value.path == "audio[3].emotion[0]"
+    jsonl = json.dumps(dialogue_to_dict(dialogue)) + "\n" + text
+    with pytest.raises(SchemaError) as exc:
+        parse_corpus(jsonl)
+    assert exc.value.path == "line 2: audio[3].emotion[0]"
+
+
 def test_parse_invalid_dialogue_raises():
     doc = json.loads(json.dumps(MINIMAL))
     doc["utterances"][0]["t_end"] = 0.0  # degenerate duration

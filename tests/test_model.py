@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -110,6 +111,27 @@ def test_audio_record_problems():
     assert any("intensity" in p for p in bad_intensity.problems())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_audio_record_problems_reject_non_finite_numbers(bad):
+    one_hot = (1.0,) + (0.0,) * 7
+    for field_name, value in [
+        ("emotion", (bad,) + one_hot[1:]),
+        ("emotion", (bad, 0.5) + one_hot[2:]),
+        ("intensity", bad),
+        ("speech_rate", bad),
+    ]:
+        record = replace(make_audio(0), **{field_name: value})
+        assert any(field_name in p for p in record.problems()), (field_name, value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_timing_at_its_field(bad):
+    utterances = [make_utterance(i) for i in range(3)]
+    utterances[1] = replace(utterances[1], t_start=bad)
+    report = validate_dialogue(Dialogue(id="d", scenario="medical", utterances=tuple(utterances)))
+    assert "utterances[1].t_start" in {i.location for i in report.errors}
+
+
 def test_sextuplet_allows_empty_aspect_only():
     ok = make_sextuplet("s1", aspect="")
     assert ok.problems() == []
@@ -145,8 +167,9 @@ def test_scoring_config_is_validated_when_built():
     with pytest.raises(ConfigError, match="tau"):
         replace(ScoringConfig(), tau=0.0)
     for name in ("tau", "rate_scale", "max_gap"):
-        with pytest.raises(ConfigError, match=name):
-            ScoringConfig(**{name: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                ScoringConfig(**{name: value})
 
 
 def test_scoring_config_rejects_a_stride_beyond_the_window():
@@ -178,6 +201,29 @@ def test_dialogue_schema_missing_field_path():
     with pytest.raises(SchemaError) as exc:
         dialogue_from_dict(doc)
     assert exc.value.path == "utterances[1].t_end"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-1e400"])
+@pytest.mark.parametrize(
+    "where, path",
+    [
+        (("audio", 3, "emotion", 0), "audio[3].emotion[0]"),
+        (("audio", 3, "intensity"), "audio[3].intensity"),
+        (("audio", 3, "speech_rate"), "audio[3].speech_rate"),
+        (("utterances", 2, "t_start"), "utterances[2].t_start"),
+    ],
+)
+def test_dialogue_schema_rejects_non_finite_numbers_at_their_path(bad, where, path):
+    doc = dialogue_to_dict(make_dialogue(n=4))
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = bad
+    with pytest.raises(SchemaError, match="finite") as exc:
+        dialogue_from_dict(json.loads(json.dumps(doc)))
+    assert exc.value.path == path
 
 
 def test_dialogue_schema_fills_missing_speech_rate():

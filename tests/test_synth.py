@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from emocause.extraction import apply_rule_table
-from emocause.model import dialogue_to_dict, validate_dialogue
+from emocause.model import dialogue_to_dict, dumps_canonical, validate_dialogue
 from emocause.synth import ChainSpec, generate
 
 from emocause.metrics import gold_to_dict
@@ -22,6 +24,25 @@ def test_generate_counts_and_determinism():
     assert g1 == g2
     assert dialogue_to_dict(d1) == dialogue_to_dict(d2)
     assert gold_to_dict(g1) == gold_to_dict(g2)
+
+
+@pytest.mark.parametrize("spec, dialogue_sha, gold_sha", [
+    (ChainSpec(seed=1, turns=80, chain_length=4),
+     "d8a0722fa662f384902108da4897f7150476496d1b6d1a9781b651314ec556d1",
+     "6628e3b4b8a25eefb745d32e82d611f1b2e3591e41fb8900d654eac63947bbbe"),
+    (ChainSpec(seed=1, turns=200, chain_length=6, noise_rate=0.3),
+     "c75ea5dc1ee86caf1840e897754164c5769fbe053c033742db99d6d6f6389a42",
+     "e164a15c13741dd652e8dc0c7ff9a77fb53522e88505e279e57a1ce00416aa63"),
+], ids=["seed1-80-4", "seed1-200-6-noise0.3"])
+def test_generate_golden_digests(spec, dialogue_sha, gold_sha):
+    # the bytes `gen` writes; the benchmark workloads are generated the same way
+    dialogue, gold = generate(spec)
+    assert _sha256(dumps_canonical(dialogue_to_dict(dialogue))) == dialogue_sha
+    assert _sha256(dumps_canonical(gold_to_dict(gold))) == gold_sha
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_generate_different_seeds_differ():
