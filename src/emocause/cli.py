@@ -6,7 +6,8 @@ missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
 failing after the transport's retries, or any other non-200 status exits 3;
 a 200 whose body is not JSON exits 4, as do a reply without its fields, an
 embedding reply whose row count is not the number of texts sent, and a JSON
-input file that does not decode; an embedding of the wrong dimension exits 3.
+input file that does not decode: one that is not UTF-8, is malformed or holds
+a number JSON cannot read; an embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -15,7 +16,6 @@ subcommands write has the one format described in pipeline.RunManifest.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .model import (
     ScoringConfig,
     dialogue_to_dict,
     dumps_canonical,
+    loads_json,
     scoring_config_from_dict,
     scoring_config_to_dict,
     validate_dialogue,
@@ -87,7 +88,7 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     """Defaults, overridden by --config file values, overridden by flags."""
     base: dict = {}
     if getattr(args, "config", None):
-        base = json.loads(Path(args.config).read_text())
+        base = loads_json(Path(args.config).read_bytes())
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a flat JSON object")
     for _, dest, _, _ in _CONFIG_FLAGS:
@@ -193,7 +194,7 @@ def _cmd_graph(args) -> int:
     manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": embedder.id, "nli": nli.id})
     manifest.add_input(args.sextuplets)
     with manifest.stage("graph"):
-        dialogue_id, sextuplets = sextuplets_from_dict(json.loads(Path(args.sextuplets).read_text()))
+        dialogue_id, sextuplets = sextuplets_from_dict(loads_json(Path(args.sextuplets).read_bytes()))
         graph = build_graph(sextuplets, cfg, embedder, nli, jobs=args.jobs)
         fmt = "dot" if args.out.endswith(".dot") else "json"
         Path(args.out).write_bytes(
@@ -358,27 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = (
+    ((SchemaError, DialogueParseError, StoreFormatError, ResponseParseError), EXIT_FORMAT),
+    ((ConfigError, ValueError, FileNotFoundError), EXIT_USAGE),
+    ((InvalidDialogueError, StrictModeError), EXIT_VALIDATION),
+    ((TransportError, EmbeddingError), EXIT_PROVIDER),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, DialogueParseError, StoreFormatError, ResponseParseError,
-            json.JSONDecodeError) as exc:  # before ValueError: JSONDecodeError is one
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidDialogueError, StrictModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (TransportError, EmbeddingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ class SchemaError(EmocauseError):
 
 
 class DialogueParseError(EmocauseError):
-    """Input bytes are not well-formed JSON."""
+    """A JSON input file (dialogue, corpus, gold, graph, sextuplets or config)
+    is not UTF-8, is malformed, or holds a number JSON cannot read."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         loc = f" (line {line}, column {column})" if line is not None else ""

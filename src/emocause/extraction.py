@@ -256,7 +256,7 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
             continue
         try:
             value, _ = decoder.raw_decode(raw, i)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or a number int() will not read
             continue
         if isinstance(value, list):
             array = value

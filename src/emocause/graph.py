@@ -21,7 +21,7 @@ from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
-from .model import _as_list, _as_obj, _as_str, dumps_canonical, record_from_dict, record_to_dict
+from .model import _as_list, _as_obj, _as_str, dumps_canonical, loads_json, record_from_dict, record_to_dict
 from .transport import JsonEndpoint, map_calls
 
 LN2 = math.log(2.0)
@@ -316,7 +316,7 @@ def graph_from_json(
     """Parse a JSON export back into (graph, embedded sextuplets, dialogue id),
     raising SchemaError with a field path on the first structural violation:
     an edge endpoint must be a vertex, and a vertex an embedded sextuplet id."""
-    obj = _as_obj(json.loads(data), "")
+    obj = _as_obj(loads_json(data), "")
     edges = tuple(
         record_from_dict(CausalEdge, e, f"edges[{i}]", _EDGE_KEYS)
         for i, e in enumerate(_as_list(obj.get("edges", []), "edges"))

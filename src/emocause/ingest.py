@@ -11,49 +11,21 @@ hard error because silent misalignment would corrupt fusion downstream.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
-import re
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from .errors import DialogueParseError, InvalidDialogueError, SchemaError, StrictModeError
+from .errors import InvalidDialogueError, SchemaError, StrictModeError
 from .model import (  # compute_speech_rate: also part of this module's public API
     Dialogue,
     compute_speech_rate,
     dialogue_from_dict,
+    json_documents,
+    loads_json,
     validate_dialogue,
 )
 
 logger = logging.getLogger(__name__)
-
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_DECODER = json.JSONDecoder()
-
-
-def _decode_utf8(data: bytes | str) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
-
-
-def _documents(text: str) -> Iterator[tuple[int, Any]]:
-    """Decode the JSON documents of `text` one after another, each once,
-    yielding (the line the document starts on, its value)."""
-    pos = _JSON_SPACE.match(text).end()
-    line, counted = 1, 0
-    while pos < len(text):
-        line += text.count("\n", counted, pos)
-        counted = pos
-        try:
-            obj, end = _DECODER.raw_decode(text, pos)
-        except json.JSONDecodeError as exc:
-            raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-        yield line, obj
-        pos = _JSON_SPACE.match(text, end).end()
 
 
 def _admit(dialogue: Dialogue, strict: bool) -> Dialogue:
@@ -79,12 +51,7 @@ def load_raw_dialogue(data: bytes | str) -> Dialogue:
     Useful when the caller wants the full validation report rather than a
     raised error (the `validate` subcommand does).
     """
-    text = _decode_utf8(data)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    return dialogue_from_dict(obj)
+    return dialogue_from_dict(loads_json(data))
 
 
 def parse_dialogue_file(data: bytes | str, *, strict: bool = False) -> Dialogue:
@@ -97,7 +64,7 @@ def parse_corpus(data: bytes | str, *, strict: bool = False) -> list[Dialogue]:
     one JSON object per line. A schema error names the failing document by
     its array position (``[1].utterances[0].t_start``) or by its line
     (``line 2: utterances[0].t_start``)."""
-    docs = _documents(_decode_utf8(data))
+    docs = json_documents(data)
     first = next(docs, None)
     if first is None:
         return []

@@ -32,8 +32,8 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     neutral_audio_record,
     window_embedding,
 )
-from .errors import EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
-from .model import Dialogue, _as_list, record_from_dict, record_to_dict
+from .errors import DialogueParseError, EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
+from .model import Dialogue, _as_list, loads_json, record_from_dict, record_to_dict
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -346,22 +346,16 @@ def load_kb(data: bytes) -> KnowledgeBase:
         raise StoreFormatError(f"unsupported format version {version} (expected {FORMAT_VERSION})")
 
     try:
-        meta_obj = json.loads(r.section("meta"))
-        window_objs = json.loads(r.section("windows"))
-    except json.JSONDecodeError as exc:
+        meta = record_from_dict(KnowledgeBaseMeta, loads_json(r.section("meta")), "meta")
+        windows = [
+            record_from_dict(TimeWindow, o, f"windows[{i}]")
+            for i, o in enumerate(_as_list(loads_json(r.section("windows")), "windows"))
+        ]
+    except (DialogueParseError, SchemaError) as exc:
         raise StoreFormatError(f"corrupt metadata: {exc}") from exc
     matrix_bytes = r.section("vectors")
     if r.pos != len(data):
         raise StoreFormatError("trailing bytes after final section")
-
-    try:
-        meta = record_from_dict(KnowledgeBaseMeta, meta_obj, "meta")
-        windows = [
-            record_from_dict(TimeWindow, o, f"windows[{i}]")
-            for i, o in enumerate(_as_list(window_objs, "windows"))
-        ]
-    except SchemaError as exc:
-        raise StoreFormatError(f"corrupt metadata: {exc}") from exc
     for i, w in enumerate(windows):
         if w.start_index > w.end_index:
             raise StoreFormatError(

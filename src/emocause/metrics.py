@@ -11,7 +11,6 @@ gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from typing import Mapping, Sequence
@@ -24,6 +23,7 @@ from .model import (
     _as_obj,
     _as_str,
     _need,
+    loads_json,
     sextuplet_to_dict,
     sextuplets_from_list,
 )
@@ -370,7 +370,7 @@ def load_gold(data: bytes | str) -> list[GoldAnnotation]:
     "sextuplets" key is native; an object with a "triplets" key is a single
     triplet document.
     """
-    obj = json.loads(data)
+    obj = loads_json(data)
     if isinstance(obj, list):
         return [gold_from_triplet_doc(item) for item in obj]
     if isinstance(obj, Mapping) and "sextuplets" in obj:

@@ -1,4 +1,4 @@
-"""Core domain types, their invariants, and the canonical JSON schema.
+"""Core domain types, their invariants, the canonical JSON schema and the JSON input reader.
 
 Every other module builds on the types defined here. Construction is
 permissive (so test fixtures can hold deliberately broken values);
@@ -8,11 +8,13 @@ permissive (so test fixtures can hold deliberately broken values);
 from __future__ import annotations
 
 import json
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, DialogueParseError, SchemaError
 
 SCENARIOS = (
     "customer_service",
@@ -549,3 +551,44 @@ def scoring_config_from_dict(obj: Mapping[str, Any]) -> ScoringConfig:
 def dumps_canonical(obj: Any) -> str:
     """Serialize with a fixed layout so identical values give identical bytes."""
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+
+
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+@contextmanager
+def _decoding() -> Iterator[None]:
+    """Raise every failure to decode JSON input as DialogueParseError: bytes
+    that are not UTF-8, malformed JSON (at json's line and column) and a
+    number json will not read, such as an integer of more than 4,300 digits."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
+    except ValueError as exc:
+        raise DialogueParseError(str(exc)) from exc
+
+
+def json_documents(data: bytes | str) -> Iterator[tuple[int, Any]]:
+    """Decode the JSON documents of `data` one after another, each once,
+    yielding (the line the document starts on, its value)."""
+    with _decoding():
+        text = data if isinstance(data, str) else data.decode("utf-8")
+    pos = _JSON_SPACE.match(text).end()
+    line, counted = 1, 0
+    while pos < len(text):
+        line += text.count("\n", counted, pos)
+        counted = pos
+        with _decoding():
+            obj, end = _DECODER.raw_decode(text, pos)
+        yield line, obj
+        pos = _JSON_SPACE.match(text, end).end()
+
+
+def loads_json(data: bytes | str) -> Any:
+    """The single JSON document of `data`; the reader of every JSON input file."""
+    with _decoding():
+        return _DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))

@@ -317,18 +317,31 @@ def test_consistency_floor_outside_unit_range_is_usage_error(generated, tmp_path
     assert f"error: consistency_floor={value!r} outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"{nope", "Expecting property name"),
+    (b'{"id": "caf\xe9"}', "input is not valid UTF-8"),
+    (b'{"t_start": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+], ids=["malformed", "not-utf8", "5000-digit-integer"])
 @pytest.mark.parametrize("command", [
+    ["validate", "{bad}"],
+    ["index", "{bad}", "--out", "{tmp}/k.cmkb"],
     ["eval", "--predicted", "{bad}", "--gold", "{gold}"],
+    ["eval", "--predicted", "{empty_graph}", "--gold", "{bad}"],
     ["graph", "--sextuplets", "{bad}", "--out", "{tmp}/g.json"],
+    ["run", "--dialogue", "{dialogue}", "--out-dir", "{tmp}/out", "--gold", "{bad}"],
     ["run", "--dialogue", "{dialogue}", "--out-dir", "{tmp}/out", "--config", "{bad}"],
-], ids=["eval-predicted", "graph-sextuplets", "run-config"])
-def test_malformed_json_input_is_format_error(generated, tmp_path, capsys, command):
+], ids=["validate", "index", "eval-predicted", "eval-gold", "graph-sextuplets", "run-gold",
+        "run-config"])
+def test_malformed_json_input_is_format_error(generated, tmp_path, capsys, command, content, message):
     tmp, dialogue_path, gold_path = generated
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    paths = {"bad": bad, "gold": gold_path, "dialogue": dialogue_path, "tmp": tmp}
+    bad.write_bytes(content)
+    empty_graph = tmp_path / "empty-graph.json"
+    empty_graph.write_text('{"vertices": [], "edges": [], "sextuplets": []}')
+    paths = {"bad": bad, "gold": gold_path, "dialogue": dialogue_path, "tmp": tmp,
+             "empty_graph": empty_graph}
     assert main([arg.format(**paths) for arg in command]) == 4
-    assert "error: Expecting property name" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_eval_predicted_array_is_format_error(generated, tmp_path, capsys):

@@ -210,6 +210,8 @@ def test_parse_response_no_array_is_error():
         parse_provider_response("the model rambled with no structure")
     with pytest.raises(ResponseParseError):
         parse_provider_response("almost [1, 2 broken")
+    with pytest.raises(ResponseParseError):  # json reads no integer of more than 4,300 digits
+        parse_provider_response("[" + "1" * 5000 + "]")
 
 
 def test_parse_response_skips_malformed_then_finds_array():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import re
+import struct
+import zlib
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -432,6 +434,15 @@ def test_persist_rejects_a_field_of_the_wrong_type_behind_valid_checksums(embedd
         kb.windows[0] = replace(kb.windows[0], **change)
     with pytest.raises(StoreFormatError, match=re.escape(field)):
         load_kb(save_kb(kb))
+
+
+def test_persist_rejects_an_unreadable_number_behind_valid_checksums(embedder):
+    blob = save_kb(index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2))
+    (length,) = struct.unpack_from("<Q", blob, 6)  # the meta section follows magic and version
+    meta = re.sub(rb'"stride":\d+', b'"stride":' + b"1" * 5000, blob[14 : 14 + length])
+    section = struct.pack("<Q", len(meta)) + meta + struct.pack("<I", zlib.crc32(meta))
+    with pytest.raises(StoreFormatError, match="corrupt metadata: Exceeds the limit"):
+        load_kb(blob[:6] + section + blob[14 + length + 4 :])
 
 
 def test_persist_rejects_future_version(embedder):
