@@ -6,8 +6,9 @@ missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
 failing after the transport's retries, or any other non-200 status exits 3;
 a 200 whose body is not JSON exits 4, as do a reply without its fields, an
 embedding reply whose row count is not the number of texts sent, and a JSON
-input file that does not decode: one that is not UTF-8, is malformed or holds
-a number JSON cannot read; an embedding of the wrong dimension exits 3.
+input file that does not decode: one that is not UTF-8, is malformed, nests
+too deeply or holds a number JSON cannot read (the message names the file); an
+embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -41,6 +42,7 @@ from .model import (
     dialogue_to_dict,
     dumps_canonical,
     loads_json,
+    read_input,
     scoring_config_from_dict,
     scoring_config_to_dict,
     validate_dialogue,
@@ -88,7 +90,7 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
     """Defaults, overridden by --config file values, overridden by flags."""
     base: dict = {}
     if getattr(args, "config", None):
-        base = loads_json(Path(args.config).read_bytes())
+        base = read_input(args.config, loads_json)
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a flat JSON object")
     for _, dest, _, _ in _CONFIG_FLAGS:
@@ -106,7 +108,7 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
 
 
 def _cmd_validate(args) -> int:
-    dialogue = load_raw_dialogue(Path(args.dialogue).read_bytes())
+    dialogue = read_input(args.dialogue, load_raw_dialogue)
     report = validate_dialogue(dialogue)
     for issue in report.issues:
         print(f"{issue.severity.upper():7s} {issue.location}: {issue.message}")
@@ -139,10 +141,8 @@ def _cmd_index(args) -> int:
 
 
 def _dialogue_id_from_arg(value: str) -> str:
-    path = Path(value)
-    if path.exists():
-        dialogue = load_raw_dialogue(path.read_bytes())
-        return dialogue.id
+    if Path(value).exists():
+        return read_input(value, load_raw_dialogue).id
     return value
 
 
@@ -194,7 +194,7 @@ def _cmd_graph(args) -> int:
     manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": embedder.id, "nli": nli.id})
     manifest.add_input(args.sextuplets)
     with manifest.stage("graph"):
-        dialogue_id, sextuplets = sextuplets_from_dict(loads_json(Path(args.sextuplets).read_bytes()))
+        dialogue_id, sextuplets = sextuplets_from_dict(read_input(args.sextuplets, loads_json))
         graph = build_graph(sextuplets, cfg, embedder, nli, jobs=args.jobs)
         fmt = "dot" if args.out.endswith(".dot") else "json"
         Path(args.out).write_bytes(
@@ -214,13 +214,13 @@ def _cmd_eval(args) -> int:
     manifest.add_input(args.predicted)
     manifest.add_input(args.gold)
     with manifest.stage("eval"):
-        graph, sextuplets, dialogue_id = graph_from_json(Path(args.predicted).read_bytes())
+        graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
         if sextuplets is None:
             raise SchemaError(
                 "sextuplets",
                 "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
             )
-        gold = match_gold(load_gold(Path(args.gold).read_bytes()), dialogue_id)
+        gold = match_gold(read_input(args.gold, load_gold), dialogue_id)
         report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
         if args.out:
             Path(args.out).write_text(dumps_canonical(report.to_dict()))

@@ -13,14 +13,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-import requests
 
 from .errors import EmbeddingError, FusionError, ResponseParseError, TransportError
 from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, Utterance
 from .transport import JsonEndpoint
+
+if TYPE_CHECKING:
+    import requests
 
 UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = 5.0

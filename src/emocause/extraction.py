@@ -14,15 +14,16 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import ResponseParseError, SchemaError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet, sextuplet_to_dict
 from .model import _as_obj, _as_str, _need, sextuplets_from_list
 from .transport import JsonEndpoint, map_calls
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 

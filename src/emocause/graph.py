@@ -13,9 +13,7 @@ import json
 import math
 import string
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
@@ -23,6 +21,9 @@ from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
 from .model import _as_list, _as_obj, _as_str, dumps_canonical, loads_json, record_from_dict, record_to_dict
 from .transport import JsonEndpoint, map_calls
+
+if TYPE_CHECKING:
+    import requests
 
 LN2 = math.log(2.0)
 
@@ -175,14 +176,22 @@ def rationale_score(
 ) -> float:
     """log(1 + P) where P is the entailment probability of the serialized
     effect given the cause's rationale; divided by log 2 when normalizing so
-    the range becomes [0, 1]."""
+    the range becomes [0, 1]. A P outside [0, 1] raises ValueError."""
+    _require_rationale(rationale)
+    p = nli.entailment_probability(rationale, serialize_event(effect))
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"entailment probability {p!r} is outside [0, 1]")
+    return _rationale(p, normalize)
+
+
+def _require_rationale(rationale: str) -> None:
     if not rationale.strip():
         raise ValueError("rationale must be non-empty")
-    p = nli.entailment_probability(rationale, serialize_event(effect))
+
+
+def _rationale(p: float, normalize: bool) -> float:
     raw = math.log1p(p)
-    if not normalize:
-        return raw
-    return min(1.0, raw / LN2)
+    return min(1.0, raw / LN2) if normalize else raw
 
 
 def edge_weight(semantic: float, temporal: float, rationale: float, cfg: ScoringConfig) -> float:
@@ -211,10 +220,15 @@ def build_graph(
     10 * tau the temporal component is below 5e-5, negligible against any
     practical threshold. The distinct cause opinions and effect sentiment
     labels of the admissible pairs are embedded with one embed_texts call
-    before scoring; the NLI calls, one per pair, run through map_calls (a
-    remote provider overlaps them), and a failure names the first failing
-    pair in enumeration order. Vertices include isolated events. Output is
-    deterministic and independent of evaluation order and thread count.
+    before scoring. A pair whose weight misses the threshold even at P = 1 is
+    dropped unscored: the weights are positive and float + and * round
+    monotonically, so the threshold would cut it whatever the NLI says. The
+    NLI is asked once per distinct pair that can reach the threshold, (cause
+    rationale, serialized effect), through map_calls (a remote provider
+    overlaps the calls), which assumes a deterministic provider. A failure
+    names the first scored pair in enumeration order that asks the failing
+    question. Vertices include isolated events. Output is deterministic and
+    independent of evaluation order and thread count.
     """
     ids = [s.id for s in sextuplets]
     if len(set(ids)) != len(ids):
@@ -231,39 +245,43 @@ def build_graph(
     texts = (t for c, e in candidates for t in (c.opinion, e.sentiment_label))
     vectors = embed_texts(embedder, texts)
 
-    def score(pair: tuple[Sextuplet, Sextuplet]) -> CausalEdge | None:
-        cause, effect = pair
+    r_max = _rationale(1.0, cfg.normalize_scores)
+    scored = []  # (cause, effect, delta_t, semantic, temporal, NLI question)
+    for cause, effect in candidates:
+        _require_rationale(cause.rationale)
         delta_t = temporal_gap(cause, effect)
+        semantic = _semantic(
+            vectors[cause.opinion], vectors[effect.sentiment_label], cfg.normalize_scores
+        )
+        temporal = temporal_score(delta_t, cfg.tau)
+        if edge_weight(semantic, temporal, r_max, cfg) < cfg.edge_threshold:
+            continue
+        question = (cause.rationale, serialize_event(effect))
+        scored.append((cause, effect, delta_t, semantic, temporal, question))
+
+    first_asker: dict[tuple[str, str], tuple[Sextuplet, Sextuplet]] = {}
+    for cause, effect, *_, question in scored:
+        first_asker.setdefault(question, (cause, effect))
+
+    def ask(pair: tuple[Sextuplet, Sextuplet]) -> float:
+        cause, effect = pair
         try:
-            semantic = _semantic(
-                vectors[cause.opinion], vectors[effect.sentiment_label], cfg.normalize_scores
-            )
-            temporal = temporal_score(delta_t, cfg.tau)
-            rationale = rationale_score(
-                cause.rationale, effect, nli, normalize=cfg.normalize_scores
-            )
+            return rationale_score(cause.rationale, effect, nli, normalize=cfg.normalize_scores)
         except (TransportError, ResponseParseError) as exc:
             message = f"scoring failed for pair ({cause.id} -> {effect.id}): {exc}"
             if isinstance(exc, ResponseParseError):
                 raise ResponseParseError(message, exc.raw) from exc
             raise TransportError(message) from exc
+
+    rationales = dict(zip(first_asker, map_calls(ask, list(first_asker.values()), nli, jobs)))
+    edges = []
+    for cause, effect, delta_t, semantic, temporal, question in scored:
+        rationale = rationales[question]
         weight = edge_weight(semantic, temporal, rationale, cfg)
         if weight < cfg.edge_threshold:
-            return None
-        return CausalEdge(
-            cause_id=cause.id,
-            effect_id=effect.id,
-            semantic_score=semantic,
-            temporal_score=temporal,
-            rationale_score=rationale,
-            weight=weight,
-            delta_t=delta_t,
-        )
-
-    scored = map_calls(score, candidates, nli, jobs)
-    edges = sorted(
-        (e for e in scored if e is not None), key=lambda e: (e.cause_id, e.effect_id)
-    )
+            continue
+        edges.append(CausalEdge(cause.id, effect.id, semantic, temporal, rationale, weight, delta_t))
+    edges.sort(key=lambda e: (e.cause_id, e.effect_id))
     return CausalGraph(vertices=tuple(sorted(set(ids))), edges=tuple(edges))
 
 

@@ -22,6 +22,7 @@ from .model import (  # compute_speech_rate: also part of this module's public A
     dialogue_from_dict,
     json_documents,
     loads_json,
+    read_input,
     validate_dialogue,
 )
 
@@ -91,9 +92,9 @@ def _corpus_item(obj: Any, strict: bool, where: str, sep: str) -> Dialogue:
 
 
 def read_dialogue(path: str | Path, *, strict: bool = False) -> Dialogue:
-    return parse_dialogue_file(Path(path).read_bytes(), strict=strict)
+    return read_input(path, lambda data: parse_dialogue_file(data, strict=strict))
 
 
 def read_corpus(path: str | Path, *, strict: bool = False) -> list[Dialogue]:
     """Read `.json` (single document or array) or `.jsonl` (one dialogue per line) files."""
-    return parse_corpus(Path(path).read_bytes(), strict=strict)
+    return read_input(path, lambda data: parse_corpus(data, strict=strict))

@@ -336,8 +336,9 @@ def _repeated_key(windows) -> tuple[str, int] | None:
 
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse bytes produced by save_kb; corruption, version drift, a field
-    of the wrong type, a window whose start_index exceeds its end_index and a
-    repeated (dialogue_id, window_index) key are rejected."""
+    of the wrong type, a window whose start_index exceeds its end_index, a
+    repeated (dialogue_id, window_index) key and a non-finite vector
+    component are rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
         raise StoreFormatError("not a knowledge-base file (bad magic)")
@@ -378,6 +379,9 @@ def load_kb(data: bytes) -> KnowledgeBase:
     vectors = np.frombuffer(matrix_bytes, dtype="<f8").reshape(
         meta.entry_count, meta.fused_dim
     ).astype(np.float64)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise StoreFormatError(f"vectors[{int(finite.argmin())}] holds a NaN or infinite component")
     return KnowledgeBase(windows, vectors, meta)
 
 

@@ -12,7 +12,8 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DialogueParseError, SchemaError
 
@@ -560,16 +561,30 @@ _DECODER = json.JSONDecoder()
 @contextmanager
 def _decoding() -> Iterator[None]:
     """Raise every failure to decode JSON input as DialogueParseError: bytes
-    that are not UTF-8, malformed JSON (at json's line and column) and a
-    number json will not read, such as an integer of more than 4,300 digits."""
+    that are not UTF-8, malformed JSON (at json's line and column), nesting
+    deeper than json's recursion limit and a number json will not read, such
+    as an integer of more than 4,300 digits."""
     try:
         yield
     except json.JSONDecodeError as exc:
         raise DialogueParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise DialogueParseError(f"input is nested too deeply: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DialogueParseError(f"input is not valid UTF-8: {exc}") from exc
     except ValueError as exc:
         raise DialogueParseError(str(exc)) from exc
+
+
+def read_input(path: str | Path, parse: Callable[[bytes], Any]) -> Any:
+    """parse(the bytes of the file at `path`), with a decode error named by
+    the path; every input file read by path goes through here, so the
+    prefix appears once."""
+    try:
+        return parse(Path(path).read_bytes())
+    except DialogueParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def json_documents(data: bytes | str) -> Iterator[tuple[int, Any]]:

@@ -31,6 +31,7 @@ from .model import (  # validate_dialogue: benchmarks/tracing.py patches pipelin
     ScoringConfig,
     Sextuplet,
     dumps_canonical,
+    read_input,
     scoring_config_to_dict,
     validate_dialogue,
 )
@@ -115,7 +116,10 @@ def run_pipeline(
 
     with manifest.stage("validate"):
         dialogue = read_dialogue(dialogue_path, strict=strict)
-    # a run refused for its providers or its dialogue leaves no directory behind
+        gold = None
+        if gold_path is not None:
+            gold = match_gold(read_input(gold_path, load_gold), dialogue.id)
+    # a run refused for its providers, its dialogue or its gold leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
 
     with manifest.stage("index"):
@@ -143,9 +147,8 @@ def run_pipeline(
         manifest.add_output(graph_path)
 
     eval_report = None
-    if gold_path is not None:
+    if gold is not None:
         with manifest.stage("eval"):
-            gold = match_gold(load_gold(Path(gold_path).read_bytes()), dialogue.id)
             eval_report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
             report_path = out / "report.json"
             report_path.write_text(dumps_canonical(eval_report.to_dict()))

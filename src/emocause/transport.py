@@ -25,8 +25,9 @@ whose body is not JSON raises ResponseParseError carrying the raw text and
 is not retried: the same request would get the same reply.
 
 Concurrency: map_calls overlaps the independent calls of one stage (a chat
-per window, an NLI per event pair) on REMOTE_WORKERS threads, or `jobs` if
-more, for a remote provider; a local one runs on `jobs` threads. Retries stay
+per window, an NLI call per distinct pair that can reach the threshold) on
+REMOTE_WORKERS threads, or `jobs` if more, for a remote provider; a local one
+runs on `jobs` threads. Retries stay
 per call. After a failure no call for a later item starts, the calls in
 flight finish, and the first failing item in input order raises, as in the
 serial loop.
@@ -39,11 +40,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ResponseParseError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -89,6 +91,8 @@ class JsonEndpoint:
         timeout: float,
         session: requests.Session | None,
     ):
+        import requests  # here, not at module level: an offline run never loads it
+
         self.name = name
         self.url = endpoint or os.environ.get(f"{env_prefix}_ENDPOINT", "")
         if not self.url:
@@ -120,6 +124,8 @@ class JsonEndpoint:
 
     def call(self, body: dict):
         """The decoded JSON reply to body, after the retries described above."""
+        import requests
+
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 delay = BACKOFF_BASE * 2.0 ** (attempt - 1)

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import emocause
 from emocause.cli import main
+from emocause.kb import read_kb, write_kb
 from emocause.model import dumps_canonical
 from emocause.pipeline import sha256_file
 
@@ -202,6 +208,48 @@ def test_gold_of_another_dialogue_is_format_error(generated, capsys):
     assert "'synth-00000008'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gold", ["malformed", "other-dialogue"])
+def test_run_refused_for_its_gold_writes_nothing(generated, capsys, gold):
+    tmp, dialogue_path, _ = generated
+    gold_path = tmp / "other.gold.json"
+    if gold == "malformed":
+        gold_path.write_text('{"dialogue_id": ')
+    else:
+        assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+    assert main(["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),
+                 "--out-dir", str(tmp / "out")]) == 4
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "extract"])
+def test_kb_with_a_nan_vector_component_is_format_error(generated, capsys, command):
+    tmp, dialogue_path, _ = generated
+    kb_path = tmp / "kb.cmkb"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    kb = read_kb(kb_path)
+    vectors = kb.vectors.copy()
+    vectors[1, 0] = float("nan")
+    write_kb(replace(kb, vectors=vectors), kb_path)
+    capsys.readouterr()
+    argv = {"retrieve": ["retrieve", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
+                         "--window", "0"],
+            "extract": ["extract", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
+                        "--out", str(tmp / "sx.json")]}[command]
+    assert main(argv) == 4
+    assert "vectors[1] holds a NaN or infinite component" in capsys.readouterr().err
+    assert not (tmp / "sx.json").exists()
+
+
+def test_offline_run_never_imports_requests(generated):
+    tmp, dialogue_path, gold_path = generated
+    code = ("import sys; from emocause.cli import main; "
+            f"assert main(['run', '--dialogue', {str(dialogue_path)!r}, '--gold', "
+            f"{str(gold_path)!r}, '--out-dir', {str(tmp / 'out')!r}]) == 0; "
+            "assert 'requests' not in sys.modules, 'an offline run imported requests'")
+    src = str(Path(emocause.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 @pytest.mark.parametrize("spec, code", [("foo", 2), ("remote:m", 2), ("hash:x", 2), ("remote:m:8", 3)])
 def test_embedder_spec_errors_are_usage_errors_and_a_missing_endpoint_a_provider_error(
     generated, monkeypatch, spec, code
@@ -321,7 +369,8 @@ def test_consistency_floor_outside_unit_range_is_usage_error(generated, tmp_path
     (b"{nope", "Expecting property name"),
     (b'{"id": "caf\xe9"}', "input is not valid UTF-8"),
     (b'{"t_start": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
-], ids=["malformed", "not-utf8", "5000-digit-integer"])
+    (b"[" * 100_000 + b"]" * 100_000, "input is nested too deeply"),
+], ids=["malformed", "not-utf8", "5000-digit-integer", "nested-100000-deep"])
 @pytest.mark.parametrize("command", [
     ["validate", "{bad}"],
     ["index", "{bad}", "--out", "{tmp}/k.cmkb"],
@@ -341,7 +390,9 @@ def test_malformed_json_input_is_format_error(generated, tmp_path, capsys, comma
     paths = {"bad": bad, "gold": gold_path, "dialogue": dialogue_path, "tmp": tmp,
              "empty_graph": empty_graph}
     assert main([arg.format(**paths) for arg in command]) == 4
-    assert f"error: {message}" in capsys.readouterr().err
+    # the error names the file once, and a refused run writes nothing
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp / "out").exists()
 
 
 def test_eval_predicted_array_is_format_error(generated, tmp_path, capsys):

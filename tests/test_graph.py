@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from emocause.embedding import HashTextEmbedder, embed_text
 from emocause.errors import PrecedenceError, ResponseParseError, TransportError
 from emocause.graph import (
+    CausalEdge,
     JaccardNli,
     RemoteNli,
     build_graph,
@@ -117,6 +118,12 @@ def test_rationale_score_endpoints():
 def test_rationale_score_requires_rationale():
     with pytest.raises(ValueError):
         rationale_score("  ", make_sextuplet("e"), _ConstNli(0.5))
+
+
+@pytest.mark.parametrize("p", [1.5, -0.25, math.nan, math.inf])
+def test_rationale_score_rejects_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=rf"entailment probability {p!r} is outside \[0, 1\]"):
+        rationale_score("why", make_sextuplet("e"), _ConstNli(p))
 
 
 def test_jaccard_nli_hand_example():
@@ -348,6 +355,148 @@ def test_build_graph_nli_parse_error_keeps_raw_reply(cfg, embedder):
     with pytest.raises(ResponseParseError, match=r"scoring failed for pair \(a -> b\)") as exc:
         build_graph(_chain_sextuplets(), cfg, embedder, nli)
     assert exc.value.raw == '{"entailment_probability": 7}'
+
+
+def _reference_graph(items, cfg, embedder, nli):
+    """Every admissible pair scored in full, one NLI call each, no pruning."""
+    edges = []
+    for cause in items:
+        for effect in items:
+            delta_t = temporal_gap(cause, effect)
+            if cause.id == effect.id or not 0.0 <= delta_t <= cfg.effective_max_gap():
+                continue
+            semantic = semantic_score(cause.opinion, effect.sentiment_label, embedder,
+                                      normalize=cfg.normalize_scores)
+            temporal = temporal_score(delta_t, cfg.tau)
+            rationale = rationale_score(cause.rationale, effect, nli, normalize=cfg.normalize_scores)
+            weight = edge_weight(semantic, temporal, rationale, cfg)
+            if weight >= cfg.edge_threshold:
+                edges.append(CausalEdge(cause.id, effect.id, semantic, temporal, rationale,
+                                        weight, delta_t))
+    return tuple(sorted(edges, key=lambda e: (e.cause_id, e.effect_id)))
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+# few distinct values, so that rationales and serialized effects repeat
+_events = st.lists(
+    st.tuples(
+        st.sampled_from(["Ana", "Ben"]),
+        st.sampled_from(["negative", "pleased", "frustrated"]),
+        st.sampled_from(["negative", "neutral", "positive"]),
+        st.sampled_from(["the fees doubled", "Ben kept pressing", "Ana Volt pricing negative"]),
+        st.sampled_from([0.0, 4.0, 30.0, 150.0, 296.0, 300.0]),
+        st.sampled_from([0.0, 4.0]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _events,
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.6, 0.3, 0.1), (0.1, 0.2, 0.7)]),
+    st.sampled_from([0.0, 1.0, _BELOW_ONE, "overlap"]),
+)
+def test_build_graph_matches_a_scorer_without_pruning_or_dedup(events, normalize, threshold,
+                                                               weights, p):
+    embedder = HashTextEmbedder(dim=64, seed=0)
+    items = [
+        make_sextuplet(f"e{i}", holder=holder, opinion=opinion, sentiment=label,
+                       rationale=rationale, t_start=start, t_end=start + length)
+        for i, (holder, opinion, label, rationale, start, length) in enumerate(events)
+    ]
+    alpha, beta, gamma = weights
+    cfg = ScoringConfig(alpha=alpha, beta=beta, gamma=gamma, normalize_scores=normalize,
+                        edge_threshold=threshold)
+    nli = JaccardNli() if p == "overlap" else _ConstNli(p)
+    assert build_graph(items, cfg, embedder, nli).edges == _reference_graph(items, cfg, embedder, nli)
+
+
+class _CountingNli(JaccardNli):
+    def __init__(self, fail_on=()):
+        self.asked = Counter()
+        self.fail_on = set(fail_on)
+
+    def entailment_probability(self, premise, hypothesis):
+        self.asked[premise, hypothesis] += 1
+        if (premise, hypothesis) in self.fail_on:
+            raise TransportError("NLI endpoint returned HTTP 503")
+        return super().entailment_probability(premise, hypothesis)
+
+
+def _repeating_sextuplets():
+    # two holders with one rationale each, five events 20 s apart: many
+    # admissible pairs ask the same (rationale, serialized effect) question
+    return [
+        make_sextuplet(f"e{i}", holder=("Ana", "Ben")[i % 2],
+                       rationale=("the fees doubled", "Ben kept pressing")[i % 2],
+                       t_start=20.0 * i, t_end=20.0 * i + 4.0)
+        for i in range(5)
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.6])
+def test_build_graph_asks_each_distinct_pair_that_can_reach_the_threshold_once(
+    jobs, threshold, cfg, embedder
+):
+    items = _repeating_sextuplets()
+    cfg = replace(cfg, edge_threshold=threshold)
+    nli = _CountingNli()
+    graph = build_graph(items, cfg, embedder, nli, jobs=jobs)
+    # at P = 1 the weight is the bound, so the edges kept are the pairs that survive it
+    by_id = {s.id: s for s in items}
+    survivors = {
+        (by_id[e.cause_id].rationale, serialize_event(by_id[e.effect_id]))
+        for e in _reference_graph(items, cfg, embedder, _ConstNli(1.0))
+    }
+    assert nli.asked == Counter(survivors)
+    assert graph.edges == _reference_graph(items, cfg, embedder, JaccardNli())
+    admissible = sum(1 for c in items for e in items if 0.0 <= temporal_gap(c, e) <= 300.0
+                     and c.id != e.id)
+    assert len(survivors) < admissible
+
+
+def test_build_graph_skips_the_nli_for_a_pair_that_cannot_reach_the_threshold(cfg, embedder):
+    early = make_sextuplet("a", rationale="the fees doubled", t_start=0.0, t_end=4.0)
+    near = make_sextuplet("b", holder="Ben", t_start=10.0, t_end=14.0)
+    far = make_sextuplet("c", holder="Cleo", rationale="Cleo waited", t_start=290.0, t_end=294.0)
+    cfg = replace(cfg, edge_threshold=0.7)
+    # (a -> c) is 290 s apart: below 0.7 whatever the NLI says, and its
+    # question fails; (a -> b) and (b -> c) are scored as before
+    doomed = ("the fees doubled", serialize_event(far))
+    nli = _CountingNli(fail_on={doomed})
+    graph = build_graph([early, near, far], cfg, embedder, nli)
+    assert doomed not in nli.asked
+    assert graph.edges == _reference_graph([early, near], cfg, embedder, JaccardNli())
+    # the same question on a pair that can reach the threshold fails, named by the pair
+    close = replace(far, t_start=20.0, t_end=24.0)
+    with pytest.raises(TransportError, match=r"scoring failed for pair \(a -> c\)"):
+        build_graph([early, near, close], replace(cfg, edge_threshold=0.3), embedder, nli)
+
+
+def test_build_graph_rejects_a_blank_rationale_on_a_pair_that_cannot_reach_the_threshold(
+    cfg, embedder
+):
+    blank = make_sextuplet("a", rationale="  ", t_start=0.0, t_end=4.0)
+    effect = make_sextuplet("b", holder="Ben", t_start=200.0, t_end=204.0)
+    nli = _CountingNli()
+    with pytest.raises(ValueError, match="rationale must be non-empty"):
+        build_graph([blank, effect], replace(cfg, edge_threshold=1.0), embedder, nli)
+    assert not nli.asked
+
+
+def test_build_graph_keeps_a_pair_whose_bound_equals_the_threshold(cfg, embedder):
+    items = _chain_sextuplets()
+    top = build_graph(items, replace(cfg, edge_threshold=0.0), embedder, _ConstNli(1.0)).edges
+    exact = replace(cfg, edge_threshold=top[0].weight)
+    kept = build_graph(items, exact, embedder, _ConstNli(1.0)).edges
+    assert top[0] in kept
+    assert kept == _reference_graph(items, exact, embedder, _ConstNli(1.0))
 
 
 def test_nli_from_spec():

@@ -445,6 +445,15 @@ def test_persist_rejects_an_unreadable_number_behind_valid_checksums(embedder):
         load_kb(blob[:6] + section + blob[14 + length + 4 :])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_persist_rejects_a_non_finite_vector_component_behind_valid_checksums(embedder, value):
+    kb = index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2)
+    vectors = kb.vectors.copy()
+    vectors[2, 5] = value
+    with pytest.raises(StoreFormatError, match=re.escape("vectors[2] holds a NaN or infinite")):
+        load_kb(save_kb(replace(kb, vectors=vectors)))
+
+
 def test_persist_rejects_future_version(embedder):
     dialogue, _ = generate(ChainSpec(seed=5, turns=30, chain_length=1))
     blob = bytearray(save_kb(index_dialogue(dialogue, embedder, window_size=5, stride=2)))
