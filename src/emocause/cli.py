@@ -17,6 +17,7 @@ subcommands write has the one format described in pipeline.RunManifest.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -178,8 +179,10 @@ def _cmd_extract(args) -> int:
     with manifest.stage("validate"):
         kb = read_kb(args.kb)
         dialogue = read_dialogue(args.dialogue, strict=args.strict)
-    with manifest.stage("extract"):
-        sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs)
+    with manifest.stage("extract") as stage:
+        prompts = hashlib.sha256()
+        sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs, prompt_hash=prompts)
+        stage["prompt_sha256"] = prompts.hexdigest()
         Path(args.out).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
         manifest.add_output(args.out)
     manifest.write(f"{args.out}.manifest.json")

@@ -6,6 +6,10 @@ the remote provider speaks a chat-completion HTTP contract. Both return raw
 text that flows through the same response parser. The rule table is one
 pattern table, `_RULES`, read by `apply_rule_table`; the mock provider, the
 synthetic generator (`synth`) and the test oracle all share it.
+
+Each utterance line appears once per prompt. Retrieved windows overlap the
+current window and each other, so a retrieved window keeps only the lines
+the prompt does not already hold.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from .model import _as_obj, _as_str, _need, sextuplets_from_list
 from .transport import JsonEndpoint, map_calls
 
 if TYPE_CHECKING:
+    import hashlib
+
     import requests
 
 logger = logging.getLogger(__name__)
@@ -54,7 +60,9 @@ _SECTION_OUTPUT = "=== OUTPUT FORMAT ==="
 @dataclass(frozen=True)
 class ExtractionPrompt:
     """One request's current window and retrieved context; render sets them
-    between the fixed DEFAULT_*_INSTRUCTIONS, deterministically."""
+    between the fixed DEFAULT_*_INSTRUCTIONS, deterministically. As built by
+    assemble_prompt, no utterance line appears twice: each context block holds
+    only lines absent from the current window and from earlier blocks."""
 
     current_window_text: str
     retrieved_context: tuple[tuple[str, float], ...]
@@ -78,14 +86,28 @@ def assemble_prompt(
     cfg: ScoringConfig | None = None,
 ) -> ExtractionPrompt:
     """Order: the fixed task instructions, retrieved context by descending
-    similarity, current window, the fixed output schema."""
+    similarity, current window, the fixed output schema.
+
+    Each utterance line appears once per prompt. A hit keeps only the lines,
+    keyed by (dialogue_id, line), that neither the current window nor a
+    higher-ranked hit holds; a hit left with no line is dropped, and with no
+    hit left the prompt renders NO_CONTEXT_MARKER.
+    """
     hits = sorted(context, key=lambda h: -h.similarity)
     if cfg is not None:
         hits = hits[: cfg.top_n]
-    return ExtractionPrompt(
-        current_window_text=window.text,
-        retrieved_context=tuple((h.window.text, h.similarity) for h in hits),
-    )
+    seen = {(window.dialogue_id, line) for line in window.text.splitlines()}
+    blocks = []
+    for h in hits:
+        fresh = []
+        for line in h.window.text.splitlines():
+            key = (h.window.dialogue_id, line)
+            if key not in seen:
+                seen.add(key)
+                fresh.append(line)
+        if fresh:
+            blocks.append(("\n".join(fresh), h.similarity))
+    return ExtractionPrompt(current_window_text=window.text, retrieved_context=tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +387,7 @@ def extract_dialogue(
     cfg: ScoringConfig | None = None,
     *,
     jobs: int = 1,
+    prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
     augmented prompts, then deduplicate across overlapping windows. A window
@@ -372,6 +395,9 @@ def extract_dialogue(
 
     Windows run through map_calls (a remote provider overlaps them) and
     are re-sorted by window index, so the output is independent of scheduling.
+    Each rendered prompt is fed into prompt_hash (a hashlib object), if given,
+    in window order: its digest changes with what retrieval puts in front of
+    the provider even where the sextuplets do not.
     """
     cfg = cfg or ScoringConfig()
     indexed = [
@@ -387,15 +413,18 @@ def extract_dialogue(
                 f"{dialogue.id!r} has {dialogue.n} utterances",
             )
 
-    def run_one(item: tuple[int, TimeWindow]) -> tuple[int, list[Sextuplet]]:
+    def run_one(item: tuple[int, TimeWindow]) -> tuple[int, ExtractionPrompt, list[Sextuplet]]:
         i, window = item
         context = retrieve(window, kb.vectors[i], kb, cfg.top_n)
         prompt = assemble_prompt(window, context, cfg)
-        return window.window_index, extract_sextuplets(prompt, provider, window, dialogue)
+        return window.window_index, prompt, extract_sextuplets(prompt, provider, window, dialogue)
 
     outcomes = map_calls(run_one, indexed, provider, jobs)
-    outcomes.sort(key=lambda pair: pair[0])
-    flat = [s for _, found in outcomes for s in found]
+    outcomes.sort(key=lambda outcome: outcome[0])
+    if prompt_hash is not None:
+        for _, prompt, _ in outcomes:
+            prompt_hash.update(prompt.render().encode("utf-8"))
+    flat = [s for *_, found in outcomes for s in found]
     return dedup_sextuplets(flat)
 
 

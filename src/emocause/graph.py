@@ -227,7 +227,8 @@ def build_graph(
     rationale, serialized effect), through map_calls (a remote provider
     overlaps the calls), which assumes a deterministic provider. A failure
     names the first scored pair in enumeration order that asks the failing
-    question. Vertices include isolated events. Output is deterministic and
+    question; a P outside [0, 1] from any provider fails as a ResponseParseError
+    so named. Vertices include isolated events. Output is deterministic and
     independent of evaluation order and thread count.
     """
     ids = [s.id for s in sextuplets]
@@ -267,11 +268,13 @@ def build_graph(
         cause, effect = pair
         try:
             return rationale_score(cause.rationale, effect, nli, normalize=cfg.normalize_scores)
-        except (TransportError, ResponseParseError) as exc:
+        except (TransportError, ResponseParseError, ValueError) as exc:
+            # rationale_score's ValueError is a P outside [0, 1] (NaN included),
+            # a bad reply like the one RemoteNli rejects
             message = f"scoring failed for pair ({cause.id} -> {effect.id}): {exc}"
-            if isinstance(exc, ResponseParseError):
-                raise ResponseParseError(message, exc.raw) from exc
-            raise TransportError(message) from exc
+            if isinstance(exc, TransportError):
+                raise TransportError(message) from exc
+            raise ResponseParseError(message, getattr(exc, "raw", "")) from exc
 
     rationales = dict(zip(first_asker, map_calls(ask, list(first_asker.values()), nli, jobs)))
     edges = []

@@ -33,7 +33,7 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     window_embedding,
 )
 from .errors import DialogueParseError, EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
-from .model import Dialogue, _as_list, loads_json, record_from_dict, record_to_dict
+from .model import Dialogue, _as_list, loads_json, read_input, record_from_dict, record_to_dict
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -390,4 +390,4 @@ def write_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 
 def read_kb(path: str | Path) -> KnowledgeBase:
-    return load_kb(Path(path).read_bytes())
+    return read_input(path, load_kb)

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import ConfigError, DialogueParseError, SchemaError
+from .errors import ConfigError, DialogueParseError, SchemaError, StoreFormatError
 
 SCENARIOS = (
     "customer_service",
@@ -577,12 +577,12 @@ def _decoding() -> Iterator[None]:
 
 
 def read_input(path: str | Path, parse: Callable[[bytes], Any]) -> Any:
-    """parse(the bytes of the file at `path`), with a decode error named by
-    the path; every input file read by path goes through here, so the
-    prefix appears once."""
+    """parse(the bytes of the file at `path`), with a decode or knowledge-base
+    format error named by the path; every input file read by path goes
+    through here, so the prefix appears once."""
     try:
         return parse(Path(path).read_bytes())
-    except DialogueParseError as exc:
+    except (DialogueParseError, StoreFormatError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 

@@ -48,7 +48,9 @@ class RunManifest:
     <out>.manifest.json. Keys: `version`; `config` (ScoringConfig fields,
     null for gen); `providers` (role -> provider id); `inputs` and `outputs`
     (path -> SHA-256 of the file); `stages` ({"name", "seconds"} in run
-    order, named validate, index, extract, graph, eval, or gen)."""
+    order, named validate, index, extract, graph, eval, or gen). The extract
+    stage also holds `prompt_sha256`, the digest of every rendered
+    extraction prompt in window order (extract_dialogue's prompt_hash)."""
 
     config: dict | None
     providers: dict[str, str]
@@ -58,10 +60,13 @@ class RunManifest:
     version: str = package_version
 
     @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
+    def stage(self, name: str) -> Iterator[dict]:
+        """Time the block; it may add keys to the stage entry it is given."""
+        entry = {"name": name}
         t0 = time.perf_counter()
-        yield
-        self.stages.append({"name": name, "seconds": round(time.perf_counter() - t0, 6)})
+        yield entry
+        entry["seconds"] = round(time.perf_counter() - t0, 6)
+        self.stages.append(entry)
 
     def add_input(self, path: str | Path) -> None:
         self.inputs[str(path)] = sha256_file(path)
@@ -134,8 +139,10 @@ def run_pipeline(
         write_kb(kb, kb_path)
         manifest.add_output(kb_path)
 
-    with manifest.stage("extract"):
-        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs)
+    with manifest.stage("extract") as stage:
+        prompts = hashlib.sha256()
+        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs, prompt_hash=prompts)
+        stage["prompt_sha256"] = prompts.hexdigest()
         sext_path = out / "sextuplets.json"
         sext_path.write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
         manifest.add_output(sext_path)

@@ -240,6 +240,52 @@ def test_kb_with_a_nan_vector_component_is_format_error(generated, capsys, comma
     assert not (tmp / "sx.json").exists()
 
 
+@pytest.mark.parametrize("command", ["retrieve", "extract"])
+def test_truncated_kb_is_format_error_named_by_its_file(generated, capsys, command):
+    tmp, dialogue_path, _ = generated
+    kb_path, trunc = tmp / "kb.cmkb", tmp / "trunc.cmkb"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    trunc.write_bytes(kb_path.read_bytes()[:100])
+    capsys.readouterr()
+    argv = {"retrieve": ["retrieve", "--kb", str(trunc), "--dialogue", str(dialogue_path),
+                         "--window", "0"],
+            "extract": ["extract", "--kb", str(trunc), "--dialogue", str(dialogue_path),
+                        "--out", str(tmp / "sx.json")]}[command]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"error: {trunc}: truncated file while reading meta\n"
+
+
+@pytest.mark.parametrize("p", [1.5, float("nan")])
+def test_nli_probability_outside_the_unit_interval_exits_4_naming_the_pair(
+    generated, capsys, monkeypatch, p
+):
+    tmp, dialogue_path, _ = generated
+    monkeypatch.setattr("emocause.graph.JaccardNli.entailment_probability", lambda self, a, b: p)
+    capsys.readouterr()
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: scoring failed for pair (")
+    assert f"entailment probability {p!r} is outside [0, 1]" in err
+
+
+def test_extract_and_run_record_the_same_prompt_digest(generated):
+    tmp, dialogue_path, _ = generated
+    kb, sx = tmp / "kb.cmkb", tmp / "sx.json"
+    assert main(["index", str(dialogue_path), "--out", str(kb)]) == 0
+    assert main(["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx)]) == 0
+    for jobs in ("1", "2"):
+        assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / jobs),
+                     "--jobs", jobs]) == 0
+
+    def digest(manifest_path):
+        stages = json.loads(manifest_path.read_text())["stages"]
+        return next(stage["prompt_sha256"] for stage in stages if stage["name"] == "extract")
+
+    extracted = digest(Path(f"{sx}.manifest.json"))
+    assert len(extracted) == 64
+    assert digest(tmp / "1" / "manifest.json") == digest(tmp / "2" / "manifest.json") == extracted
+
+
 def test_offline_run_never_imports_requests(generated):
     tmp, dialogue_path, gold_path = generated
     code = ("import sys; from emocause.cli import main; "

@@ -8,6 +8,8 @@ import pytest
 
 from emocause.errors import ResponseParseError, TransportError
 from emocause.extraction import (
+    NO_CONTEXT_MARKER,
+    ExtractionPrompt,
     MockExtractor,
     RemoteExtractor,
     apply_rule_table,
@@ -18,8 +20,9 @@ from emocause.extraction import (
     extractor_from_spec,
     parse_provider_response,
 )
-from emocause.kb import RetrievalHit, TimeWindow, build_windows, index_dialogue
+from emocause.kb import RetrievalHit, TimeWindow, build_windows, index_corpus, index_dialogue, retrieve
 from emocause.model import Dialogue, ScoringConfig, Utterance
+from emocause.synth import ChainSpec, generate
 
 from conftest import ScriptedSession, make_dialogue, make_sextuplet
 
@@ -57,6 +60,67 @@ def test_prompt_context_capped_by_config():
     hits = [_hit(f"ctx-{i}", 0.9 - i / 10) for i in range(5)]
     prompt = assemble_prompt(_window("w"), hits, ScoringConfig(top_n=2))
     assert len(prompt.retrieved_context) == 2
+
+
+def _old_prompt(window, hits, cfg):
+    """The prompt as assembled before context lines were deduplicated: every
+    one of the top_n hits' windows in full."""
+    top = sorted(hits, key=lambda h: -h.similarity)[: cfg.top_n]
+    return ExtractionPrompt(window.text, tuple((h.window.text, h.similarity) for h in top))
+
+
+def _context_blocks(prompt):
+    return [text.splitlines() for text, _ in prompt.retrieved_context]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_prompt_holds_each_line_of_the_old_prompt_once_and_mock_replies_alike(seed, embedder):
+    dialogue, _ = generate(ChainSpec(seed=seed, noise_rate=0.3))
+    kb = index_dialogue(dialogue, embedder)
+    cfg = ScoringConfig()
+    mock = MockExtractor()
+    for i, window in enumerate(kb.windows):
+        hits = retrieve(window, kb.vectors[i], kb, cfg.top_n)
+        prompt = assemble_prompt(window, hits, cfg)
+        old = _old_prompt(window, hits, cfg)
+        seen = set(window.text.splitlines())
+        for block in _context_blocks(prompt):
+            assert block and seen.isdisjoint(block) and len(set(block)) == len(block)
+            seen.update(block)
+        old_lines = set(window.text.splitlines()).union(*_context_blocks(old))
+        assert seen == old_lines
+        assert mock.complete(prompt.render()) == mock.complete(old.render())
+
+
+def test_prompt_keeps_the_identical_lines_of_another_dialogue(embedder):
+    # two dialogues with equal utterances render equal window lines
+    twins = [make_dialogue(n=4, dialogue_id=d) for d in ("a", "b")]
+    kb = index_corpus(twins, embedder, window_size=2, stride=2)
+    window, twin = kb.windows[0], kb.windows[2]
+    assert (window.dialogue_id, twin.dialogue_id) == ("a", "b") and window.text == twin.text
+    hits = retrieve(window, kb.vectors[0], kb, 3)
+    prompt = assemble_prompt(window, hits)
+    assert prompt.retrieved_context == tuple((h.window.text, h.similarity) for h in hits)
+    assert any(text == window.text for text, _ in prompt.retrieved_context)
+
+
+def test_prompt_drops_a_hit_inside_the_current_window():
+    window = _window("[#0] a\n[#1] b\n[#2] c", end=2)
+    inside = RetrievalHit(_window("[#1] b\n[#2] c", index=1, start=1, end=2), 0.9)
+    later = RetrievalHit(_window("[#2] c\n[#3] d", index=2, start=2, end=3), 0.5)
+    prompt = assemble_prompt(window, [inside, later])
+    assert prompt.retrieved_context == (("[#3] d", 0.5),)
+    rendered = prompt.render()
+    assert rendered.count("--- context") == 1 and "--- context 1 (similarity 0.5000) ---" in rendered
+
+
+def test_prompt_with_only_duplicate_hits_renders_the_no_context_marker():
+    window = _window("[#0] a\n[#1] b\n[#2] c", end=2)
+    hits = [RetrievalHit(_window("[#1] b", index=1, start=1, end=1), 0.9),
+            RetrievalHit(_window("[#0] a\n[#1] b", index=2, start=0, end=1), 0.7)]
+    prompt = assemble_prompt(window, hits)
+    assert prompt.retrieved_context == ()
+    assert NO_CONTEXT_MARKER in prompt.render()
 
 
 def test_rule_table_verb_pattern():

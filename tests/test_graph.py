@@ -357,6 +357,14 @@ def test_build_graph_nli_parse_error_keeps_raw_reply(cfg, embedder):
     assert exc.value.raw == '{"entailment_probability": 7}'
 
 
+@pytest.mark.parametrize("p", [1.5, math.nan])
+def test_build_graph_names_the_pair_of_an_in_code_probability_outside_the_unit_interval(
+    cfg, embedder, p
+):
+    with pytest.raises(ResponseParseError, match=r"scoring failed for pair \(a -> b\): entailment"):
+        build_graph(_chain_sextuplets(), cfg, embedder, _ConstNli(p))
+
+
 def _reference_graph(items, cfg, embedder, nli):
     """Every admissible pair scored in full, one NLI call each, no pruning."""
     edges = []

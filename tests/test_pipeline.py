@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import emocause
+import emocause.extraction
 import emocause.ingest
 import emocause.pipeline
 from emocause.errors import SchemaError
+from emocause.extraction import MockExtractor, extract_dialogue
+from emocause.kb import read_kb, retrieve
 from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical, validate_dialogue
 from emocause.metrics import gold_to_dict
 from emocause.pipeline import RunManifest, run_pipeline, sha256_file
@@ -80,10 +85,45 @@ def test_run_pipeline_without_gold_skips_eval(workdir):
 
 def test_run_pipeline_deterministic_across_jobs(workdir):
     tmp, dialogue_path, gold_path = workdir
-    run_pipeline(dialogue_path, tmp / "a", gold_path=gold_path, jobs=1)
-    run_pipeline(dialogue_path, tmp / "b", gold_path=gold_path, jobs=4)
+    a = run_pipeline(dialogue_path, tmp / "a", gold_path=gold_path, jobs=1)
+    b = run_pipeline(dialogue_path, tmp / "b", gold_path=gold_path, jobs=4)
     for name in ("kb.cmkb", "sextuplets.json", "graph.json", "report.json"):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
+    assert _prompt_digest(a) == _prompt_digest(b)
+
+
+def _prompt_digest(result):
+    return next(s["prompt_sha256"] for s in result.manifest.stages if s["name"] == "extract")
+
+
+def test_prompt_digest_is_the_sha256_of_the_prompts_and_survives_a_kb_file(workdir):
+    tmp, dialogue_path, _ = workdir
+    result = run_pipeline(dialogue_path, tmp / "out")
+    stored = read_kb(tmp / "out" / "kb.cmkb")
+    prompts = []
+    extractor = MockExtractor()
+    recorder = SimpleNamespace(id="rec", mode="mock",
+                               complete=lambda text: prompts.append(text) or extractor.complete(text))
+    again = hashlib.sha256()
+    assert extract_dialogue(result.dialogue, stored, recorder, jobs=1, prompt_hash=again) == result.sextuplets
+    assert len(prompts) == stored.meta.entry_count
+    assert again.hexdigest() == _prompt_digest(result)
+    assert again.hexdigest() == hashlib.sha256("".join(prompts).encode("utf-8")).hexdigest()
+
+
+def test_prompt_digest_sees_a_reversed_ranking_that_the_sextuplets_do_not(workdir, monkeypatch):
+    tmp, dialogue_path, _ = workdir
+    ranked = run_pipeline(dialogue_path, tmp / "ranked")
+
+    def least_similar(window, query, kb, top_n):
+        return retrieve(window, query, kb, kb.meta.entry_count)[::-1][:top_n]
+
+    monkeypatch.setattr(emocause.extraction, "retrieve", least_similar)
+    least = run_pipeline(dialogue_path, tmp / "reversed")
+    assert _prompt_digest(least) != _prompt_digest(ranked)
+    assert (tmp / "reversed" / "sextuplets.json").read_bytes() == (
+        tmp / "ranked" / "sextuplets.json"
+    ).read_bytes()
 
 
 def test_run_pipeline_custom_config(workdir):

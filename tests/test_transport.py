@@ -381,6 +381,20 @@ def test_remote_run_embeds_each_stage_in_one_post(http_stub, monkeypatch, tmp_pa
             assert (out / name).read_bytes() == (offline / name).read_bytes()
 
 
+def test_remote_and_offline_runs_record_the_same_prompt_digest(http_stub, monkeypatch, tmp_path):
+    assert main(["gen", "--seed", "1", "--out-prefix", str(tmp_path / "d")]) == 0
+    dialogue = ["--dialogue", str(tmp_path / "d.dialogue.json")]
+    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "offline"), "--embedder", "hash:8:0"]) == 0
+    remote = _serve_offline_providers(http_stub, monkeypatch)
+    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "remote"), *remote]) == 0
+    digests = [
+        next(s["prompt_sha256"] for s in json.loads((tmp_path / run / "manifest.json").read_text())["stages"]
+             if s["name"] == "extract")
+        for run in ("offline", "remote")
+    ]
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("jobs", ["1", "4"])
 def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path, capsys, jobs):
     assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
