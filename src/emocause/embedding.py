@@ -10,6 +10,7 @@ texts), else per text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -45,7 +46,10 @@ class HashTextEmbedder:
     """Deterministic test embedder: each case-folded token seeds a PCG64
     stream whose draws are summed over tokens and unit-normalized.
 
-    Reproducible across runs and platforms with no model dependency.
+    Reproducible across runs and platforms with no model dependency. Each
+    token's draw is made once, kept read-only in a thread-safe LRU memo of
+    4,096 token hashes (at most 4,096 * (8 * dim + 500) bytes, 4 MB at dim 64)
+    and added in token order, so a vector has the bits it has without the memo.
     """
 
     mode = "deterministic_test"
@@ -56,6 +60,7 @@ class HashTextEmbedder:
         self.dim = dim
         self.seed = seed
         self.id = f"hash:{dim}:{seed}"
+        self._draw = functools.lru_cache(4096)(functools.partial(_token_draw, dim))
 
     def embed(self, text: str) -> np.ndarray:
         tokens = text.casefold().split()
@@ -63,15 +68,18 @@ class HashTextEmbedder:
             raise EmbeddingError("cannot embed blank text")
         total = np.zeros(self.dim, dtype=np.float64)
         for token in tokens:
-            digest = hashlib.blake2b(
-                f"{self.seed}:{token}".encode("utf-8"), digest_size=8
-            ).digest()
-            rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
-            total += rng.standard_normal(self.dim)
+            digest = hashlib.blake2b(f"{self.seed}:{token}".encode("utf-8"), digest_size=8).digest()
+            total += self._draw(digest)
         norm = float(np.linalg.norm(total))
         if norm == 0.0:
             raise EmbeddingError("token hash collision produced a zero vector")
         return total / norm
+
+
+def _token_draw(dim: int, digest: bytes) -> np.ndarray:
+    draw = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little"))).standard_normal(dim)
+    draw.setflags(write=False)  # one array serves every text holding the token
+    return draw
 
 
 class RemoteTextEmbedder:

@@ -97,7 +97,8 @@ def build_windows(
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> list[TimeWindow]:
     """Slice the dialogue into overlapping windows of up to window_size
-    utterances, stride apart; the final window may be shorter.
+    utterances, stride apart; the final window may be shorter. Each line is
+    rendered once and a window's text joins its utterances' lines.
 
     stride must not exceed window_size or some utterances would fall in no
     window at all, losing context.
@@ -112,31 +113,16 @@ def build_windows(
             "larger strides would leave utterances uncovered"
         )
     n = dialogue.n
-    if n == 0:
-        return []
-
+    lines = [
+        render_window_line(u, dialogue.audio.get(i) or neutral_audio_record(i, rate_scale))
+        for i, u in enumerate(dialogue.utterances)
+    ]
     windows = []
-    j = 0
-    while True:
-        start = j * stride
-        end = min(start + window_size - 1, n - 1)
-        lines = []
-        for i in range(start, end + 1):
-            u = dialogue.utterances[i]
-            audio = dialogue.audio.get(i) or neutral_audio_record(i, rate_scale)
-            lines.append(render_window_line(u, audio))
-        windows.append(
-            TimeWindow(
-                window_index=j,
-                dialogue_id=dialogue.id,
-                start_index=start,
-                end_index=end,
-                text="\n".join(lines),
-            )
-        )
-        if end >= n - 1:
+    for j, start in enumerate(range(0, n, stride)):
+        end = min(start + window_size, n) - 1
+        windows.append(TimeWindow(j, dialogue.id, start, end, "\n".join(lines[start : end + 1])))
+        if end == n - 1:
             break
-        j += 1
     return windows
 
 
@@ -252,7 +238,7 @@ def retrieve(
 
     The query window itself (same dialogue_id and window_index) is excluded;
     ties break by (dialogue_id, window_index) ascending. Fewer than top_n
-    hits are returned when the base is small.
+    hits are returned when the base is small; a non-finite query raises ValueError.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
@@ -261,6 +247,8 @@ def retrieve(
         raise ValueError(
             f"query dimension {q.shape[0]} does not match index dimension {kb.vectors.shape[1]}"
         )
+    if not np.isfinite(q).all():
+        raise ValueError(f"query embedding of window {query_window.window_index} is not finite")
     scored = []
     for i, window in enumerate(kb.windows):
         if (

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -316,3 +320,56 @@ def test_embed_texts_without_embed_many_calls_embed_once_per_distinct_text(embed
         vectors["z"][0] = 0.0
     with pytest.raises(ValueError, match="non-empty"):
         embed_texts(_EmbedOnly(), ["fine", "  "])
+
+
+def _embed_without_memo(text, dim, seed):
+    """HashTextEmbedder.embed with a fresh PCG64 draw for every token."""
+    total = np.zeros(dim, dtype=np.float64)
+    for token in text.casefold().split():
+        digest = hashlib.blake2b(f"{seed}:{token}".encode("utf-8"), digest_size=8).digest()
+        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+        total += rng.standard_normal(dim)
+    return total / float(np.linalg.norm(total))
+
+
+# texts that share tokens, in other cases and orders, some twice
+_SHARING_TEXTS = ["the fees doubled", "The FEES are fine", "fees the doubled fees again", "again"]
+
+
+def test_hash_embedder_memo_keeps_every_bit_also_after_it_evicts():
+    embedder = HashTextEmbedder(dim=16, seed=3)
+    for text in _SHARING_TEXTS * 2:
+        assert embedder.embed(text).tobytes() == _embed_without_memo(text, 16, 3).tobytes()
+    bound = embedder._draw.cache_info().maxsize
+    embedder.embed(" ".join(f"filler{i}" for i in range(bound + 10)))
+    misses = embedder._draw.cache_info().misses
+    for text in _SHARING_TEXTS:
+        assert embedder.embed(text).tobytes() == _embed_without_memo(text, 16, 3).tobytes()
+    assert embedder._draw.cache_info().misses == misses + 6  # every shared token was evicted
+    assert embedder._draw.cache_info().currsize == bound
+
+
+def test_hash_embedder_cached_draws_are_read_only():
+    embedder = HashTextEmbedder(dim=8)
+    draw = embedder._draw(b"\x01" * 8)
+    assert embedder._draw(b"\x01" * 8) is draw
+    with pytest.raises(ValueError, match="read-only"):
+        draw[0] = 0.0
+    vector = embedder.embed("again")  # a returned vector is the caller's own
+    vector[:] = 0.0
+    assert embedder.embed("again").tobytes() == _embed_without_memo("again", 8, 0).tobytes()
+
+
+def test_hash_embedder_memo_under_threads_that_evict_each_other():
+    embedder = HashTextEmbedder(dim=16)
+    embedder._draw = functools.lru_cache(16)(embedder._draw.__wrapped__)  # evict constantly
+    texts = [" ".join(f"w{(7 * i + j) % 60}" for j in range(5)) for i in range(100)] * 4
+    expected = [_embed_without_memo(text, 16, 0).tobytes() for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda text: embedder.embed(text).tobytes(), texts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected

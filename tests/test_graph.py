@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
+import re
+import string
+import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +21,7 @@ from hypothesis import strategies as st
 
 from emocause.embedding import HashTextEmbedder, embed_text
 from emocause.errors import PrecedenceError, ResponseParseError, TransportError
+from emocause.extraction import MockExtractor, extract_dialogue
 from emocause.graph import (
     CausalEdge,
     JaccardNli,
@@ -31,7 +37,9 @@ from emocause.graph import (
     temporal_gap,
     temporal_score,
 )
+from emocause.kb import index_dialogue
 from emocause.model import ScoringConfig
+from emocause.synth import ChainSpec, generate
 
 from conftest import ScriptedSession, make_sextuplet
 
@@ -126,6 +134,19 @@ def test_rationale_score_rejects_a_probability_outside_the_unit_interval(p):
         rationale_score("why", make_sextuplet("e"), _ConstNli(p))
 
 
+@pytest.mark.parametrize("p", [True, False, "0.7", None])
+def test_rationale_score_rejects_a_probability_that_is_not_a_number(p):
+    with pytest.raises(ValueError, match=rf"entailment probability {re.escape(repr(p))} is not a number"):
+        rationale_score("why", make_sextuplet("e"), _ConstNli(p))
+
+
+def test_rationale_score_takes_an_int_and_a_float_subclass():
+    effect = make_sextuplet("e")
+    assert rationale_score("why", effect, _ConstNli(1)) == rationale_score("why", effect, _ConstNli(1.0))
+    assert rationale_score("why", effect, _ConstNli(np.float64(0.5))) == rationale_score(
+        "why", effect, _ConstNli(0.5))
+
+
 def test_jaccard_nli_hand_example():
     # effect serializes to {ana, volt, pricing, negative}; rationale shares
     # two of those four tokens -> 2 / (4 + 4 - 2) = 1/3
@@ -141,6 +162,49 @@ def test_jaccard_nli_strips_punctuation_and_case():
     nli = JaccardNli()
     assert nli.entailment_probability("Ana, Volt!", "ana volt") == 1.0
     assert nli.entailment_probability("!!!", "???") == 0.0
+
+
+_NO_PUNCT = str.maketrans("", "", string.punctuation)
+
+
+def _jaccard_without_memo(premise, hypothesis):
+    a, b = ({t.translate(_NO_PUNCT) for t in x.casefold().split()} - {""} for x in (premise, hypothesis))
+    return len(a & b) / len(a | b) if a | b else 0.0
+
+
+# texts that share tokens, in other cases, orders and punctuation
+_SHARING_TEXTS = ["Ana, Volt pricing!", "ana volt timing cost", "the fees doubled",
+                  "Fees: the DOUBLED fees", "!!!"]
+
+
+def test_jaccard_nli_memo_matches_a_computation_without_it_also_after_it_evicts():
+    nli = JaccardNli()
+    pairs = [(a, b) for a in _SHARING_TEXTS for b in _SHARING_TEXTS]
+    for a, b in pairs:
+        assert nli.entailment_probability(a, b) == _jaccard_without_memo(a, b)
+    bound = nli._token_set.cache_info().maxsize
+    for i in range(bound + 10):
+        nli.entailment_probability(f"filler {i}", "filler")
+    misses = nli._token_set.cache_info().misses
+    for a, b in pairs:
+        assert nli.entailment_probability(a, b) == _jaccard_without_memo(a, b)
+    assert nli._token_set.cache_info().misses == misses + len(_SHARING_TEXTS)  # all were evicted
+    assert nli._token_set.cache_info().currsize == bound
+
+
+def test_jaccard_nli_memo_under_threads_that_evict_each_other():
+    nli = JaccardNli()
+    nli._token_set = functools.lru_cache(4)(nli._token_set.__wrapped__)  # evict constantly
+    pairs = [(f"w{i % 7} w{i % 5}, shared", f"W{i % 3} shared!") for i in range(100)] * 4
+    expected = [_jaccard_without_memo(a, b) for a, b in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda pair: nli.entailment_probability(*pair), pairs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def test_edge_weight_examples(cfg):
@@ -365,6 +429,15 @@ def test_build_graph_names_the_pair_of_an_in_code_probability_outside_the_unit_i
         build_graph(_chain_sextuplets(), cfg, embedder, _ConstNli(p))
 
 
+@pytest.mark.parametrize("p", [True, "0.7"])
+def test_build_graph_names_the_pair_of_an_in_code_probability_that_is_not_a_number(
+    cfg, embedder, p
+):
+    with pytest.raises(ResponseParseError,
+                       match=r"scoring failed for pair \(a -> b\): entailment probability .* is not a number"):
+        build_graph(_chain_sextuplets(), cfg, embedder, _ConstNli(p))
+
+
 def _reference_graph(items, cfg, embedder, nli):
     """Every admissible pair scored in full, one NLI call each, no pruning."""
     edges = []
@@ -422,6 +495,27 @@ def test_build_graph_matches_a_scorer_without_pruning_or_dedup(events, normalize
                         edge_threshold=threshold)
     nli = JaccardNli() if p == "overlap" else _ConstNli(p)
     assert build_graph(items, cfg, embedder, nli).edges == _reference_graph(items, cfg, embedder, nli)
+
+
+@pytest.fixture(scope="module")
+def noisy_synth_events():
+    """The events MockExtractor finds in a 200-turn dialogue whose every
+    non-chain utterance carries a decoy (noise 1.0)."""
+    dialogue, _ = generate(ChainSpec(seed=1, turns=200, noise_rate=1.0))
+    kb = index_dialogue(dialogue, HashTextEmbedder(dim=64, seed=0))
+    return extract_dialogue(dialogue, kb, MockExtractor(), ScoringConfig())
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("threshold", [0.0, ScoringConfig().edge_threshold])
+def test_build_graph_matches_a_scorer_without_pruning_or_dedup_on_a_noisy_synth_dialogue(
+    noisy_synth_events, normalize, threshold
+):
+    embedder = HashTextEmbedder(dim=64, seed=0)
+    cfg = ScoringConfig(normalize_scores=normalize, edge_threshold=threshold)
+    edges = build_graph(noisy_synth_events, cfg, embedder, JaccardNli()).edges
+    assert edges == _reference_graph(noisy_synth_events, cfg, embedder, JaccardNli())
+    assert len(edges) > 0
 
 
 class _CountingNli(JaccardNli):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocause.embedding import HashTextEmbedder, window_embedding
+from emocause.embedding import HashTextEmbedder, neutral_audio_record, window_embedding
 from emocause.errors import StoreFormatError
 from emocause.kb import (
     KnowledgeBase,
@@ -25,6 +25,7 @@ from emocause.kb import (
     index_corpus,
     index_dialogue,
     load_kb,
+    render_window_line,
     retrieve,
     save_kb,
 )
@@ -91,6 +92,18 @@ def test_build_windows_argument_errors():
         build_windows(d, window_size=4, stride=0)
     with pytest.raises(ValueError, match="uncovered"):
         build_windows(d, window_size=4, stride=5)
+
+
+@pytest.mark.parametrize(("n", "k", "stride"), [(1, 2, 1), (10, 4, 2), (23, 6, 3), (12, 5, 5), (7, 7, 7)])
+def test_build_windows_text_matches_rendering_each_window_on_its_own(n, k, stride):
+    d = make_dialogue(n=n)
+    d = replace(d, audio={i: a for i, a in d.audio.items() if i % 3})  # some lines use the default
+    for w in build_windows(d, k, stride, rate_scale=4.0):
+        lines = [
+            render_window_line(d.utterances[i], d.audio.get(i) or neutral_audio_record(i, 4.0))
+            for i in range(w.start_index, w.end_index + 1)
+        ]
+        assert w.text == "\n".join(lines)
 
 
 def test_window_text_carries_speaker_and_audio(embedder):
@@ -360,6 +373,15 @@ def test_retrieve_dim_mismatch():
         retrieve(TimeWindow(9, "q", 0, 1, ""), np.ones(8), kb, top_n=2)
     with pytest.raises(ValueError):
         retrieve(kb.windows[0], kb.vectors[0], kb, top_n=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_retrieve_rejects_a_non_finite_query(value):
+    kb = _random_kb(5, 16, seed=2)
+    q = kb.vectors[0].copy()
+    q[3] = value
+    with pytest.raises(ValueError, match="query embedding of window 0 is not finite"):
+        retrieve(kb.windows[0], q, kb, top_n=2)
 
 
 def test_persist_round_trip_empty():
