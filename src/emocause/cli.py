@@ -1,14 +1,16 @@
 """Command-line interface exposing each pipeline stage as a subcommand.
 
-Exit codes: 0 success; 1 validation or evaluation failure; 2 usage error;
-3 provider or transport error; 4 file-format error. A remote provider's
-missing endpoint, refused or timed-out connection, HTTP 429 or 5xx still
-failing after the transport's retries, or any other non-200 status exits 3;
-a 200 whose body is not JSON exits 4, as do a reply without its fields, an
-embedding reply whose row count is not the number of texts sent, and a JSON
-input file that does not decode: one that is not UTF-8, is malformed, nests
-too deeply or holds a number JSON cannot read (the message names the file); an
-embedding of the wrong dimension exits 3.
+Exit codes: 0 success; 1 validation or evaluation failure; 2 usage error,
+such as a path that cannot be read or written (any OSError); 3 provider or
+transport error; 4 file-format error. A remote provider's missing endpoint,
+refused or timed-out connection, HTTP 429 or 5xx still failing after the
+transport's retries, or any other non-200 status exits 3; a 200 whose body
+is not JSON exits 4, as do a reply nested deeper than json's recursion
+limit, a reply without its fields, an embedding reply whose row count is
+not the number of texts sent, and a JSON input file that does not decode:
+one that is not UTF-8, is malformed, nests too deeply or holds a number
+JSON cannot read (the message names the file); an embedding of the wrong
+dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -32,7 +34,7 @@ from .errors import (
     StrictModeError,
     TransportError,
 )
-from .extraction import extract_dialogue, extractor_from_spec, sextuplets_from_dict, sextuplets_to_dict
+from .extraction import extract_dialogue, extractor_from_spec
 from .embedding import provider_from_spec
 from .graph import build_graph, export_graph, graph_from_json, nli_from_spec
 from .ingest import load_raw_dialogue, read_corpus, read_dialogue
@@ -46,6 +48,8 @@ from .model import (
     read_input,
     scoring_config_from_dict,
     scoring_config_to_dict,
+    sextuplets_from_dict,
+    sextuplets_to_dict,
     validate_dialogue,
 )
 from .pipeline import RunManifest, describe_run, run_pipeline
@@ -243,10 +247,6 @@ def _cmd_gen(args) -> int:
         noise_rate=args.noise,
         speakers=args.speakers,
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     manifest = RunManifest(None, {"generator": f"chain:{args.seed}"})
     dialogue_path = Path(f"{args.out_prefix}.dialogue.json")
     gold_path = Path(f"{args.out_prefix}.gold.json")
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     ((SchemaError, DialogueParseError, StoreFormatError, ResponseParseError), EXIT_FORMAT),
-    ((ConfigError, ValueError, FileNotFoundError), EXIT_USAGE),
+    ((ConfigError, ValueError, OSError), EXIT_USAGE),
     ((InvalidDialogueError, StrictModeError), EXIT_VALIDATION),
     ((TransportError, EmbeddingError), EXIT_PROVIDER),
 )

@@ -18,12 +18,12 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .errors import ResponseParseError, SchemaError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
-from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet, sextuplet_to_dict
-from .model import _as_obj, _as_str, _need, sextuplets_from_list
+from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
+from .model import sextuplets_from_dict, sextuplets_to_dict  # imported from here by benchmarks/
 from .transport import JsonEndpoint, map_calls
 
 if TYPE_CHECKING:
@@ -61,8 +61,9 @@ _SECTION_OUTPUT = "=== OUTPUT FORMAT ==="
 class ExtractionPrompt:
     """One request's current window and retrieved context; render sets them
     between the fixed DEFAULT_*_INSTRUCTIONS, deterministically. As built by
-    assemble_prompt, no utterance line appears twice: each context block holds
-    only lines absent from the current window and from earlier blocks."""
+    assemble_prompt, the context keeps the order retrieval gives and no
+    utterance line appears twice: each context block holds only lines absent
+    from the current window and from earlier blocks."""
 
     current_window_text: str
     retrieved_context: tuple[tuple[str, float], ...]
@@ -80,25 +81,18 @@ class ExtractionPrompt:
         return "\n".join(parts)
 
 
-def assemble_prompt(
-    window: TimeWindow,
-    context: Sequence[RetrievalHit],
-    cfg: ScoringConfig | None = None,
-) -> ExtractionPrompt:
-    """Order: the fixed task instructions, retrieved context by descending
-    similarity, current window, the fixed output schema.
+def assemble_prompt(window: TimeWindow, context: Sequence[RetrievalHit]) -> ExtractionPrompt:
+    """Order: the fixed task instructions, retrieved context in the order
+    retrieval gives it, current window, the fixed output schema.
 
     Each utterance line appears once per prompt. A hit keeps only the lines,
-    keyed by (dialogue_id, line), that neither the current window nor a
-    higher-ranked hit holds; a hit left with no line is dropped, and with no
-    hit left the prompt renders NO_CONTEXT_MARKER.
+    keyed by (dialogue_id, line), that neither the current window nor an
+    earlier hit holds; a hit left with no line is dropped, and with no hit
+    left the prompt renders NO_CONTEXT_MARKER.
     """
-    hits = sorted(context, key=lambda h: -h.similarity)
-    if cfg is not None:
-        hits = hits[: cfg.top_n]
     seen = {(window.dialogue_id, line) for line in window.text.splitlines()}
     blocks = []
-    for h in hits:
+    for h in context:
         fresh = []
         for line in h.window.text.splitlines():
             key = (h.window.dialogue_id, line)
@@ -281,6 +275,8 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
             value, _ = decoder.raw_decode(raw, i)
         except ValueError:  # JSONDecodeError, or a number int() will not read
             continue
+        except RecursionError as exc:  # ends the scan: no retry at each inner "["
+            raise ResponseParseError(f"provider response is nested too deeply: {exc}", raw) from exc
         if isinstance(value, list):
             array = value
             break
@@ -390,8 +386,8 @@ def extract_dialogue(
     prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
-    augmented prompts, then deduplicate across overlapping windows. A window
-    that spans utterances the dialogue does not have raises SchemaError.
+    augmented prompts, then deduplicate across overlapping windows. A KB
+    without the dialogue's windows, or with one past its end, raises SchemaError.
 
     Windows run through map_calls (a remote provider overlaps them) and
     are re-sorted by window index, so the output is independent of scheduling.
@@ -404,7 +400,7 @@ def extract_dialogue(
         (i, w) for i, w in enumerate(kb.windows) if w.dialogue_id == dialogue.id
     ]
     if not indexed:
-        raise ValueError(f"dialogue {dialogue.id!r} has no windows in the knowledge base")
+        raise SchemaError("windows", f"dialogue {dialogue.id!r} has no windows in the knowledge base")
     for _, w in indexed:
         if not 0 <= w.start_index <= w.end_index < dialogue.n:
             raise SchemaError(
@@ -416,7 +412,7 @@ def extract_dialogue(
     def run_one(item: tuple[int, TimeWindow]) -> tuple[int, ExtractionPrompt, list[Sextuplet]]:
         i, window = item
         context = retrieve(window, kb.vectors[i], kb, cfg.top_n)
-        prompt = assemble_prompt(window, context, cfg)
+        prompt = assemble_prompt(window, context)
         return window.window_index, prompt, extract_sextuplets(prompt, provider, window, dialogue)
 
     outcomes = map_calls(run_one, indexed, provider, jobs)
@@ -426,13 +422,3 @@ def extract_dialogue(
             prompt_hash.update(prompt.render().encode("utf-8"))
     flat = [s for *_, found in outcomes for s in found]
     return dedup_sextuplets(flat)
-
-
-def sextuplets_to_dict(dialogue_id: str, items: Sequence[Sextuplet]) -> dict:
-    return {"dialogue_id": dialogue_id, "sextuplets": [sextuplet_to_dict(s) for s in items]}
-
-
-def sextuplets_from_dict(obj: Mapping) -> tuple[str, list[Sextuplet]]:
-    obj = _as_obj(obj, "")
-    items = sextuplets_from_list(_need(obj, "sextuplets", ""))
-    return _as_str(_need(obj, "dialogue_id", ""), "dialogue_id"), items

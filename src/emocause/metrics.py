@@ -24,8 +24,8 @@ from .model import (
     _as_str,
     _need,
     loads_json,
-    sextuplet_to_dict,
-    sextuplets_from_list,
+    sextuplets_from_dict,
+    sextuplets_to_dict,
 )
 
 SPAN_ELEMENTS = ("holder", "target", "aspect", "opinion", "rationale", "sentiment")
@@ -289,15 +289,14 @@ def render_report_text(report: EvalReport) -> str:
 
 def gold_to_dict(gold: GoldAnnotation) -> dict:
     return {
-        "dialogue_id": gold.dialogue_id,
-        "sextuplets": [sextuplet_to_dict(s) for s in gold.sextuplets],
+        **sextuplets_to_dict(gold.dialogue_id, gold.sextuplets),
         "causal_links": [{"cause": c, "effect": e} for c, e in gold.causal_links],
     }
 
 
 def gold_from_dict(obj: Mapping) -> GoldAnnotation:
-    obj = _as_obj(obj, "")
-    sextuplets = tuple(sextuplets_from_list(_need(obj, "sextuplets", "")))
+    """A native gold document: a sextuplets document plus causal_links."""
+    dialogue_id, sextuplets = sextuplets_from_dict(obj)
     links = []
     for i, item in enumerate(_as_list(obj.get("causal_links", []), "causal_links")):
         item = _as_obj(item, f"causal_links[{i}]")
@@ -307,11 +306,7 @@ def gold_from_dict(obj: Mapping) -> GoldAnnotation:
                 _as_str(_need(item, "effect", f"causal_links[{i}]"), f"causal_links[{i}].effect"),
             )
         )
-    return GoldAnnotation(
-        dialogue_id=_as_str(_need(obj, "dialogue_id", ""), "dialogue_id"),
-        sextuplets=sextuplets,
-        causal_links=tuple(links),
-    )
+    return GoldAnnotation(dialogue_id, tuple(sextuplets), tuple(links))
 
 
 _TRIPLET_POLARITIES = {"pos": "positive", "neg": "negative", "neu": "neutral", "other": "neutral"}

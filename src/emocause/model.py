@@ -352,9 +352,10 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # Canonical JSON schema
 # ---------------------------------------------------------------------------
 #
-# A stored record (Utterance, Sextuplet, kb.KnowledgeBaseMeta, kb.TimeWindow,
-# graph.CausalEdge) is one JSON object whose keys are its dataclass fields,
-# read by record_from_dict and written by record_to_dict. The renames:
+# A stored record (Utterance, AudioFeatureRecord, Sextuplet,
+# kb.KnowledgeBaseMeta, kb.TimeWindow, graph.CausalEdge) is one JSON object
+# whose keys are its dataclass fields, read by record_from_dict and written
+# by record_to_dict. The renames:
 #   Sextuplet.sentiment_label -> sentiment;
 #   CausalEdge.cause_id, effect_id -> cause, effect, and its semantic_score,
 #   temporal_score, rationale_score -> semantic, temporal, rationale.
@@ -363,12 +364,11 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # Sextuplet's aspect may be absent too, the implicit aspect "". A None field
 # whose default is None is left out when written.
 #
-# Dialogue document:
-#   {id, scenario, utterances: [Utterance],
-#    audio: [{utterance_index, emotion: [...], intensity, speech_rate?}]}
-#
-# A missing speech_rate is computed from the timing of the utterance it
-# belongs to (compute_speech_rate).
+# Dialogue document: {id, scenario, utterances: [Utterance], audio:
+# [AudioFeatureRecord]}, where an audio record's missing speech_rate is
+# computed from its utterance's timing (compute_speech_rate). Sextuplets
+# document: {dialogue_id, sextuplets: [Sextuplet]}, to which a gold file
+# adds causal_links: [{cause, effect}] (metrics.gold_to_dict).
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
@@ -415,6 +415,9 @@ _FIELD_READERS = {
     "str": _as_str,
     "float": _as_number,
     "float | None": lambda value, path: None if value is None else _as_number(value, path),
+    "tuple[float, ...]": lambda value, path: tuple(
+        _as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
+    ),
 }
 
 
@@ -454,21 +457,14 @@ def audio_record_from_dict(
     index = _as_int(_need(obj, "utterance_index", path), f"{path}.utterance_index")
     if index not in utterances:
         raise SchemaError(f"{path}.utterance_index", f"references unknown utterance index {index}")
-    emotion = _as_list(_need(obj, "emotion", path), f"{path}.emotion")
-    components = tuple(_as_number(v, f"{path}.emotion[{i}]") for i, v in enumerate(emotion))
-    intensity = _as_number(_need(obj, "intensity", path), f"{path}.intensity")
-    if "speech_rate" in obj:
-        rate = _as_number(obj["speech_rate"], f"{path}.speech_rate")
-    else:
+    if "speech_rate" not in obj:
         try:
-            rate = compute_speech_rate(utterances[index])
+            obj = {**obj, "speech_rate": compute_speech_rate(utterances[index])}
         except ValueError as exc:
             raise SchemaError(
                 f"{path}.speech_rate", f"cannot compute speech rate from utterance {index}: {exc}"
             ) from exc
-    return AudioFeatureRecord(
-        utterance_index=index, emotion=components, intensity=intensity, speech_rate=rate
-    )
+    return record_from_dict(AudioFeatureRecord, obj, path)
 
 
 def dialogue_to_dict(d: Dialogue) -> dict:
@@ -530,6 +526,16 @@ def sextuplets_from_list(value: Any) -> list[Sextuplet]:
             raise SchemaError(f"sextuplets[{i}].id", f"repeats sextuplet id {s.id!r}")
         items[s.id] = s
     return list(items.values())
+
+
+def sextuplets_to_dict(dialogue_id: str, items: Iterable[Sextuplet]) -> dict:
+    return {"dialogue_id": dialogue_id, "sextuplets": [sextuplet_to_dict(s) for s in items]}
+
+
+def sextuplets_from_dict(obj: Any) -> tuple[str, list[Sextuplet]]:
+    obj = _as_obj(obj, "")
+    items = sextuplets_from_list(_need(obj, "sextuplets", ""))
+    return _as_str(_need(obj, "dialogue_id", ""), "dialogue_id"), items
 
 
 def scoring_config_to_dict(cfg: ScoringConfig) -> dict:

@@ -16,12 +16,7 @@ from typing import Iterator
 
 from . import __version__ as package_version
 from .embedding import EmbeddingProvider, provider_from_spec
-from .extraction import (
-    ExtractorProvider,
-    extract_dialogue,
-    extractor_from_spec,
-    sextuplets_to_dict,
-)
+from .extraction import ExtractorProvider, extract_dialogue, extractor_from_spec
 from .graph import CausalGraph, NliProvider, build_graph, export_graph, nli_from_spec
 from .ingest import read_dialogue
 from .kb import KnowledgeBase, index_dialogue, write_kb
@@ -33,6 +28,7 @@ from .model import (  # validate_dialogue: benchmarks/tracing.py patches pipelin
     dumps_canonical,
     read_input,
     scoring_config_to_dict,
+    sextuplets_to_dict,
     validate_dialogue,
 )
 

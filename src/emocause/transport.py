@@ -18,11 +18,11 @@ raises TransportError when the endpoint is built.
 
 Retry policy: a connection error, a timeout, HTTP 429 and any 5xx are
 transient. Such a call is retried at most MAX_RETRIES times, sleeping
-BACKOFF_BASE * 2**k seconds before retry k (0.5, 1 and 2 s), so a request
-is posted at most four times before TransportError is raised. Any other
-non-200 status is final and raises TransportError after one post. A 200
-whose body is not JSON raises ResponseParseError carrying the raw text and
-is not retried: the same request would get the same reply.
+BACKOFF_BASE * 2**k seconds before retry k (0.5, 1 and 2 s), so a request is
+posted at most four times before TransportError is raised. Any other non-200
+status is final and raises TransportError after one post. A 200 whose body is
+not JSON or nests too deeply raises ResponseParseError carrying the raw text
+and is not retried: the same request would get the same reply.
 
 Concurrency: map_calls overlaps the independent calls of one stage (a chat
 per window, an NLI call per distinct pair that can reach the threshold) on
@@ -141,7 +141,7 @@ class JsonEndpoint:
             if resp.status_code == 200:
                 try:
                     return resp.json()
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ResponseParseError(
                         f"{self.name} reply is not JSON: {exc}", resp.text
                     ) from exc

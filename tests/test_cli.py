@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emocause
 from emocause.cli import main
-from emocause.kb import read_kb, write_kb
-from emocause.model import dumps_canonical
+from emocause.kb import _pack_section, read_kb, write_kb
+from emocause.model import ScoringConfig, dumps_canonical, scoring_config_to_dict
 from emocause.pipeline import sha256_file
 
 
@@ -548,6 +555,35 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("case", ["validate-a-directory", "run-out-dir-a-file", "index-out-a-directory"])
+def test_a_path_that_cannot_be_read_or_written_is_usage_error(generated, case):
+    tmp, dialogue_path, _ = generated
+    (tmp / "a-dir").mkdir()
+    (tmp / "a-file").write_text("kept")
+    argv = {
+        "validate-a-directory": ["validate", str(tmp / "a-dir")],
+        "run-out-dir-a-file": ["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "a-file")],
+        "index-out-a-directory": ["index", str(dialogue_path), "--out", str(tmp / "a-dir")],
+    }[case]
+    src = str(Path(emocause.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "emocause.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+    assert (tmp / "a-file").read_text() == "kept"
+
+
+def test_extract_with_a_kb_of_another_dialogue_is_format_error(generated, capsys):
+    tmp, dialogue_path, _ = generated
+    assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+    assert main(["index", str(tmp / "other.dialogue.json"), "--out", str(tmp / "other.cmkb")]) == 0
+    capsys.readouterr()
+    assert main(["extract", "--kb", str(tmp / "other.cmkb"), "--dialogue", str(dialogue_path),
+                 "--out", str(tmp / "sx.json")]) == 4
+    assert "dialogue 'synth-00000007' has no windows" in capsys.readouterr().err
+    assert not (tmp / "sx.json").exists()
+
+
 def test_help_documents_config_mapping(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--help"])
@@ -555,3 +591,126 @@ def test_help_documents_config_mapping(capsys):
     out = capsys.readouterr().out
     assert "ScoringConfig.alpha" in out
     assert "ScoringConfig.edge_threshold" in out
+
+
+# ---------------------------------------------------------------------------
+# Every reader's error surface: gen --seed 1 inputs, mutated, through cli.main
+# ---------------------------------------------------------------------------
+
+_MUTATIONS = ("drop-key", "retype", "nan", "huge-int", "deep", "non-utf8", "truncate")
+_OTHER_TYPES = (None, True, 7, 2.5, "x", [], {})
+_COMMANDS = {
+    "dialogue": ("validate", "index", "extract", "retrieve", "run"),
+    "gold": ("eval", "run"),
+    "graph": ("eval",),
+    "sextuplets": ("graph",),
+    "config": ("index", "extract", "graph", "eval", "run"),
+    "kb": ("extract", "retrieve"),
+}
+
+
+@pytest.fixture(scope="module")
+def seed_1_inputs(tmp_path_factory):
+    """The six inputs the subcommands read, from gen --seed 1 and its run."""
+    root = tmp_path_factory.mktemp("seed-1")
+    dialogue, gold, run = root / "d.dialogue.json", root / "d.gold.json", root / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--seed", "1", "--out-prefix", str(root / "d")]) == 0
+        assert main(["run", "--dialogue", str(dialogue), "--gold", str(gold),
+                     "--out-dir", str(run)]) == 0
+    config = root / "config.json"
+    config.write_text(dumps_canonical(scoring_config_to_dict(ScoringConfig())))
+    files = {"dialogue": dialogue, "gold": gold, "graph": run / "graph.json",
+             "sextuplets": run / "sextuplets.json", "config": config, "kb": run / "kb.cmkb"}
+    return root, files, itertools.count()
+
+
+def _slots(value, path=()):
+    """The path of every value nested in a JSON document, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,), isinstance(value, dict)
+        yield from _slots(item, path + (key,))
+
+
+def _mutate(data, payload: bytes, mutation: str) -> bytes:
+    """One JSON document with one mutation drawn from data."""
+    if mutation == "truncate":
+        return payload[: data.draw(st.integers(0, len(payload) - 1))]
+    if mutation == "non-utf8":
+        at = data.draw(st.integers(0, len(payload)))
+        return payload[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + payload[at:]
+    doc = json.loads(payload)
+    slots = [path for path, keyed in _slots(doc) if keyed or mutation != "drop-key"]
+    path = data.draw(st.sampled_from(slots))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    old = parent[key]
+    if mutation == "drop-key":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = data.draw(st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(old)]))
+    elif mutation == "nan":
+        parent[key] = float("nan")
+    else:
+        parent[key] = "@@mutated@@"
+    text = json.dumps(doc)
+    if mutation == "huge-int":
+        text = text.replace('"@@mutated@@"', "1" * 5000)
+    elif mutation == "deep":
+        depth = data.draw(st.sampled_from([50, 3000, 100_000]))
+        text = text.replace('"@@mutated@@"', "[" * depth + "]" * depth)
+    return text.encode("utf-8")
+
+
+def _mutate_kb(data, kb: bytes, mutation: str) -> bytes:
+    """The .cmkb with its meta or windows JSON section mutated, checksum intact."""
+    head, pos, sections = kb[:6], 6, []
+    while pos < len(kb):
+        (length,) = struct.unpack_from("<Q", kb, pos)
+        sections.append(kb[pos + 8 : pos + 8 + length])
+        pos += 12 + length
+    target = data.draw(st.sampled_from([0, 1]))
+    sections[target] = _mutate(data, sections[target], mutation)
+    return head + b"".join(_pack_section(section) for section in sections)
+
+
+def _argv(command: str, f: dict, out: str) -> list[str]:
+    return {
+        "validate": ["validate", f["dialogue"]],
+        "index": ["index", f["dialogue"], "--out", out, "--config", f["config"]],
+        "extract": ["extract", "--kb", f["kb"], "--dialogue", f["dialogue"], "--out", out,
+                    "--config", f["config"]],
+        "retrieve": ["retrieve", "--kb", f["kb"], "--dialogue", f["dialogue"], "--window", "1"],
+        "graph": ["graph", "--sextuplets", f["sextuplets"], "--out", out, "--config", f["config"]],
+        "eval": ["eval", "--predicted", f["graph"], "--gold", f["gold"], "--out", out,
+                 "--config", f["config"]],
+        "run": ["run", "--dialogue", f["dialogue"], "--gold", f["gold"], "--out-dir", out,
+                "--config", f["config"]],
+    }[command]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_mutated_input_exits_with_a_known_code_and_a_refusal_writes_nothing(seed_1_inputs, data):
+    root, files, counter = seed_1_inputs
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    mutation = data.draw(st.sampled_from(_MUTATIONS))
+    command = data.draw(st.sampled_from(_COMMANDS[name]))
+    original = files[name].read_bytes()
+    mutated = (_mutate_kb if name == "kb" else _mutate)(data, original, mutation)
+    case = root / f"case-{next(counter)}"
+    case.mkdir()
+    (case / files[name].name).write_bytes(mutated)
+    f = {**{k: str(v) for k, v in files.items()}, name: str(case / files[name].name)}
+    out = case / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(_argv(command, f, str(out)))
+    assert code in (0, 1, 2, 4), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if code:
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+    shutil.rmtree(case)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from emocause.errors import ResponseParseError, TransportError
+from emocause.errors import ResponseParseError, SchemaError, TransportError
 from emocause.extraction import (
     NO_CONTEXT_MARKER,
     ExtractionPrompt,
@@ -56,10 +57,11 @@ def test_prompt_is_deterministic():
     assert a == b
 
 
-def test_prompt_context_capped_by_config():
-    hits = [_hit(f"ctx-{i}", 0.9 - i / 10) for i in range(5)]
-    prompt = assemble_prompt(_window("w"), hits, ScoringConfig(top_n=2))
-    assert len(prompt.retrieved_context) == 2
+def test_prompt_keeps_every_hit_in_the_order_retrieval_gives():
+    # retrieval alone ranks and cuts; the prompt neither re-sorts nor re-cuts
+    hits = [_hit(f"ctx-{i}", similarity) for i, similarity in enumerate((0.2, 0.9, 0.5, 0.7, 0.1))]
+    prompt = assemble_prompt(_window("w"), hits)
+    assert prompt.retrieved_context == tuple((h.window.text, h.similarity) for h in hits)
 
 
 def _old_prompt(window, hits, cfg):
@@ -81,7 +83,7 @@ def test_prompt_holds_each_line_of_the_old_prompt_once_and_mock_replies_alike(se
     mock = MockExtractor()
     for i, window in enumerate(kb.windows):
         hits = retrieve(window, kb.vectors[i], kb, cfg.top_n)
-        prompt = assemble_prompt(window, hits, cfg)
+        prompt = assemble_prompt(window, hits)
         old = _old_prompt(window, hits, cfg)
         seen = set(window.text.splitlines())
         for block in _context_blocks(prompt):
@@ -278,6 +280,16 @@ def test_parse_response_no_array_is_error():
         parse_provider_response("[" + "1" * 5000 + "]")
 
 
+@pytest.mark.parametrize("raw", ["[" * 100_000, "x" + "[" * 3000 + "]" * 3000],
+                         ids=["unclosed", "after-prose"])
+def test_parse_response_nested_too_deeply_ends_the_scan(raw):
+    start = time.perf_counter()
+    with pytest.raises(ResponseParseError, match="nested too deeply") as exc:
+        parse_provider_response(raw)
+    assert time.perf_counter() - start < 1.0  # not retried at every later "["
+    assert exc.value.raw == raw
+
+
 def test_parse_response_skips_malformed_then_finds_array():
     raw = "score was [not json... but here: " + json.dumps([{"holder": "A", "target": "B",
         "opinion": "o", "sentiment": "neutral", "rationale": "r"}])
@@ -383,7 +395,7 @@ def test_extract_dialogue_unknown_dialogue(embedder):
     d1 = make_dialogue(n=4, dialogue_id="indexed")
     kb = index_dialogue(d1, embedder, window_size=4, stride=2)
     other = make_dialogue(n=4, dialogue_id="other")
-    with pytest.raises(ValueError, match="no windows"):
+    with pytest.raises(SchemaError, match="dialogue 'other' has no windows"):
         extract_dialogue(other, kb, MockExtractor(), ScoringConfig())
 
 

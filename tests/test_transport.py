@@ -65,19 +65,21 @@ def test_retry_budget_respected(backoff_sleeps):
     assert backoff_sleeps == [0.5, 1.0] + BACKOFF
 
 
-def test_malformed_response_is_not_retried(backoff_sleeps):
-    session = ScriptedSession((200, "no structure at all"))
+@pytest.mark.parametrize("raw", ["no structure at all", "[" * 100_000 + "]" * 100_000],
+                         ids=["prose", "nested-too-deeply"])
+def test_malformed_response_is_not_retried(backoff_sleeps, raw):
+    session = ScriptedSession((200, raw))
     with pytest.raises(ResponseParseError) as exc:
         _endpoint(session).call({})
     assert session.posts == 1  # the same request would get the same reply
-    assert exc.value.raw == "no structure at all"
+    assert exc.value.raw == raw
 
     # a JSON reply whose content the extraction parser rejects is not retried either
-    session = ScriptedSession((200, {"content": "no structure at all"}))
+    session = ScriptedSession((200, {"content": raw}))
     with pytest.raises(ResponseParseError) as exc:
         _extract(RemoteExtractor("glm", endpoint="http://llm", session=session))
     assert session.posts == 1
-    assert exc.value.raw == "no structure at all"
+    assert exc.value.raw == raw
     assert backoff_sleeps == []
 
 
@@ -327,8 +329,8 @@ def test_map_calls_keeps_input_order_and_the_first_error_under_contention():
 
 @pytest.mark.parametrize(
     "reply, code",
-    [((503, b"{}"), 3), ((200, b"not json"), 4), ((200, b"{}"), 4)],
-    ids=["exhausted-503", "undecodable", "fieldless"],
+    [((503, b"{}"), 3), ((200, b"not json"), 4), ((200, b"{}"), 4), ((200, b"[" * 100_000), 4)],
+    ids=["exhausted-503", "undecodable", "fieldless", "nested-too-deeply"],
 )
 def test_remote_run_exit_codes(http_stub, monkeypatch, tmp_path, capsys, reply, code):
     assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
