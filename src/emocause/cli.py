@@ -7,10 +7,10 @@ refused or timed-out connection, HTTP 429 or 5xx still failing after the
 transport's retries, or any other non-200 status exits 3; a 200 whose body
 is not JSON exits 4, as do a reply nested deeper than json's recursion
 limit, a reply without its fields, an embedding reply whose row count is
-not the number of texts sent, and a JSON input file that does not decode:
-one that is not UTF-8, is malformed, nests too deeply or holds a number
-JSON cannot read (the message names the file); an embedding of the wrong
-dimension exits 3.
+not the number of texts sent, a corpus file with no dialogue, and a JSON
+input file that does not decode: one that is not UTF-8, is malformed, nests
+too deeply or holds a number JSON cannot read (the message names the file);
+an embedding of the wrong dimension exits 3.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -19,7 +19,6 @@ subcommands write has the one format described in pipeline.RunManifest.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -34,12 +33,12 @@ from .errors import (
     StrictModeError,
     TransportError,
 )
-from .extraction import extract_dialogue, extractor_from_spec
+from .extraction import extractor_from_spec
 from .embedding import provider_from_spec
-from .graph import build_graph, export_graph, graph_from_json, nli_from_spec
+from .graph import graph_from_json, nli_from_spec
 from .ingest import load_raw_dialogue, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
-from .metrics import evaluate, gold_to_dict, load_gold, match_gold, render_report_text
+from .metrics import gold_to_dict, load_gold, match_gold, render_report_text
 from .model import (
     ScoringConfig,
     dialogue_to_dict,
@@ -47,12 +46,10 @@ from .model import (
     loads_json,
     read_input,
     scoring_config_from_dict,
-    scoring_config_to_dict,
     sextuplets_from_dict,
-    sextuplets_to_dict,
     validate_dialogue,
 )
-from .pipeline import RunManifest, describe_run, run_pipeline
+from .pipeline import RunManifest, describe_run, eval_stage, extract_stage, graph_stage, run_pipeline
 from .synth import ChainSpec, generate
 
 EXIT_OK = 0
@@ -124,7 +121,7 @@ def _cmd_validate(args) -> int:
 def _cmd_index(args) -> int:
     cfg = _resolve_config(args)
     provider = provider_from_spec(args.embedder)
-    manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": provider.id})
+    manifest = RunManifest(cfg, {"embedder": provider.id})
     for path in args.dialogues:
         manifest.add_input(path)
     with manifest.stage("validate"):
@@ -177,18 +174,13 @@ def _cmd_retrieve(args) -> int:
 def _cmd_extract(args) -> int:
     cfg = _resolve_config(args)
     provider = extractor_from_spec(args.provider)
-    manifest = RunManifest(scoring_config_to_dict(cfg), {"extractor": provider.id})
+    manifest = RunManifest(cfg, {"extractor": provider.id})
     manifest.add_input(args.kb)
     manifest.add_input(args.dialogue)
     with manifest.stage("validate"):
         kb = read_kb(args.kb)
         dialogue = read_dialogue(args.dialogue, strict=args.strict)
-    with manifest.stage("extract") as stage:
-        prompts = hashlib.sha256()
-        sextuplets = extract_dialogue(dialogue, kb, provider, cfg, jobs=args.jobs, prompt_hash=prompts)
-        stage["prompt_sha256"] = prompts.hexdigest()
-        Path(args.out).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
-        manifest.add_output(args.out)
+    sextuplets = extract_stage(manifest, dialogue, kb, provider, cfg, args.out, jobs=args.jobs)
     manifest.write(f"{args.out}.manifest.json")
     print(f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}")
     return EXIT_OK
@@ -198,17 +190,11 @@ def _cmd_graph(args) -> int:
     cfg = _resolve_config(args)
     embedder = provider_from_spec(args.embedder)
     nli = nli_from_spec(args.nli)
-    manifest = RunManifest(scoring_config_to_dict(cfg), {"embedder": embedder.id, "nli": nli.id})
+    manifest = RunManifest(cfg, {"embedder": embedder.id, "nli": nli.id})
     manifest.add_input(args.sextuplets)
-    with manifest.stage("graph"):
+    with manifest.stage("validate"):
         dialogue_id, sextuplets = sextuplets_from_dict(read_input(args.sextuplets, loads_json))
-        graph = build_graph(sextuplets, cfg, embedder, nli, jobs=args.jobs)
-        fmt = "dot" if args.out.endswith(".dot") else "json"
-        Path(args.out).write_bytes(
-            export_graph(graph, fmt, sextuplets if fmt == "json" else None,
-                         dialogue_id if fmt == "json" else None)
-        )
-        manifest.add_output(args.out)
+    graph = graph_stage(manifest, dialogue_id, sextuplets, cfg, embedder, nli, args.out, jobs=args.jobs)
     manifest.write(f"{args.out}.manifest.json")
     print(f"graph for {dialogue_id}: {len(graph.vertices)} vertices, "
           f"{len(graph.edges)} edges -> {args.out}")
@@ -217,10 +203,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    manifest = RunManifest(scoring_config_to_dict(cfg), {})
+    manifest = RunManifest(cfg, {})
     manifest.add_input(args.predicted)
     manifest.add_input(args.gold)
-    with manifest.stage("eval"):
+    with manifest.stage("validate"):
         graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
         if sextuplets is None:
             raise SchemaError(
@@ -228,10 +214,7 @@ def _cmd_eval(args) -> int:
                 "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
             )
         gold = match_gold(read_input(args.gold, load_gold), dialogue_id)
-        report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
-        if args.out:
-            Path(args.out).write_text(dumps_canonical(report.to_dict()))
-            manifest.add_output(args.out)
+    report = eval_stage(manifest, graph, sextuplets, gold, cfg, args.out)
     print(render_report_text(report))
     if args.out:
         manifest.write(f"{args.out}.manifest.json")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 from .errors import ResponseParseError, SchemaError
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
-from .model import sextuplets_from_dict, sextuplets_to_dict  # imported from here by benchmarks/
+from .model import sextuplets_to_dict  # imported from here by benchmarks/workloads.py
 from .transport import JsonEndpoint, map_calls
 
 if TYPE_CHECKING:

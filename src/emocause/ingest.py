@@ -64,11 +64,11 @@ def parse_corpus(data: bytes | str, *, strict: bool = False) -> list[Dialogue]:
     """Parse a corpus: a single JSON document, a JSON array of dialogues, or
     one JSON object per line. A schema error names the failing document by
     its array position (``[1].utterances[0].t_start``) or by its line
-    (``line 2: utterances[0].t_start``)."""
+    (``line 2: utterances[0].t_start``). A file with no dialogue is a schema error."""
     docs = json_documents(data)
     first = next(docs, None)
-    if first is None:
-        return []
+    if first is None or first[1] == []:
+        raise SchemaError("", "no dialogue: the file is empty or starts with an empty array")
     following = next(docs, None)
     if following is None:
         obj = first[1]

@@ -1,8 +1,8 @@
 """End-to-end batch pipeline: validate, index, extract, score, evaluate.
 
-Every stage writes a plain inspectable file and records its digest in the
-run manifest; with deterministic providers, identical inputs and config
-produce byte-identical output files regardless of worker count.
+Every stage (one function shared by `run` and its subcommand) writes a plain
+file and records its digest in the run manifest; with deterministic providers,
+identical inputs and config produce byte-identical files at any worker count.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from .extraction import ExtractorProvider, extract_dialogue, extractor_from_spec
 from .graph import CausalGraph, NliProvider, build_graph, export_graph, nli_from_spec
 from .ingest import read_dialogue
 from .kb import KnowledgeBase, index_dialogue, write_kb
-from .metrics import EvalReport, evaluate, load_gold, match_gold, render_report_text
+from .metrics import EvalReport, GoldAnnotation, evaluate, load_gold, match_gold, render_report_text
 from .model import (  # validate_dialogue: benchmarks/tracing.py patches pipeline.validate_dialogue
     Dialogue,
     ScoringConfig,
     Sextuplet,
     dumps_canonical,
     read_input,
-    scoring_config_to_dict,
     sextuplets_to_dict,
     validate_dialogue,
 )
@@ -44,11 +43,12 @@ class RunManifest:
     <out>.manifest.json. Keys: `version`; `config` (ScoringConfig fields,
     null for gen); `providers` (role -> provider id); `inputs` and `outputs`
     (path -> SHA-256 of the file); `stages` ({"name", "seconds"} in run
-    order, named validate, index, extract, graph, eval, or gen). The extract
-    stage also holds `prompt_sha256`, the digest of every rendered
-    extraction prompt in window order (extract_dialogue's prompt_hash)."""
+    order: validate, where every command but gen reads its inputs, then
+    index, extract, graph, eval, or gen alone). The extract stage also holds
+    `prompt_sha256`, the digest of every rendered extraction prompt in
+    window order (extract_dialogue's prompt_hash)."""
 
-    config: dict | None
+    config: ScoringConfig | None
     providers: dict[str, str]
     inputs: dict[str, str] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
@@ -74,6 +74,42 @@ class RunManifest:
         Path(path).write_text(dumps_canonical(asdict(self)))
 
 
+def extract_stage(manifest: RunManifest, dialogue: Dialogue, kb: KnowledgeBase,
+                  extractor: ExtractorProvider, cfg: ScoringConfig, out_path: str | Path,
+                  *, jobs: int) -> list[Sextuplet]:
+    """Write the sextuplets document to out_path; record the digest of the prompts."""
+    with manifest.stage("extract") as stage:
+        prompts = hashlib.sha256()
+        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs, prompt_hash=prompts)
+        stage["prompt_sha256"] = prompts.hexdigest()
+        Path(out_path).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
+        manifest.add_output(out_path)
+    return sextuplets
+
+
+def graph_stage(manifest: RunManifest, dialogue_id: str, sextuplets: list[Sextuplet],
+                cfg: ScoringConfig, embedder: EmbeddingProvider, nli: NliProvider,
+                out_path: str | Path, *, jobs: int) -> CausalGraph:
+    """Write DOT to a .dot out_path, else JSON embedding the sextuplets and dialogue id."""
+    with manifest.stage("graph"):
+        graph = build_graph(sextuplets, cfg, embedder, nli, jobs=jobs)
+        fmt = "dot" if str(out_path).endswith(".dot") else "json"
+        Path(out_path).write_bytes(export_graph(graph, fmt, sextuplets, dialogue_id))
+        manifest.add_output(out_path)
+    return graph
+
+
+def eval_stage(manifest: RunManifest, graph: CausalGraph, sextuplets: list[Sextuplet],
+               gold: GoldAnnotation, cfg: ScoringConfig, out_path: str | Path | None) -> EvalReport:
+    """Write the report to out_path, if one is given."""
+    with manifest.stage("eval"):
+        report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
+        if out_path:
+            Path(out_path).write_text(dumps_canonical(report.to_dict()))
+            manifest.add_output(out_path)
+    return report
+
+
 @dataclass
 class RunResult:
     dialogue: Dialogue
@@ -82,7 +118,6 @@ class RunResult:
     graph: CausalGraph
     report: EvalReport | None
     manifest: RunManifest
-    out_dir: Path
 
 
 def run_pipeline(
@@ -107,10 +142,7 @@ def run_pipeline(
     if isinstance(nli, str):
         nli = nli_from_spec(nli)
 
-    manifest = RunManifest(
-        config=scoring_config_to_dict(cfg),
-        providers={"embedder": embedder.id, "extractor": extractor.id, "nli": nli.id},
-    )
+    manifest = RunManifest(cfg, {"embedder": embedder.id, "extractor": extractor.id, "nli": nli.id})
     manifest.add_input(dialogue_path)
     if gold_path is not None:
         manifest.add_input(gold_path)
@@ -135,27 +167,11 @@ def run_pipeline(
         write_kb(kb, kb_path)
         manifest.add_output(kb_path)
 
-    with manifest.stage("extract") as stage:
-        prompts = hashlib.sha256()
-        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs, prompt_hash=prompts)
-        stage["prompt_sha256"] = prompts.hexdigest()
-        sext_path = out / "sextuplets.json"
-        sext_path.write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
-        manifest.add_output(sext_path)
-
-    with manifest.stage("graph"):
-        graph = build_graph(sextuplets, cfg, embedder, nli, jobs=jobs)
-        graph_path = out / "graph.json"
-        graph_path.write_bytes(export_graph(graph, "json", sextuplets, dialogue.id))
-        manifest.add_output(graph_path)
-
+    sextuplets = extract_stage(manifest, dialogue, kb, extractor, cfg, out / "sextuplets.json", jobs=jobs)
+    graph = graph_stage(manifest, dialogue.id, sextuplets, cfg, embedder, nli, out / "graph.json", jobs=jobs)
     eval_report = None
     if gold is not None:
-        with manifest.stage("eval"):
-            eval_report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
-            report_path = out / "report.json"
-            report_path.write_text(dumps_canonical(eval_report.to_dict()))
-            manifest.add_output(report_path)
+        eval_report = eval_stage(manifest, graph, sextuplets, gold, cfg, out / "report.json")
 
     manifest.write(out / "manifest.json")
 
@@ -166,7 +182,6 @@ def run_pipeline(
         graph=graph,
         report=eval_report,
         manifest=manifest,
-        out_dir=out,
     )
 
 

@@ -500,9 +500,9 @@ def test_every_subcommand_manifest_has_the_run_format(generated):
         (["index", str(dialogue_path), "--out", str(kb)], sidecar(kb), ["validate", "index"]),
         (["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx)],
          sidecar(sx), ["validate", "extract"]),
-        (["graph", "--sextuplets", str(sx), "--out", str(graph)], sidecar(graph), ["graph"]),
+        (["graph", "--sextuplets", str(sx), "--out", str(graph)], sidecar(graph), ["validate", "graph"]),
         (["eval", "--predicted", str(graph), "--gold", str(gold_path), "--out", str(report)],
-         sidecar(report), ["eval"]),
+         sidecar(report), ["validate", "eval"]),
         (["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),
           "--out-dir", str(tmp / "out")], tmp / "out" / "manifest.json",
          ["validate", "index", "extract", "graph", "eval"]),
@@ -519,6 +519,11 @@ def test_every_subcommand_manifest_has_the_run_format(generated):
     gen_manifest = json.loads(sidecar(dialogue_path).read_text())
     assert gen_manifest["config"] is None
     assert set(gen_manifest["outputs"]) == {str(dialogue_path), str(gold_path)}
+    # a stage a subcommand shares with run records the same keys in both manifests
+    run_stages = {stage["name"]: set(stage) for stage in json.loads(steps[-1][1].read_text())["stages"]}
+    for _, manifest_path, _ in steps[:-1]:
+        for stage in json.loads(manifest_path.read_text())["stages"]:
+            assert set(stage) == run_stages[stage["name"]], (manifest_path, stage["name"])
 
 
 _BROKEN_SEXTUPLETS = [
@@ -571,6 +576,15 @@ def test_a_path_that_cannot_be_read_or_written_is_usage_error(generated, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
     assert (tmp / "a-file").read_text() == "kept"
+
+
+@pytest.mark.parametrize("content", ["", " \n\t\n", "[]"])
+def test_a_corpus_file_with_no_dialogue_is_format_error(tmp_path, capsys, content):
+    corpus, out = tmp_path / "empty.jsonl", tmp_path / "kb.cmkb"
+    corpus.write_text(content)
+    assert main(["index", str(corpus), "--out", str(out)]) == 4
+    assert "no dialogue" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_extract_with_a_kb_of_another_dialogue_is_format_error(generated, capsys):
@@ -709,7 +723,8 @@ def test_a_mutated_input_exits_with_a_known_code_and_a_refusal_writes_nothing(se
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(_argv(command, f, str(out)))
-    assert code in (0, 1, 2, 4), stderr.getvalue()
+    # only a config file can hold a usage error; a faulty data file exits 1 or 4
+    assert code in ((0, 1, 2, 4) if name == "config" else (0, 1, 4)), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
     if code:
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()

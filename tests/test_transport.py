@@ -23,11 +23,10 @@ from emocause.extraction import (
     assemble_prompt,
     extract_dialogue,
     extract_sextuplets,
-    sextuplets_from_dict,
 )
 from emocause.graph import JaccardNli, RemoteNli, build_graph, temporal_gap
 from emocause.kb import build_windows, index_dialogue
-from emocause.model import Dialogue, ScoringConfig, Utterance
+from emocause.model import Dialogue, ScoringConfig, Utterance, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
 from emocause.transport import REMOTE_WORKERS, JsonEndpoint, map_calls
 
