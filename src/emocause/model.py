@@ -583,12 +583,12 @@ def _decoding() -> Iterator[None]:
 
 
 def read_input(path: str | Path, parse: Callable[[bytes], Any]) -> Any:
-    """parse(the bytes of the file at `path`), with a decode or knowledge-base
-    format error named by the path; every input file read by path goes
-    through here, so the prefix appears once."""
+    """parse(the bytes of the file at `path`), with a decode, schema or
+    knowledge-base format error named by the path; every input file read by
+    path goes through here, so the prefix appears once."""
     try:
         return parse(Path(path).read_bytes())
-    except (DialogueParseError, StoreFormatError) as exc:
+    except (DialogueParseError, SchemaError, StoreFormatError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 

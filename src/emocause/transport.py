@@ -4,37 +4,41 @@ Each remote provider POSTs a JSON body to one endpoint, read from
 ``<PREFIX>_ENDPOINT`` with an optional bearer token from ``<PREFIX>_API_KEY``
 unless both are given explicitly, and gets a JSON reply back.
 
-What a call needs is resolved in two places. When the endpoint is built,
-its requests.Session prepares one request template: the URL, the session's
-default headers merged with Content-Type and the bearer header, and netrc
-or session auth; and it reads the environment once for the proxies
-(``HTTPS_PROXY``, ``NO_PROXY`` and the like) and the CA bundle
-(``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``). Each call copies the
-template and adds only the JSON body and the session's cookies as they are
-at that moment; the body bytes are those ``session.post(json=...)`` sends.
-A proxy or CA variable changed after a provider is built therefore applies
-only to providers built later. An endpoint URL that cannot be prepared
-raises TransportError when the endpoint is built.
+What a call needs is resolved once, when the endpoint is built. Its
+requests.Session prepares a request template (the URL, the session's headers
+merged with Content-Type and the bearer header, netrc or session auth) and
+reads the environment for the proxies (``HTTPS_PROXY``, ``NO_PROXY`` and the
+like) and the CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``). The
+HTTPAdapter mounted for the URL then gives the urllib3 pool and the request
+target its own send would use, so proxies, CA bundle and client certificate
+apply as there; the transport posts to that pool itself and never calls the
+adapter's send (nor its max_retries or the session's hooks), and resolves
+the pool again once ``session.close()`` has closed it. Each call sends the
+body bytes ``session.post(json=...)`` would send with the jar's cookies as
+they are then, and stores the cookies the reply sets. A proxy or CA variable
+changed later applies only to providers built later. An endpoint that cannot
+be prepared or resolved raises TransportError when it is built.
 
-Retry policy: a connection error, a timeout, HTTP 429 and any 5xx are
-transient. Such a call is retried at most MAX_RETRIES times, sleeping
+Retry policy: a connection, TLS or proxy error, a timeout, HTTP 429 and any
+5xx are transient. Such a call is retried at most MAX_RETRIES times, sleeping
 BACKOFF_BASE * 2**k seconds before retry k (0.5, 1 and 2 s), so a request is
-posted at most four times before TransportError is raised. Any other non-200
-status is final and raises TransportError after one post. A 200 whose body is
-not JSON or nests too deeply raises ResponseParseError carrying the raw text
-and is not retried: the same request would get the same reply.
+posted at most four times before TransportError is raised. Any other status
+but 200, a 3xx too (redirects are not followed), an invalid header or content
+encoding is final and raises TransportError after one post. A 200 whose body
+is not JSON or nests too deeply raises ResponseParseError carrying the raw
+text and is not retried: the same request would get the same reply.
 
 Concurrency: map_calls overlaps the independent calls of one stage (a chat
 per window, an NLI call per distinct pair that can reach the threshold) on
 REMOTE_WORKERS threads, or `jobs` if more, for a remote provider; a local one
-runs on `jobs` threads. Retries stay
-per call. After a failure no call for a later item starts, the calls in
-flight finish, and the first failing item in input order raises, as in the
-serial loop.
+runs on `jobs` threads. Retries stay per call. After a failure no call for a
+later item starts, the calls in flight finish, and the first failing item in
+input order raises, as in the serial loop.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import threading
@@ -92,6 +96,7 @@ class JsonEndpoint:
         session: requests.Session | None,
     ):
         import requests  # here, not at module level: an offline run never loads it
+        import urllib3
 
         self.name = name
         self.url = endpoint or os.environ.get(f"{env_prefix}_ENDPOINT", "")
@@ -101,51 +106,75 @@ class JsonEndpoint:
         headers = {"Content-Type": "application/json"}
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        self.timeout = timeout
+        timeout = urllib3.Timeout(connect=timeout, read=timeout)
+        self._urlopen_args = dict(redirect=False, assert_same_host=False, retries=False,
+                                  preload_content=True, timeout=timeout)
         self._session = session or requests.Session()
         try:
-            self._template = self._session.prepare_request(
-                requests.Request("POST", self.url, headers=headers)
-            )
-        except requests.RequestException as exc:
+            request = requests.Request("POST", self.url, headers=headers)
+            self._template = self._session.prepare_request(request)
+            if self._session.headers.get("Cookie") is None:
+                # the jar's cookies are attached on each call, as they are then
+                self._template.headers.pop("Cookie", None)
+            url = self._template.url
+            self._settings = self._session.merge_environment_settings(url, {}, None, None, None)
+            self._adapter = self._session.get_adapter(url)
+            self._pool = self._connect()
+            self._target = self._adapter.request_url(self._template, self._settings["proxies"])
+        except (OSError, ValueError) as exc:  # requests' own errors are OSErrors
             raise TransportError(f"invalid {name} endpoint {self.url!r}: {exc}") from exc
-        if self._session.headers.get("Cookie") is None:
-            # the jar's cookies are attached on each call, as they are then
-            self._template.headers.pop("Cookie", None)
-        self._settings = self._session.merge_environment_settings(
-            self._template.url, {}, None, None, None
-        )
 
-    def _post(self, body: dict) -> requests.Response:
-        request = self._template.copy()
-        request.prepare_body(None, None, json=body)
-        request.prepare_cookies(self._session.cookies)
-        return self._session.send(request, timeout=self.timeout, **self._settings)
+    def _connect(self):
+        """The pool HTTPAdapter.send would post the template through, set up as it would."""
+        verify, proxies, cert = (self._settings[k] for k in ("verify", "proxies", "cert"))
+        pool = self._adapter.get_connection_with_tls_context(self._template, verify, proxies, cert)
+        self._adapter.cert_verify(pool, self._template.url, verify, cert)
+        return pool
+
+    def _post(self, data: bytes):
+        """The urllib3 reply to one POST of data; its cookies go to the session's jar."""
+        import requests
+        import urllib3
+
+        headers = self._template.headers.copy()
+        headers["Content-Length"] = str(len(data))
+        cookie = requests.cookies.get_cookie_header(self._session.cookies, self._template)
+        if cookie is not None:
+            headers["Cookie"] = cookie
+        try:
+            resp = self._pool.urlopen("POST", self._target, data, headers, **self._urlopen_args)
+        except urllib3.exceptions.ClosedPoolError:  # session.close() closed it; take a new one
+            self._pool = self._connect()
+            resp = self._pool.urlopen("POST", self._target, data, headers, **self._urlopen_args)
+        requests.cookies.extract_cookies_to_jar(self._session.cookies, self._template, resp)
+        return resp
 
     def call(self, body: dict):
         """The decoded JSON reply to body, after the retries described above."""
-        import requests
+        from urllib3 import exceptions as u3
 
+        data = json.dumps(body, allow_nan=False).encode()  # what post(json=body) sends
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 delay = BACKOFF_BASE * 2.0 ** (attempt - 1)
                 logger.warning("%s; retry %d of %d in %.1f s", failure, attempt, MAX_RETRIES, delay)
                 time.sleep(delay)
             try:
-                resp = self._post(body)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                resp = self._post(data)
+            except (OSError, u3.ProtocolError, u3.TimeoutError, u3.SSLError, u3.ProxyError,
+                    u3.ClosedPoolError) as exc:
                 failure = f"{self.name} request failed: {exc}"
                 continue
-            except requests.RequestException as exc:
+            except u3.HTTPError as exc:  # an invalid header or content encoding
                 raise TransportError(f"{self.name} request failed: {exc}") from exc
-            if resp.status_code == 200:
+            if resp.status == 200:
                 try:
-                    return resp.json()
+                    return json.loads(resp.data)
                 except (ValueError, RecursionError) as exc:
                     raise ResponseParseError(
-                        f"{self.name} reply is not JSON: {exc}", resp.text
+                        f"{self.name} reply is not JSON: {exc}", resp.data.decode(errors="replace")
                     ) from exc
-            failure = f"{self.name} endpoint returned HTTP {resp.status_code}"
-            if resp.status_code != 429 and resp.status_code < 500:
+            failure = f"{self.name} endpoint returned HTTP {resp.status}"
+            if resp.status != 429 and resp.status < 500:
                 raise TransportError(failure)
         raise TransportError(f"{failure}; no retry left after {MAX_RETRIES + 1} attempts")

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from types import SimpleNamespace
+from urllib.parse import urljoin
 
 import pytest
 import requests
+import urllib3
 
 from emocause import transport
 from emocause.embedding import HashTextEmbedder
@@ -47,42 +50,63 @@ def backoff_sleeps(monkeypatch):
 
 
 class ScriptedSession(requests.Session):
-    """A real requests.Session whose only override is `send`: it records
-    each PreparedRequest and its send keywords, then answers with the next
-    scripted (status, body) reply, the last one forever; a body that is not
-    a str is sent as JSON. Without replies the request goes out for real.
-    It ignores proxy variables and ~/.netrc, so neither reaches a test."""
+    """A real requests.Session whose mounted adapters hand out recording
+    pools. Each POST is recorded in `requests` (with .url, .body and
+    .headers) and answered with the next scripted (status, body) reply, the
+    last one forever; a body that is not a str is sent as JSON. Without
+    replies the request goes out for real through the adapter's own pool.
+    `pool_proxies` lists the proxies each pool was resolved with. The
+    session ignores proxy variables and ~/.netrc, so neither reaches a test."""
 
     def __init__(self, *replies):
         super().__init__()
         self.trust_env = False
         self.replies = list(replies)
         self.requests = []
-        self.send_kwargs = []
+        self.pool_proxies = []
+        for prefix in ("https://", "http://"):
+            self.mount(prefix, _ScriptedAdapter(self))
 
     @property
     def posts(self):
         return len(self.requests)
 
-    def send(self, request, **kwargs):
-        self.requests.append(request)
-        self.send_kwargs.append(kwargs)
-        if not self.replies:
-            return super().send(request, **kwargs)
-        status, body = self.replies[min(self.posts, len(self.replies)) - 1]
-        resp = requests.Response()
-        resp.status_code = status
-        resp._content = (body if isinstance(body, str) else json.dumps(body)).encode()
-        resp.encoding = "utf-8"
-        resp.request, resp.url = request, request.url
-        return resp
+
+class _ScriptedAdapter(requests.adapters.HTTPAdapter):
+    def __init__(self, session):
+        super().__init__()
+        self.session = session
+
+    def get_connection_with_tls_context(self, request, verify, proxies=None, cert=None):
+        self.session.pool_proxies.append(proxies)
+        pool = super().get_connection_with_tls_context(request, verify, proxies, cert)
+        return _ScriptedPool(self.session, pool, request.url)
+
+    def cert_verify(self, conn, url, verify, cert):
+        super().cert_verify(conn.pool, url, verify, cert)
+
+
+class _ScriptedPool:
+    def __init__(self, session, pool, url):
+        self.session, self.pool, self.url = session, pool, url
+
+    def urlopen(self, method, url, body=None, headers=None, **kwargs):
+        session = self.session
+        session.requests.append(SimpleNamespace(url=urljoin(self.url, url), body=body, headers=headers))
+        if not session.replies:
+            return self.pool.urlopen(method, url, body=body, headers=headers, **kwargs)
+        status, reply = session.replies[min(session.posts, len(session.replies)) - 1]
+        data = (reply if isinstance(reply, str) else json.dumps(reply)).encode()
+        return urllib3.HTTPResponse(io.BytesIO(data), status=status, preload_content=True)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server naming)
         stub = self.server.stub
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        body = raw and json.loads(raw)
         stub.requests.append((self.path, self.headers.get("Authorization"), body))
+        stub.cookies.append(self.headers.get("Cookie"))
         if stub.replies:
             status, reply = stub.replies.pop(0)
         elif self.path in stub.routes:
@@ -92,8 +116,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
+        for name, value in stub.headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(reply)
+
+    do_GET = do_POST  # a followed redirect arrives as a GET without a body
 
     def log_message(self, *args):
         pass
@@ -101,13 +129,17 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def http_stub(monkeypatch):
-    """An HTTP server on 127.0.0.1 that records each POST as (path,
-    Authorization header, JSON body) and answers with the next queued
-    (status, body bytes) reply; once the queue is empty, with 200 and
-    `routes[path](body)` as JSON when `routes` has the path, else `default`."""
+    """An HTTP server on 127.0.0.1 that records each request as (path,
+    Authorization header, JSON body or b"" for none) in `requests` and its
+    Cookie header in `cookies`, and answers with the next queued (status,
+    body bytes) reply; once the queue is empty, with 200 and
+    `routes[path](body)` as JSON when `routes` has the path, else `default`.
+    Every reply also carries the `headers` dict."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    stub = SimpleNamespace(requests=[], replies=[], routes={}, default=(200, b"{}"))
+    stub = SimpleNamespace(
+        requests=[], cookies=[], headers={}, replies=[], routes={}, default=(200, b"{}")
+    )
     stub.url = lambda path: f"http://127.0.0.1:{server.server_port}/{path}"
     server.stub = stub
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)

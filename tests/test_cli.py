@@ -587,6 +587,16 @@ def test_a_corpus_file_with_no_dialogue_is_format_error(tmp_path, capsys, conten
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
+@pytest.mark.parametrize("content", ["", '{"id": "x"}\n'], ids=["no-dialogue", "missing-field"])
+def test_a_schema_error_names_its_file(generated, capsys, content):
+    tmp, dialogue_path, _ = generated
+    corpus = tmp / "corpus.jsonl"
+    corpus.write_text(content)
+    capsys.readouterr()
+    assert main(["index", str(dialogue_path), str(corpus), "--out", str(tmp / "kb.cmkb")]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+
+
 def test_extract_with_a_kb_of_another_dialogue_is_format_error(generated, capsys):
     tmp, dialogue_path, _ = generated
     assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0

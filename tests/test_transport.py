@@ -104,6 +104,7 @@ def _closed_port_url(path=""):
 
 def test_environment_is_resolved_once_per_endpoint(monkeypatch):
     session = ScriptedSession((200, {}))
+    session.proxies = {"https": "http://proxy.invalid:3128"}
     counts = {"prepare_request": 0, "merge_environment_settings": 0}
     for name in counts:
         original = getattr(session, name)
@@ -118,7 +119,7 @@ def test_environment_is_resolved_once_per_endpoint(monkeypatch):
         assert endpoint.call({"i": i}) == {}
     assert counts == {"prepare_request": 1, "merge_environment_settings": 1}
     assert session.posts == 10
-    assert all("proxies" in kwargs for kwargs in session.send_kwargs)
+    assert session.pool_proxies == [session.proxies]
     assert [json.loads(r.body) for r in session.requests] == [{"i": i} for i in range(10)]
 
 
@@ -170,9 +171,53 @@ def test_proxy_environment_is_read_when_the_endpoint_is_built(http_stub, monkeyp
         assert len(http_stub.requests) == 1 and backoff_sleeps == BACKOFF
 
 
-def test_unpreparable_endpoint_fails_when_built():
+def test_a_cookie_set_by_a_reply_is_sent_with_the_next_call(http_stub):
+    http_stub.default = (200, b'{"entailment_probability": 0.25}')
+    http_stub.headers["Set-Cookie"] = "sid=abc; Path=/"
+    with requests.Session() as session:
+        nli = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+        assert [nli.entailment_probability("p", "h") for _ in range(2)] == [0.25, 0.25]
+        assert session.cookies.get("sid") == "abc"
+    assert http_stub.cookies == [None, "sid=abc"]
+
+
+def test_a_provider_whose_session_was_closed_completes_its_next_call(http_stub, backoff_sleeps):
+    http_stub.default = (200, b'{"entailment_probability": 0.25}')
+    session = requests.Session()
+    nli = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+    assert nli.entailment_probability("p", "h") == 0.25
+    session.close()
+    assert nli.entailment_probability("p", "h") == 0.25
+    session.close()
+    assert len(http_stub.requests) == 2 and backoff_sleeps == []
+
+
+def test_a_redirect_is_a_final_failure(http_stub, backoff_sleeps):
+    http_stub.replies = [(302, b"")]
+    http_stub.headers["Location"] = "/moved"
+    http_stub.default = (200, b'{"entailment_probability": 0.5}')
+    nli = RemoteNli(endpoint=http_stub.url("nli"), session=ScriptedSession())
+    with pytest.raises(TransportError, match="HTTP 302"):
+        nli.entailment_probability("p", "h")
+    assert [path for path, _, _ in http_stub.requests] == ["/nli"] and backoff_sleeps == []
+
+
+def test_an_undecodable_content_encoding_is_a_final_failure(http_stub, backoff_sleeps):
+    http_stub.headers["Content-Encoding"] = "gzip"
+    http_stub.default = (200, b'{"entailment_probability": 0.5}')
+    nli = RemoteNli(endpoint=http_stub.url("nli"), session=ScriptedSession())
+    with pytest.raises(TransportError, match="request failed"):
+        nli.entailment_probability("p", "h")
+    assert len(http_stub.requests) == 1 and backoff_sleeps == []
+
+
+def test_unpreparable_endpoint_fails_when_built(monkeypatch, tmp_path):
     with pytest.raises(TransportError, match="invalid test endpoint"):
         JsonEndpoint("test", "TEST", "no scheme here", None, 1.0, None)
+    # a CA bundle that does not exist is found when the pool is resolved
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+    with pytest.raises(TransportError, match="invalid test endpoint .*CA certificate bundle"):
+        JsonEndpoint("test", "TEST", "https://127.0.0.1:1/", None, 1.0, None)
 
 
 # ---------------------------------------------------------------------------
