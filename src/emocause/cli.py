@@ -201,19 +201,22 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _graph_with_sextuplets(data: bytes):
+    """graph_from_json(data), refused when the graph does not embed its sextuplets."""
+    if (found := graph_from_json(data))[1] is None:
+        raise SchemaError("sextuplets", "predicted graph JSON must embed its sextuplets "
+                          "(export with the graph subcommand)")
+    return found
+
+
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     manifest = RunManifest(cfg, {})
     manifest.add_input(args.predicted)
     manifest.add_input(args.gold)
     with manifest.stage("validate"):
-        graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
-        if sextuplets is None:
-            raise SchemaError(
-                "sextuplets",
-                "predicted graph JSON must embed its sextuplets (export with the graph subcommand)",
-            )
-        gold = match_gold(read_input(args.gold, load_gold), dialogue_id)
+        graph, sextuplets, dialogue_id = read_input(args.predicted, _graph_with_sextuplets)
+        gold = read_input(args.gold, lambda data: match_gold(load_gold(data), dialogue_id))
     report = eval_stage(manifest, graph, sextuplets, gold, cfg, args.out)
     print(render_report_text(report))
     if args.out:

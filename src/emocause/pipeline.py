@@ -151,7 +151,7 @@ def run_pipeline(
         dialogue = read_dialogue(dialogue_path, strict=strict)
         gold = None
         if gold_path is not None:
-            gold = match_gold(read_input(gold_path, load_gold), dialogue.id)
+            gold = read_input(gold_path, lambda data: match_gold(load_gold(data), dialogue.id))
     # a run refused for its providers, its dialogue or its gold leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
 

@@ -13,11 +13,12 @@ HTTPAdapter mounted for the URL then gives the urllib3 pool and the request
 target its own send would use, so proxies, CA bundle and client certificate
 apply as there; the transport posts to that pool itself and never calls the
 adapter's send (nor its max_retries or the session's hooks), and resolves
-the pool again once ``session.close()`` has closed it. Each call sends the
-body bytes ``session.post(json=...)`` would send with the jar's cookies as
-they are then, and stores the cookies the reply sets. A proxy or CA variable
-changed later applies only to providers built later. An endpoint that cannot
-be prepared or resolved raises TransportError when it is built.
+the pool again once ``session.close()`` has closed it. Headers are built once
+as a plain dict; each call adds Content-Length, the jar's cookies as they are
+then and the body bytes ``session.post(json=...)`` would send, and stores
+cookies only from a reply that sets one (Set-Cookie or Set-Cookie2). A proxy
+or CA variable changed later applies only to providers built later. An
+endpoint that cannot be prepared or resolved raises TransportError when built.
 
 Retry policy: a connection, TLS or proxy error, a timeout, HTTP 429 and any
 5xx are transient. Such a call is retried at most MAX_RETRIES times, sleeping
@@ -31,9 +32,9 @@ text and is not retried: the same request would get the same reply.
 Concurrency: map_calls overlaps the independent calls of one stage (a chat
 per window, an NLI call per distinct pair that can reach the threshold) on
 REMOTE_WORKERS threads, or `jobs` if more, for a remote provider; a local one
-runs on `jobs` threads. Retries stay per call. After a failure no call for a
-later item starts, the calls in flight finish, and the first failing item in
-input order raises, as in the serial loop.
+runs on `jobs` threads. Retries stay per call. It returns, waking its caller
+once, when every call has finished; after a failure no later item's call
+starts, and the first failing item in input order raises, as in a serial loop.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, range(len(items)), items))
+        futures = [pool.submit(call, i, x) for i, x in enumerate(items)]
+    return [f.result() for f in futures]
 
 
 class JsonEndpoint:
@@ -113,9 +115,9 @@ class JsonEndpoint:
         try:
             request = requests.Request("POST", self.url, headers=headers)
             self._template = self._session.prepare_request(request)
-            if self._session.headers.get("Cookie") is None:
-                # the jar's cookies are attached on each call, as they are then
+            if self._session.headers.get("Cookie") is None:  # the jar's cookies are added per call
                 self._template.headers.pop("Cookie", None)
+            self._headers = dict(self._template.headers)
             url = self._template.url
             self._settings = self._session.merge_environment_settings(url, {}, None, None, None)
             self._adapter = self._session.get_adapter(url)
@@ -136,8 +138,7 @@ class JsonEndpoint:
         import requests
         import urllib3
 
-        headers = self._template.headers.copy()
-        headers["Content-Length"] = str(len(data))
+        headers = {**self._headers, "Content-Length": str(len(data))}
         cookie = requests.cookies.get_cookie_header(self._session.cookies, self._template)
         if cookie is not None:
             headers["Cookie"] = cookie
@@ -146,7 +147,8 @@ class JsonEndpoint:
         except urllib3.exceptions.ClosedPoolError:  # session.close() closed it; take a new one
             self._pool = self._connect()
             resp = self._pool.urlopen("POST", self._target, data, headers, **self._urlopen_args)
-        requests.cookies.extract_cookies_to_jar(self._session.cookies, self._template, resp)
+        if "Set-Cookie" in resp.headers or "Set-Cookie2" in resp.headers:  # else the jar is not locked
+            requests.cookies.extract_cookies_to_jar(self._session.cookies, self._template, resp)
         return resp
 
     def call(self, body: dict):

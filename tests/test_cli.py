@@ -209,10 +209,12 @@ def test_gold_of_another_dialogue_is_format_error(generated, capsys):
     assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"),
                  "--gold", str(other_gold)]) == 4
     err = capsys.readouterr().err
+    assert err.startswith(f"error: {other_gold}: gold: no gold annotation")
     assert "'synth-00000007'" in err and "'synth-00000008'" in err
     assert main(["run", "--dialogue", str(dialogue_path), "--gold", str(other_gold),
                  "--out-dir", str(tmp / "out2")]) == 4
-    assert "'synth-00000008'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {other_gold}: gold: no gold annotation") and "'synth-00000008'" in err
 
 
 @pytest.mark.parametrize("gold", ["malformed", "other-dialogue"])
@@ -595,6 +597,13 @@ def test_a_schema_error_names_its_file(generated, capsys, content):
     capsys.readouterr()
     assert main(["index", str(dialogue_path), str(corpus), "--out", str(tmp / "kb.cmkb")]) == 4
     assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+
+
+def test_eval_of_a_graph_without_sextuplets_names_its_file(generated, capsys):
+    _, dialogue_path, gold_path = generated
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(dialogue_path), "--gold", str(gold_path)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {dialogue_path}: sextuplets: predicted graph JSON")
 
 
 def test_extract_with_a_kb_of_another_dialogue_is_format_error(generated, capsys):

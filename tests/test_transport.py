@@ -9,6 +9,8 @@ import json
 import socket
 import sys
 import threading
+import time
+from http.cookiejar import DefaultCookiePolicy
 from types import SimpleNamespace
 
 import pytest
@@ -139,6 +141,30 @@ def test_each_request_carries_session_headers_and_current_cookies():
     assert [r.headers["Cookie"] for r in session.requests] == ["early=1", "sid=abc"]
 
 
+def test_headers_handed_to_the_pool_keep_their_names_order_and_values():
+    defaults = list(requests.utils.default_headers().items())
+    session = ScriptedSession((200, {}))
+    endpoint = JsonEndpoint("test", "TEST", "http://e", "k", 1.0, session)
+    endpoint.call({})
+    session.cookies.set("sid", "abc")
+    endpoint.call({"i": 1})
+    common = [*defaults, ("Content-Type", "application/json"), ("Authorization", "Bearer k")]
+    assert [list(r.headers.items()) for r in session.requests] == [
+        [*common, ("Content-Length", "2")],
+        [*common, ("Content-Length", "8"), ("Cookie", "sid=abc")],
+    ]
+
+    # a session's own cookie header, in any case, wins over the jar and is sent once
+    session = ScriptedSession((200, {}))
+    session.headers["cookie"] = "from=session"
+    session.cookies.set("sid", "abc")
+    _endpoint(session).call({})
+    assert list(session.requests[0].headers.items()) == [
+        *defaults, ("cookie", "from=session"), ("Content-Type", "application/json"),
+        ("Content-Length", "2"),
+    ]
+
+
 def test_retries_resend_identical_body_bytes(backoff_sleeps):
     body = {"premise": "les frais ont doublé", "hypothesis": "négatif", "n": [1, 2.5]}
     session = ScriptedSession((503, {}))
@@ -179,6 +205,29 @@ def test_a_cookie_set_by_a_reply_is_sent_with_the_next_call(http_stub):
         assert [nli.entailment_probability("p", "h") for _ in range(2)] == [0.25, 0.25]
         assert session.cookies.get("sid") == "abc"
     assert http_stub.cookies == [None, "sid=abc"]
+
+
+def test_a_cookie_set_by_a_retried_reply_is_sent_with_the_retry(http_stub, backoff_sleeps):
+    http_stub.replies = [(503, b"{}")]
+    http_stub.headers["Set-Cookie"] = "sid=abc; Path=/"
+    http_stub.default = (200, b'{"entailment_probability": 0.25}')
+    with requests.Session() as session:
+        nli = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+        assert nli.entailment_probability("p", "h") == 0.25
+    assert http_stub.cookies == [None, "sid=abc"] and backoff_sleeps == [0.5]
+
+
+def test_a_set_cookie2_reply_is_stored_by_an_rfc2965_jar(http_stub):
+    http_stub.default = (200, b'{"entailment_probability": 0.25}')
+    http_stub.headers["Set-Cookie2"] = 'sid=abc; Version="1"; Path="/"'
+    with requests.Session() as session:
+        # requests calls every request unverifiable and gives its origin host with
+        # the port, so the strict default would take this cookie for a third party's
+        session.cookies.set_policy(DefaultCookiePolicy(rfc2965=True, strict_rfc2965_unverifiable=False))
+        nli = RemoteNli(endpoint=http_stub.url("nli"), session=session)
+        assert [nli.entailment_probability("p", "h") for _ in range(2)] == [0.25, 0.25]
+        assert session.cookies.get("sid") == "abc"
+    assert http_stub.cookies[0] is None and "sid=abc" in http_stub.cookies[1]
 
 
 def test_a_provider_whose_session_was_closed_completes_its_next_call(http_stub, backoff_sleeps):
@@ -364,6 +413,38 @@ def test_map_calls_keeps_input_order_and_the_first_error_under_contention():
             assert exc.value.args == (300,)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_map_calls_raises_the_first_error_once_every_started_call_has_finished():
+    """Item 3 fails at once while items 0-2 wait for it and then sleep, and
+    item 1 fails after its sleep, while item 2 sleeps on: item 1's error is
+    raised, only when every started call has returned, and no item after 3
+    is called."""
+    lock = threading.Lock()
+    started, finished = set(), set()
+    item_3_done = threading.Event()
+
+    def sleep_then_fail_1_and_3(x):
+        with lock:
+            started.add(x)
+        try:
+            if x < 3:
+                item_3_done.wait(5)
+                time.sleep(0.1 * (x + 1))
+            if x in (1, 3):
+                raise ValueError(x)
+            return x
+        finally:
+            with lock:
+                finished.add(x)
+            if x == 3:
+                item_3_done.set()
+
+    with pytest.raises(ValueError) as exc:
+        map_calls(sleep_then_fail_1_and_3, range(8), SimpleNamespace(mode="remote"), 1)
+    assert exc.value.args == (1,)
+    with lock:
+        assert started == finished == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
