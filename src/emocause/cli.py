@@ -10,7 +10,9 @@ limit, a reply without its fields, an embedding reply whose row count is
 not the number of texts sent, a corpus file with no dialogue, and a JSON
 input file that does not decode: one that is not UTF-8, is malformed, nests
 too deeply or holds a number JSON cannot read (the message names the file);
-an embedding of the wrong dimension exits 3.
+an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
+document plus vertices and edges; one without its sextuplets or dialogue id
+exits 4.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -201,21 +203,13 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _graph_with_sextuplets(data: bytes):
-    """graph_from_json(data), refused when the graph does not embed its sextuplets."""
-    if (found := graph_from_json(data))[1] is None:
-        raise SchemaError("sextuplets", "predicted graph JSON must embed its sextuplets "
-                          "(export with the graph subcommand)")
-    return found
-
-
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     manifest = RunManifest(cfg, {})
     manifest.add_input(args.predicted)
     manifest.add_input(args.gold)
     with manifest.stage("validate"):
-        graph, sextuplets, dialogue_id = read_input(args.predicted, _graph_with_sextuplets)
+        graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
         gold = read_input(args.gold, lambda data: match_gold(load_gold(data), dialogue_id))
     report = eval_stage(manifest, graph, sextuplets, gold, cfg, args.out)
     print(render_report_text(report))
@@ -294,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True, help=".cmkb file")
     p.add_argument("--dialogue", required=True, help="dialogue file or dialogue id")
     p.add_argument("--window", required=True, type=int, help="query window index")
-    p.add_argument("--top-n", type=int, default=3, help="result depth (ScoringConfig.top_n)")
+    p.add_argument("--top-n", type=int, default=ScoringConfig.top_n, help="result depth (ScoringConfig.top_n)")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("extract", help="extract sextuplets with retrieval-augmented prompts")

@@ -19,14 +19,14 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkabl
 import numpy as np
 
 from .errors import EmbeddingError, FusionError, ResponseParseError, TransportError
-from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, Utterance
+from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, ScoringConfig, Utterance
 from .transport import JsonEndpoint
 
 if TYPE_CHECKING:
     import requests
 
 UNIT_NORM_TOLERANCE = 1e-6
-DEFAULT_RATE_SCALE = 5.0
+DEFAULT_RATE_SCALE = ScoringConfig.rate_scale
 EMBED_BATCH_SIZE = 64  # texts per /embed request; bounds one long dialogue's body
 EMOTION_DIM = len(DEFAULT_EMOTION_CATEGORIES)
 
@@ -235,6 +235,8 @@ def neutral_audio_record(
 def window_embedding(
     window_utterances: Sequence[tuple[Utterance, AudioFeatureRecord | None]],
     provider: EmbeddingProvider,
+    *,
+    rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> np.ndarray:
     """Element-wise mean of the per-utterance fused embeddings of a window."""
     if not window_utterances:
@@ -242,9 +244,9 @@ def window_embedding(
     rows = []
     for utterance, audio in window_utterances:
         if audio is None:
-            audio = neutral_audio_record(utterance.index)
+            audio = neutral_audio_record(utterance.index, rate_scale)
         text_emb = embed_text(provider, utterance.text)
-        rows.append(fuse(text_emb, audio, emotion_dim=EMOTION_DIM))
+        rows.append(fuse(text_emb, audio, emotion_dim=EMOTION_DIM, rate_scale=rate_scale))
     return window_mean(rows)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from .kb import cosine_similarity
-from .model import ScoringConfig, Sextuplet, sextuplet_to_dict, sextuplets_from_list
+from .model import ScoringConfig, Sextuplet, sextuplets_from_dict, sextuplets_to_dict
 from .model import _as_list, _as_obj, _as_str, dumps_canonical, loads_json, record_from_dict, record_to_dict
 from .transport import JsonEndpoint, map_calls
 
@@ -306,73 +306,67 @@ def build_graph(
 
 
 def export_graph(
-    graph: CausalGraph,
-    fmt: str,
-    sextuplets: Sequence[Sextuplet] | None = None,
-    dialogue_id: str | None = None,
+    graph: CausalGraph, fmt: str, sextuplets: Sequence[Sextuplet], dialogue_id: str
 ) -> bytes:
     """Serialize as DOT or JSON with stable ordering.
 
-    JSON output optionally embeds the underlying sextuplets (and the source
-    dialogue id) so downstream evaluation can match endpoints by content
-    from the file alone.
+    The JSON document is the sextuplets document of dialogue_id (the
+    sextuplets sorted by id) plus `vertices` and `edges`, so evaluation can
+    match endpoints by content from the file alone.
     """
     if fmt == "dot":
         lines = ["digraph G {"]
         for v in sorted(graph.vertices):
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_id(v)};")
         for e in sorted(graph.edges, key=lambda e: (e.cause_id, e.effect_id)):
-            lines.append(f'  "{e.cause_id}" -> "{e.effect_id}" [label="w={e.weight:.3f}"];')
+            lines.append(f'  {_dot_id(e.cause_id)} -> {_dot_id(e.effect_id)} [label="w={e.weight:.3f}"];')
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        doc: dict = {
+        doc = {
+            **sextuplets_to_dict(dialogue_id, sorted(sextuplets, key=lambda s: s.id)),
             "vertices": sorted(graph.vertices),
             "edges": [
                 record_to_dict(e, _EDGE_KEYS)
                 for e in sorted(graph.edges, key=lambda e: (e.cause_id, e.effect_id))
             ],
         }
-        if sextuplets is not None:
-            doc["sextuplets"] = [
-                sextuplet_to_dict(s) for s in sorted(sextuplets, key=lambda s: s.id)
-            ]
-        if dialogue_id is not None:
-            doc["dialogue_id"] = dialogue_id
         return dumps_canonical(doc).encode("utf-8")
     raise ValueError(f"unknown export format {fmt!r} (use 'dot' or 'json')")
 
 
-def graph_from_json(
-    data: bytes | str,
-) -> tuple[CausalGraph, list[Sextuplet] | None, str | None]:
-    """Parse a JSON export back into (graph, embedded sextuplets, dialogue id),
-    raising SchemaError with a field path on the first structural violation:
-    an edge endpoint must be a vertex, and a vertex an embedded sextuplet id."""
+def _dot_id(vertex: str) -> str:
+    """A quoted DOT ID, whose only escape is \\" for a double quote."""
+    return '"' + vertex.replace('"', '\\"') + '"'
+
+
+def graph_from_json(data: bytes | str) -> tuple[CausalGraph, list[Sextuplet], str]:
+    """Parse a JSON export back into (graph, sextuplets, dialogue id), reading
+    the event part with model.sextuplets_from_dict, and raise SchemaError with
+    a field path on the first structural violation: a vertex or a (cause,
+    effect) edge must not repeat, an edge endpoint must be a vertex, and a
+    vertex a sextuplet id."""
     obj = _as_obj(loads_json(data), "")
     edges = tuple(
         record_from_dict(CausalEdge, e, f"edges[{i}]", _EDGE_KEYS)
         for i, e in enumerate(_as_list(obj.get("edges", []), "edges"))
     )
-    vertices = tuple(
-        _as_str(v, f"vertices[{i}]")
-        for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices"))
-    )
-    known = set(vertices)
+    vertices: dict[str, None] = {}
+    for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices")):
+        if _as_str(v, f"vertices[{i}]") in vertices:
+            raise SchemaError(f"vertices[{i}]", f"repeats vertex {v!r}")
+        vertices[v] = None
+    pairs = set()
     for i, e in enumerate(edges):
         for key, end in (("cause", e.cause_id), ("effect", e.effect_id)):
-            if end not in known:
+            if end not in vertices:
                 raise SchemaError(f"edges[{i}].{key}", f"{end!r} is not among vertices")
-    raw = obj.get("sextuplets")
-    items = None if raw is None else sextuplets_from_list(raw)
-    if items is not None:
-        ids = {s.id for s in items}
-        for i, v in enumerate(vertices):
-            if v not in ids:
-                raise SchemaError(f"vertices[{i}]", f"{v!r} is not an embedded sextuplet id")
-    did = obj.get("dialogue_id")
-    return (
-        CausalGraph(vertices=vertices, edges=edges),
-        items,
-        None if did is None else _as_str(did, "dialogue_id"),
-    )
+        if (e.cause_id, e.effect_id) in pairs:
+            raise SchemaError(f"edges[{i}]", f"repeats edge {e.cause_id!r} -> {e.effect_id!r}")
+        pairs.add((e.cause_id, e.effect_id))
+    dialogue_id, items = sextuplets_from_dict(obj)
+    ids = {s.id for s in items}
+    for i, v in enumerate(vertices):
+        if v not in ids:
+            raise SchemaError(f"vertices[{i}]", f"{v!r} is not an embedded sextuplet id")
+    return CausalGraph(vertices=tuple(vertices), edges=edges), items, dialogue_id

@@ -33,7 +33,7 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     window_embedding,
 )
 from .errors import DialogueParseError, EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
-from .model import Dialogue, _as_list, loads_json, read_input, record_from_dict, record_to_dict
+from .model import Dialogue, ScoringConfig, _as_list, loads_json, read_input, record_from_dict, record_to_dict
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -130,8 +130,8 @@ def index_dialogue(
     dialogue: Dialogue,
     provider: EmbeddingProvider,
     *,
-    window_size: int = 10,
-    stride: int = 5,
+    window_size: int = ScoringConfig.window_size,
+    stride: int = ScoringConfig.stride,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
     return index_corpus(
@@ -143,8 +143,8 @@ def index_corpus(
     dialogues: Sequence[Dialogue],
     provider: EmbeddingProvider,
     *,
-    window_size: int = 10,
-    stride: int = 5,
+    window_size: int = ScoringConfig.window_size,
+    stride: int = ScoringConfig.stride,
     rate_scale: float = DEFAULT_RATE_SCALE,
 ) -> KnowledgeBase:
     """Build one knowledge base over the dialogues, ordered by (dialogue_id,

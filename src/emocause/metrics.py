@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 from .errors import SchemaError
 from .graph import CausalEdge, CausalGraph
 from .model import (
+    ScoringConfig,
     Sextuplet,
     _as_list,
     _as_obj,
@@ -37,7 +38,7 @@ _COMPARED_FIELDS = {
     "T-A": ("target", "aspect"), "T-O": ("target", "opinion"), "A-O": ("aspect", "opinion"),
 }
 
-DEFAULT_CONSISTENCY_FLOOR = 0.5
+DEFAULT_CONSISTENCY_FLOOR = ScoringConfig.consistency_floor
 
 
 @dataclass(frozen=True)

@@ -368,7 +368,8 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # [AudioFeatureRecord]}, where an audio record's missing speech_rate is
 # computed from its utterance's timing (compute_speech_rate). Sextuplets
 # document: {dialogue_id, sextuplets: [Sextuplet]}, to which a gold file
-# adds causal_links: [{cause, effect}] (metrics.gold_to_dict).
+# adds causal_links: [{cause, effect}] (metrics.gold_to_dict) and a graph
+# adds vertices: [sextuplet id] and edges: [CausalEdge] (graph.export_graph).
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
@@ -513,33 +514,25 @@ def sextuplet_from_dict(obj: Mapping[str, Any], path: str = "") -> Sextuplet:
     return record_from_dict(Sextuplet, {"aspect": "", **_as_obj(obj, path)}, path, _SEXTUPLET_KEYS)
 
 
-def sextuplets_from_list(value: Any) -> list[Sextuplet]:
-    """Parse a document's `sextuplets` array; a SchemaError names the first item
-    that breaks a Sextuplet invariant (`sextuplets[i]`) or repeats an id
-    (`sextuplets[i].id`)."""
-    items: dict[str, Sextuplet] = {}
-    for i, obj in enumerate(_as_list(value, "sextuplets")):
-        s = sextuplet_from_dict(obj, f"sextuplets[{i}]")
-        if s.problems():
-            raise SchemaError(f"sextuplets[{i}]", "; ".join(s.problems()))
-        if s.id in items:
-            raise SchemaError(f"sextuplets[{i}].id", f"repeats sextuplet id {s.id!r}")
-        items[s.id] = s
-    return list(items.values())
-
-
 def sextuplets_to_dict(dialogue_id: str, items: Iterable[Sextuplet]) -> dict:
     return {"dialogue_id": dialogue_id, "sextuplets": [sextuplet_to_dict(s) for s in items]}
 
 
 def sextuplets_from_dict(obj: Any) -> tuple[str, list[Sextuplet]]:
+    """(dialogue_id, sextuplets) of a sextuplets document or of any document
+    that holds one, such as a graph; both keys are required. A SchemaError
+    names the first item that breaks a Sextuplet invariant (`sextuplets[i]`)
+    or repeats an id (`sextuplets[i].id`)."""
     obj = _as_obj(obj, "")
-    items = sextuplets_from_list(_need(obj, "sextuplets", ""))
-    return _as_str(_need(obj, "dialogue_id", ""), "dialogue_id"), items
-
-
-def scoring_config_to_dict(cfg: ScoringConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(ScoringConfig)}
+    items: dict[str, Sextuplet] = {}
+    for i, item in enumerate(_as_list(_need(obj, "sextuplets", ""), "sextuplets")):
+        s = sextuplet_from_dict(item, f"sextuplets[{i}]")
+        if s.problems():
+            raise SchemaError(f"sextuplets[{i}]", "; ".join(s.problems()))
+        if s.id in items:
+            raise SchemaError(f"sextuplets[{i}].id", f"repeats sextuplet id {s.id!r}")
+        items[s.id] = s
+    return _as_str(_need(obj, "dialogue_id", ""), "dialogue_id"), list(items.values())
 
 
 def scoring_config_from_dict(obj: Mapping[str, Any]) -> ScoringConfig:

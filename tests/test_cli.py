@@ -11,7 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import emocause
 from emocause.cli import main
 from emocause.kb import _pack_section, read_kb, write_kb
-from emocause.model import ScoringConfig, dumps_canonical, scoring_config_to_dict
+from emocause.model import ScoringConfig, dumps_canonical
 from emocause.pipeline import sha256_file
 
 
@@ -441,7 +441,7 @@ def test_malformed_json_input_is_format_error(generated, tmp_path, capsys, comma
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     empty_graph = tmp_path / "empty-graph.json"
-    empty_graph.write_text('{"vertices": [], "edges": [], "sextuplets": []}')
+    empty_graph.write_text('{"dialogue_id": "x", "vertices": [], "edges": [], "sextuplets": []}')
     paths = {"bad": bad, "gold": gold_path, "dialogue": dialogue_path, "tmp": tmp,
              "empty_graph": empty_graph}
     assert main([arg.format(**paths) for arg in command]) == 4
@@ -476,8 +476,10 @@ def test_eval_edge_without_effect_names_the_field(generated, capsys):
         (lambda doc: doc["edges"][0].update(cause="ghost"), "edges[0].cause: 'ghost'"),
         (lambda doc: doc["edges"][0].update(effect="ghost"), "edges[0].effect: 'ghost'"),
         (lambda doc: doc["vertices"].insert(0, "ghost"), "vertices[0]: 'ghost' is not an embedded"),
+        (lambda doc: doc["edges"].append(doc["edges"][-1]), "edges[4]: repeats edge"),
+        (lambda doc: doc["vertices"].append(doc["vertices"][0]), "vertices[5]: repeats vertex"),
     ],
-    ids=["cause", "effect", "vertex"],
+    ids=["cause", "effect", "vertex", "repeated-edge", "repeated-vertex"],
 )
 def test_eval_rejects_unknown_graph_endpoints(generated, capsys, edit, field):
     tmp, dialogue_path, gold_path = generated
@@ -603,7 +605,7 @@ def test_eval_of_a_graph_without_sextuplets_names_its_file(generated, capsys):
     _, dialogue_path, gold_path = generated
     capsys.readouterr()
     assert main(["eval", "--predicted", str(dialogue_path), "--gold", str(gold_path)]) == 4
-    assert capsys.readouterr().err.startswith(f"error: {dialogue_path}: sextuplets: predicted graph JSON")
+    assert capsys.readouterr().err == f"error: {dialogue_path}: sextuplets: missing required field\n"
 
 
 def test_extract_with_a_kb_of_another_dialogue_is_format_error(generated, capsys):
@@ -652,7 +654,7 @@ def seed_1_inputs(tmp_path_factory):
         assert main(["run", "--dialogue", str(dialogue), "--gold", str(gold),
                      "--out-dir", str(run)]) == 0
     config = root / "config.json"
-    config.write_text(dumps_canonical(scoring_config_to_dict(ScoringConfig())))
+    config.write_text(dumps_canonical(asdict(ScoringConfig())))
     files = {"dialogue": dialogue, "gold": gold, "graph": run / "graph.json",
              "sextuplets": run / "sextuplets.json", "config": config, "kb": run / "kb.cmkb"}
     return root, files, itertools.count()

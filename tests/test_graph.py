@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocause.embedding import HashTextEmbedder, embed_text
-from emocause.errors import PrecedenceError, ResponseParseError, TransportError
+from emocause.errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from emocause.extraction import MockExtractor, extract_dialogue
 from emocause.graph import (
     CausalEdge,
@@ -38,7 +38,7 @@ from emocause.graph import (
     temporal_score,
 )
 from emocause.kb import index_dialogue
-from emocause.model import ScoringConfig
+from emocause.model import ScoringConfig, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
 
 from conftest import ScriptedSession, make_sextuplet
@@ -339,7 +339,7 @@ def test_build_graph_raw_mode_matches_paper_ranges(embedder, nli):
 def test_export_empty_dot():
     from emocause.graph import CausalGraph
 
-    assert export_graph(CausalGraph((), ()), "dot") == b"digraph G {\n}\n"
+    assert export_graph(CausalGraph((), ()), "dot", [], "dlg-0") == b"digraph G {\n}\n"
 
 
 def test_export_json_schema_and_round_trip(cfg, embedder, nli):
@@ -356,24 +356,43 @@ def test_export_json_schema_and_round_trip(cfg, embedder, nli):
     assert dialogue_id == "dlg-9"
 
 
+def test_exported_graph_holds_the_sextuplets_document(cfg, embedder, nli):
+    items = _chain_sextuplets()[::-1]
+    doc = json.loads(export_graph(build_graph(items, cfg, embedder, nli), "json", items, "dlg-9"))
+    assert sextuplets_from_dict(doc) == ("dlg-9", sorted(items, key=lambda s: s.id))
+
+
+def test_graph_from_json_requires_the_dialogue_id(cfg, embedder, nli):
+    items = _chain_sextuplets()
+    doc = json.loads(export_graph(build_graph(items, cfg, embedder, nli), "json", items, "dlg-9"))
+    del doc["dialogue_id"]
+    with pytest.raises(SchemaError, match="^dialogue_id: missing required field$"):
+        graph_from_json(json.dumps(doc))
+
+
 def test_export_deterministic(cfg, embedder, nli):
     items = _chain_sextuplets()
     g = build_graph(items, cfg, embedder, nli)
-    assert export_graph(g, "json", items) == export_graph(g, "json", items)
-    assert export_graph(g, "dot") == export_graph(g, "dot")
+    assert export_graph(g, "json", items, "dlg-9") == export_graph(g, "json", items, "dlg-9")
+    assert export_graph(g, "dot", items, "dlg-9") == export_graph(g, "dot", items, "dlg-9")
 
 
-def test_export_dot_labels(cfg, embedder, nli):
-    g = build_graph(_chain_sextuplets(), cfg, embedder, nli)
-    text = export_graph(g, "dot").decode()
+@pytest.mark.parametrize("prefix, quoted", [("", "a"), ('say "hi"-', 'say \\"hi\\"-a')],
+                         ids=["plain", "double-quote"])
+def test_export_dot_labels(cfg, embedder, nli, prefix, quoted):
+    items = [replace(s, id=prefix + s.id) for s in _chain_sextuplets()]
+    g = build_graph(items, cfg, embedder, nli)
+    text = export_graph(g, "dot", items, "dlg-9").decode()
     assert text.startswith("digraph G {")
-    assert '"a" -> "b" [label="w=0.' in text
+    assert f'  "{quoted}";' in text
+    assert f'"{quoted}" -> "{quoted[:-1]}b" [label="w=0.' in text
 
 
 def test_export_unknown_format(cfg, embedder, nli):
-    g = build_graph([make_sextuplet("v")], cfg, embedder, nli)
+    items = [make_sextuplet("v")]
+    g = build_graph(items, cfg, embedder, nli)
     with pytest.raises(ValueError):
-        export_graph(g, "yaml")
+        export_graph(g, "yaml", items, "dlg-9")
 
 
 def test_remote_nli_contract():

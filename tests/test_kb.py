@@ -144,7 +144,8 @@ class _CountingEmbedder(HashTextEmbedder):
         return super().embed(text)
 
 
-def test_index_embeds_each_distinct_text_once_and_matches_window_embedding():
+@pytest.mark.parametrize("scale", [{}, {"rate_scale": 2.5}], ids=["default", "rate-scale-2.5"])
+def test_index_embeds_each_distinct_text_once_and_matches_window_embedding(scale):
     fillers = ["noted thanks", "okay", "sure thing"]
     texts = [fillers[i % 3] if i % 4 else f"point number {i}" for i in range(23)]
     d = Dialogue(
@@ -154,13 +155,13 @@ def test_index_embeds_each_distinct_text_once_and_matches_window_embedding():
         audio={i: make_audio(i, peak=i % 8) for i in range(0, 23, 2)},  # odd turns fall back
     )
     provider = _CountingEmbedder()
-    kb = index_dialogue(d, provider, window_size=6, stride=2)
+    kb = index_dialogue(d, provider, window_size=6, stride=2, **scale)
     assert provider.calls == Counter(set(texts))
     assert len(kb.windows) == 10
     for window, vector in zip(kb.windows, kb.vectors):
         span = range(window.start_index, window.end_index + 1)
         pairs = [(d.utterances[k], d.audio.get(k)) for k in span]
-        assert np.array_equal(vector, window_embedding(pairs, provider))
+        assert np.array_equal(vector, window_embedding(pairs, provider, **scale))
 
 
 class _BatchingEmbedder(_CountingEmbedder):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,6 @@ from emocause.model import (
     record_from_dict,
     record_to_dict,
     scoring_config_from_dict,
-    scoring_config_to_dict,
     sextuplet_from_dict,
     sextuplet_to_dict,
     validate_dialogue,
@@ -191,7 +190,7 @@ def test_scoring_config_from_dict_rejects_unknown_keys():
 
 def test_scoring_config_round_trip():
     cfg = ScoringConfig(alpha=0.2, beta=0.5, gamma=0.3, tau=12.0, max_gap=90.0)
-    again = scoring_config_from_dict(json.loads(json.dumps(scoring_config_to_dict(cfg))))
+    again = scoring_config_from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
 
 
