@@ -11,8 +11,11 @@ not the number of texts sent, a corpus file with no dialogue, and a JSON
 input file that does not decode: one that is not UTF-8, is malformed, nests
 too deeply or holds a number JSON cannot read (the message names the file);
 an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
-document plus vertices and edges; one without its sextuplets or dialogue id
-exits 4.
+document plus vertices and edges, and a native gold file that document plus
+causal_links; one without any of these keys exits 4. So do a .cmkb whose
+window_size or stride build_windows refuses, and extract with a KB indexed
+from other utterances under the dialogue's id, or with another rate_scale
+than the config's where audio is missing (extraction.extract_dialogue).
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.

@@ -14,6 +14,7 @@ the prompt does not already hold.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .errors import ResponseParseError, SchemaError
-from .kb import KnowledgeBase, RetrievalHit, TimeWindow, retrieve
+from .kb import KnowledgeBase, RetrievalHit, TimeWindow, build_windows, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
 from .model import sextuplets_to_dict  # imported from here by benchmarks/workloads.py
 from .transport import JsonEndpoint, map_calls
@@ -386,8 +387,13 @@ def extract_dialogue(
     prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
-    augmented prompts, then deduplicate across overlapping windows. A KB
-    without the dialogue's windows, or with one past its end, raises SchemaError.
+    augmented prompts, then deduplicate across overlapping windows.
+
+    The KB's windows of the dialogue must equal, text included, those
+    build_windows gives it at the KB's window_size and stride and
+    cfg.rate_scale, so a KB indexed from other utterances under the same id
+    is refused. A KB without the dialogue's windows, or with one that
+    differs, raises SchemaError naming the first that differs (`window <k>`).
 
     Windows run through map_calls (a remote provider overlaps them) and
     are re-sorted by window index, so the output is independent of scheduling.
@@ -401,12 +407,14 @@ def extract_dialogue(
     ]
     if not indexed:
         raise SchemaError("windows", f"dialogue {dialogue.id!r} has no windows in the knowledge base")
-    for _, w in indexed:
-        if not 0 <= w.start_index <= w.end_index < dialogue.n:
+    expected = build_windows(dialogue, kb.meta.window_size, kb.meta.stride, rate_scale=cfg.rate_scale)
+    for k, (stored, built) in enumerate(itertools.zip_longest([w for _, w in indexed], expected)):
+        if stored != built:
             raise SchemaError(
-                f"window {w.window_index}",
-                f"spans utterances [{w.start_index}..{w.end_index}] but dialogue "
-                f"{dialogue.id!r} has {dialogue.n} utterances",
+                f"window {k}",
+                f"does not match dialogue {dialogue.id!r} ({dialogue.n} utterances) at window_size "
+                f"{kb.meta.window_size}, stride {kb.meta.stride} and rate_scale {cfg.rate_scale}; "
+                "the knowledge base was indexed from other utterances or with another rate_scale",
             )
 
     def run_one(item: tuple[int, TimeWindow]) -> tuple[int, ExtractionPrompt, list[Sextuplet]]:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
 from .kb import cosine_similarity
-from .model import ScoringConfig, Sextuplet, sextuplets_from_dict, sextuplets_to_dict
+from .model import ScoringConfig, Sextuplet, _need, sextuplets_from_dict, sextuplets_to_dict
 from .model import _as_list, _as_obj, _as_str, dumps_canonical, loads_json, record_from_dict, record_to_dict
 from .transport import JsonEndpoint, map_calls
 
@@ -341,18 +341,19 @@ def _dot_id(vertex: str) -> str:
 
 
 def graph_from_json(data: bytes | str) -> tuple[CausalGraph, list[Sextuplet], str]:
-    """Parse a JSON export back into (graph, sextuplets, dialogue id), reading
-    the event part with model.sextuplets_from_dict, and raise SchemaError with
-    a field path on the first structural violation: a vertex or a (cause,
-    effect) edge must not repeat, an edge endpoint must be a vertex, and a
-    vertex a sextuplet id."""
+    """Parse a JSON export back into (graph, sextuplets, dialogue id): the
+    sextuplets document, read with model.sextuplets_from_dict, then its
+    required edges and vertices. Raise SchemaError with a field path on the
+    first structural violation: a vertex or a (cause, effect) edge must not
+    repeat, an edge endpoint must be a vertex, and a vertex a sextuplet id."""
     obj = _as_obj(loads_json(data), "")
+    dialogue_id, items = sextuplets_from_dict(obj)
     edges = tuple(
         record_from_dict(CausalEdge, e, f"edges[{i}]", _EDGE_KEYS)
-        for i, e in enumerate(_as_list(obj.get("edges", []), "edges"))
+        for i, e in enumerate(_as_list(_need(obj, "edges", ""), "edges"))
     )
     vertices: dict[str, None] = {}
-    for i, v in enumerate(_as_list(obj.get("vertices", []), "vertices")):
+    for i, v in enumerate(_as_list(_need(obj, "vertices", ""), "vertices")):
         if _as_str(v, f"vertices[{i}]") in vertices:
             raise SchemaError(f"vertices[{i}]", f"repeats vertex {v!r}")
         vertices[v] = None
@@ -364,7 +365,6 @@ def graph_from_json(data: bytes | str) -> tuple[CausalGraph, list[Sextuplet], st
         if (e.cause_id, e.effect_id) in pairs:
             raise SchemaError(f"edges[{i}]", f"repeats edge {e.cause_id!r} -> {e.effect_id!r}")
         pairs.add((e.cause_id, e.effect_id))
-    dialogue_id, items = sextuplets_from_dict(obj)
     ids = {s.id for s in items}
     for i, v in enumerate(vertices):
         if v not in ids:

@@ -16,9 +16,8 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InvalidDialogueError, SchemaError, StrictModeError
-from .model import (  # compute_speech_rate: also part of this module's public API
+from .model import (
     Dialogue,
-    compute_speech_rate,
     dialogue_from_dict,
     json_documents,
     loads_json,

@@ -89,6 +89,17 @@ def render_window_line(utterance, audio) -> str:
     )
 
 
+def _windowing_problem(window_size: int, stride: int) -> str | None:
+    """Why build_windows refuses this window_size and stride, if it does."""
+    if window_size < 2:
+        return f"window_size must be >= 2, got {window_size}"
+    if stride < 1:
+        return f"stride must be >= 1, got {stride}"
+    if stride > window_size:
+        return (f"stride ({stride}) must not exceed window_size ({window_size}); "
+                "larger strides would leave utterances uncovered")
+
+
 def build_windows(
     dialogue: Dialogue,
     window_size: int,
@@ -103,15 +114,8 @@ def build_windows(
     stride must not exceed window_size or some utterances would fall in no
     window at all, losing context.
     """
-    if window_size < 2:
-        raise ValueError(f"window_size must be >= 2, got {window_size}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if stride > window_size:
-        raise ValueError(
-            f"stride ({stride}) must not exceed window_size ({window_size}); "
-            "larger strides would leave utterances uncovered"
-        )
+    if problem := _windowing_problem(window_size, stride):
+        raise ValueError(problem)
     n = dialogue.n
     lines = [
         render_window_line(u, dialogue.audio.get(i) or neutral_audio_record(i, rate_scale))
@@ -324,9 +328,10 @@ def _repeated_key(windows) -> tuple[str, int] | None:
 
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse bytes produced by save_kb; corruption, version drift, a field
-    of the wrong type, a window whose start_index exceeds its end_index, a
-    repeated (dialogue_id, window_index) key and a non-finite vector
-    component are rejected."""
+    of the wrong type, a window_size or stride build_windows refuses, a
+    window whose start_index exceeds its end_index, a repeated
+    (dialogue_id, window_index) key and a non-finite vector component are
+    rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
         raise StoreFormatError("not a knowledge-base file (bad magic)")
@@ -342,6 +347,8 @@ def load_kb(data: bytes) -> KnowledgeBase:
         ]
     except (DialogueParseError, SchemaError) as exc:
         raise StoreFormatError(f"corrupt metadata: {exc}") from exc
+    if problem := _windowing_problem(meta.window_size, meta.stride):
+        raise StoreFormatError(f"corrupt metadata: meta: {problem}")
     matrix_bytes = r.section("vectors")
     if r.pos != len(data):
         raise StoreFormatError("trailing bytes after final section")

@@ -299,7 +299,7 @@ def gold_from_dict(obj: Mapping) -> GoldAnnotation:
     """A native gold document: a sextuplets document plus causal_links."""
     dialogue_id, sextuplets = sextuplets_from_dict(obj)
     links = []
-    for i, item in enumerate(_as_list(obj.get("causal_links", []), "causal_links")):
+    for i, item in enumerate(_as_list(_need(obj, "causal_links", ""), "causal_links")):
         item = _as_obj(item, f"causal_links[{i}]")
         links.append(
             (

@@ -369,7 +369,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # computed from its utterance's timing (compute_speech_rate). Sextuplets
 # document: {dialogue_id, sextuplets: [Sextuplet]}, to which a gold file
 # adds causal_links: [{cause, effect}] (metrics.gold_to_dict) and a graph
-# adds vertices: [sextuplet id] and edges: [CausalEdge] (graph.export_graph).
+# adds vertices: [sextuplet id] and edges: [CausalEdge] (graph.export_graph);
+# each of these keys is required. A .cmkb's windows of a dialogue must be
+# kb.build_windows of it at the meta's window_size and stride (extract_dialogue).
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:

@@ -152,7 +152,68 @@ def test_extract_rejects_kb_windows_beyond_the_dialogue(generated, tmp_path, cap
     capsys.readouterr()
     assert main(["extract", "--kb", str(kb_path), "--dialogue", str(short),
                  "--out", str(tmp / "sx.json")]) == 4
-    assert "error: window 3: spans utterances [15..24] but dialogue" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: window 3: does not match dialogue 'synth-00000007' (20 utterances)" in err
+
+
+def test_extract_refuses_a_kb_of_other_utterances_under_the_same_id(generated, capsys):
+    tmp, dialogue_path, _ = generated
+    kb_path, out = tmp / "kb.cmkb", tmp / "sx.json"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    assert main(["gen", "--seed", "8", "--turns", "80", "--chain-length", "4",
+                 "--out-prefix", str(tmp / "other")]) == 0
+    doc = json.loads((tmp / "other.dialogue.json").read_text())
+    doc["id"] = "synth-00000007"
+    renamed = tmp / "renamed.json"
+    renamed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(renamed), "--out", str(out)]) == 4
+    assert "error: window 0: does not match dialogue 'synth-00000007'" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_extract_needs_the_rate_scale_a_kb_was_indexed_with_where_audio_is_missing(generated, capsys):
+    tmp, dialogue_path, _ = generated
+    doc = json.loads(dialogue_path.read_text())
+    del doc["audio"][0]
+    partial, kb_path = tmp / "partial.json", tmp / "kb.cmkb"
+    partial.write_text(json.dumps(doc))
+    config = tmp / "config.json"
+    config.write_text('{"rate_scale": 2.0}')
+    assert main(["index", str(partial), "--out", str(kb_path), "--rate-scale", "2"]) == 0
+    argv = ["extract", "--kb", str(kb_path), "--dialogue", str(partial), "--out", str(tmp / "sx.json")]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert "error: window 0: " in capsys.readouterr().err
+    assert main(argv + ["--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"window_size": 1}, "window_size must be >= 2, got 1"),
+        ({"stride": 0}, "stride must be >= 1, got 0"),
+        ({"stride": 11}, "stride (11) must not exceed window_size (10)"),
+    ],
+    ids=["window-size", "stride", "stride-beyond-window"],
+)
+@pytest.mark.parametrize("command", ["extract", "retrieve"])
+def test_a_kb_meta_that_build_windows_refuses_is_format_error(generated, capsys, meta, message, command):
+    tmp, dialogue_path, _ = generated
+    kb_path, out = tmp / "kb.cmkb", tmp / "sx.json"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    data = kb_path.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 6)
+    crafted = {**json.loads(data[14 : 14 + length]), **meta}
+    kb_path.write_bytes(data[:6] + _pack_section(json.dumps(crafted).encode()) + data[18 + length :])
+    capsys.readouterr()
+    argv = {"extract": ["extract", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
+                        "--out", str(out)],
+            "retrieve": ["retrieve", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
+                         "--window", "0"]}[command]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(f"error: {kb_path}: corrupt metadata: meta: {message}")
+    assert not out.exists()
 
 
 def test_graph_dot_output(generated):
@@ -478,8 +539,11 @@ def test_eval_edge_without_effect_names_the_field(generated, capsys):
         (lambda doc: doc["vertices"].insert(0, "ghost"), "vertices[0]: 'ghost' is not an embedded"),
         (lambda doc: doc["edges"].append(doc["edges"][-1]), "edges[4]: repeats edge"),
         (lambda doc: doc["vertices"].append(doc["vertices"][0]), "vertices[5]: repeats vertex"),
+        (lambda doc: doc.pop("edges"), "graph.json: edges: missing required field"),
+        (lambda doc: doc.pop("vertices"), "graph.json: vertices: missing required field"),
     ],
-    ids=["cause", "effect", "vertex", "repeated-edge", "repeated-vertex"],
+    ids=["cause", "effect", "vertex", "repeated-edge", "repeated-vertex", "missing-edges",
+         "missing-vertices"],
 )
 def test_eval_rejects_unknown_graph_endpoints(generated, capsys, edit, field):
     tmp, dialogue_path, gold_path = generated
@@ -491,6 +555,17 @@ def test_eval_rejects_unknown_graph_endpoints(generated, capsys, edit, field):
     capsys.readouterr()
     assert main(["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]) == 4
     assert field in capsys.readouterr().err
+
+
+def test_eval_rejects_a_gold_file_without_causal_links(generated, capsys):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    doc = json.loads(gold_path.read_text())
+    del doc["causal_links"]
+    gold_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"), "--gold", str(gold_path)]) == 4
+    assert capsys.readouterr().err == f"error: {gold_path}: causal_links: missing required field\n"
 
 
 MANIFEST_KEYS = {"version", "config", "providers", "inputs", "outputs", "stages"}

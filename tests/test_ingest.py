@@ -14,8 +14,8 @@ from emocause.errors import (
     SchemaError,
     StrictModeError,
 )
-from emocause.ingest import compute_speech_rate, parse_corpus, parse_dialogue_file
-from emocause.model import Utterance, dialogue_to_dict
+from emocause.ingest import parse_corpus, parse_dialogue_file
+from emocause.model import Utterance, compute_speech_rate, dialogue_to_dict
 from emocause.synth import ChainSpec, generate
 
 from conftest import make_dialogue, make_utterance

@@ -224,7 +224,7 @@ def test_consistent_edges_flags_exactly_the_edges_on_a_cycle(pairs):
 
 
 def test_importing_emocause_does_not_import_networkx():
-    code = "import sys, emocause; assert 'networkx' not in sys.modules"
+    code = "import sys, emocause.cli; assert 'networkx' not in sys.modules"
     src = str(Path(emocause.__file__).parents[1])
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 

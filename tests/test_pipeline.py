@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,6 +33,13 @@ def workdir(tmp_path):
     dialogue_path.write_text(dumps_canonical(dialogue_to_dict(dialogue)))
     gold_path.write_text(dumps_canonical(gold_to_dict(gold)))
     return tmp_path, dialogue_path, gold_path
+
+
+def test_importing_emocause_loads_none_of_its_modules():
+    code = ("import sys, emocause; assert emocause.__version__; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('emocause.')); assert not loaded, loaded")
+    src = str(Path(emocause.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_run_pipeline_produces_all_artifacts(workdir):
