@@ -13,9 +13,9 @@ too deeply or holds a number JSON cannot read (the message names the file);
 an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
 document plus vertices and edges, and a native gold file that document plus
 causal_links; one without any of these keys exits 4. So do a .cmkb whose
-window_size or stride build_windows refuses, and extract with a KB indexed
-from other utterances under the dialogue's id, or with another rate_scale
-than the config's where audio is missing (extraction.extract_dialogue).
+window_size or stride build_windows refuses, and extract or retrieve with a
+KB indexed from other utterances under the dialogue's id
+(extraction.dialogue_rows).
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -38,7 +38,7 @@ from .errors import (
     StrictModeError,
     TransportError,
 )
-from .extraction import extractor_from_spec
+from .extraction import dialogue_rows, extractor_from_spec
 from .embedding import provider_from_spec
 from .graph import graph_from_json, nli_from_spec
 from .ingest import load_raw_dialogue, read_corpus, read_dialogue
@@ -147,25 +147,16 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _dialogue_id_from_arg(value: str) -> str:
-    if Path(value).exists():
-        return read_input(value, load_raw_dialogue).id
-    return value
-
-
 def _cmd_retrieve(args) -> int:
     kb = read_kb(args.kb)
-    dialogue_id = _dialogue_id_from_arg(args.dialogue)
-    query = next(
-        ((w, v) for w, v in zip(kb.windows, kb.vectors)
-         if w.dialogue_id == dialogue_id and w.window_index == args.window),
-        None,
-    )
-    if query is None:
+    dialogue = read_dialogue(args.dialogue)
+    rows = dialogue_rows(kb, dialogue)
+    if not 0 <= args.window < len(rows):
         raise SchemaError(
-            "window", f"window {args.window} of dialogue {dialogue_id!r} is not in the index"
+            "window", f"window {args.window} of dialogue {dialogue.id!r} is not in the index"
         )
-    hits = retrieve(*query, kb, args.top_n)
+    query = rows[args.window]
+    hits = retrieve(kb.windows[query], kb.vectors[query], kb, args.top_n)
     for rank, hit in enumerate(hits, start=1):
         w = hit.window
         print(f"#{rank} similarity={hit.similarity:.4f} "
@@ -289,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="print the most similar windows for a query window")
     p.add_argument("--kb", required=True, help=".cmkb file")
-    p.add_argument("--dialogue", required=True, help="dialogue file or dialogue id")
+    p.add_argument("--dialogue", required=True,
+                   help="dialogue JSON file; its windows in the KB are checked against it")
     p.add_argument("--window", required=True, type=int, help="query window index")
     p.add_argument("--top-n", type=int, default=ScoringConfig.top_n, help="result depth (ScoringConfig.top_n)")
     p.set_defaults(func=_cmd_retrieve)

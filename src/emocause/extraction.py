@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .errors import ResponseParseError, SchemaError
+# dialogue_rows calls build_windows bound here: benchmarks/tracing.py patches
+# kb.build_windows to count the windows indexing builds, and no others
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, build_windows, retrieve
 from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
 from .model import sextuplets_to_dict  # imported from here by benchmarks/workloads.py
@@ -377,6 +379,28 @@ def dedup_sextuplets(items: Sequence[Sextuplet]) -> list[Sextuplet]:
     return list(best.values())
 
 
+def dialogue_rows(kb: KnowledgeBase, dialogue: Dialogue) -> list[int]:
+    """The KB rows of the dialogue's windows, in window order, once they are
+    checked to equal, text included, those build_windows gives the dialogue
+    at the KB's window_size and stride: a KB indexed from other utterances
+    under the same id is refused. A KB without the dialogue's windows, or
+    with one that differs, raises SchemaError naming the first that differs
+    (`window <k>`)."""
+    rows = [i for i, w in enumerate(kb.windows) if w.dialogue_id == dialogue.id]
+    if not rows:
+        raise SchemaError("windows", f"dialogue {dialogue.id!r} has no windows in the knowledge base")
+    expected = build_windows(dialogue, kb.meta.window_size, kb.meta.stride)
+    for k, (stored, built) in enumerate(itertools.zip_longest([kb.windows[i] for i in rows], expected)):
+        if stored != built:
+            raise SchemaError(
+                f"window {k}",
+                f"does not match dialogue {dialogue.id!r} ({dialogue.n} utterances) at window_size "
+                f"{kb.meta.window_size} and stride {kb.meta.stride}; the knowledge base was "
+                "indexed from other utterances: re-index the dialogue",
+            )
+    return rows
+
+
 def extract_dialogue(
     dialogue: Dialogue,
     kb: KnowledgeBase,
@@ -387,13 +411,8 @@ def extract_dialogue(
     prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
-    augmented prompts, then deduplicate across overlapping windows.
-
-    The KB's windows of the dialogue must equal, text included, those
-    build_windows gives it at the KB's window_size and stride and
-    cfg.rate_scale, so a KB indexed from other utterances under the same id
-    is refused. A KB without the dialogue's windows, or with one that
-    differs, raises SchemaError naming the first that differs (`window <k>`).
+    augmented prompts, then deduplicate across overlapping windows. The
+    KB's windows of the dialogue are checked first (dialogue_rows).
 
     Windows run through map_calls (a remote provider overlaps them) and
     are re-sorted by window index, so the output is independent of scheduling.
@@ -402,20 +421,7 @@ def extract_dialogue(
     the provider even where the sextuplets do not.
     """
     cfg = cfg or ScoringConfig()
-    indexed = [
-        (i, w) for i, w in enumerate(kb.windows) if w.dialogue_id == dialogue.id
-    ]
-    if not indexed:
-        raise SchemaError("windows", f"dialogue {dialogue.id!r} has no windows in the knowledge base")
-    expected = build_windows(dialogue, kb.meta.window_size, kb.meta.stride, rate_scale=cfg.rate_scale)
-    for k, (stored, built) in enumerate(itertools.zip_longest([w for _, w in indexed], expected)):
-        if stored != built:
-            raise SchemaError(
-                f"window {k}",
-                f"does not match dialogue {dialogue.id!r} ({dialogue.n} utterances) at window_size "
-                f"{kb.meta.window_size}, stride {kb.meta.stride} and rate_scale {cfg.rate_scale}; "
-                "the knowledge base was indexed from other utterances or with another rate_scale",
-            )
+    indexed = [(i, kb.windows[i]) for i in dialogue_rows(kb, dialogue)]
 
     def run_one(item: tuple[int, TimeWindow]) -> tuple[int, ExtractionPrompt, list[Sextuplet]]:
         i, window = item

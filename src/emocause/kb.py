@@ -33,7 +33,16 @@ from .embedding import (  # window_embedding: benchmarks/tracing.py patches kb.w
     window_embedding,
 )
 from .errors import DialogueParseError, EmbeddingError, ResponseParseError, SchemaError, StoreFormatError
-from .model import Dialogue, ScoringConfig, _as_list, loads_json, read_input, record_from_dict, record_to_dict
+from .model import (
+    Dialogue,
+    ScoringConfig,
+    _as_list,
+    loads_json,
+    read_input,
+    record_from_dict,
+    record_to_dict,
+    windowing_problem,
+)
 
 MAGIC = b"CMKB"
 FORMAT_VERSION = 1
@@ -41,8 +50,9 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """A contiguous span of utterances; text carries speaker prefixes and
-    inline audio descriptions for prompt assembly."""
+    """A contiguous span of utterances; text carries speaker prefixes and,
+    for each utterance with audio, an inline audio description for prompt
+    assembly (render_window_line)."""
 
     window_index: int
     dialogue_id: str
@@ -82,31 +92,14 @@ class RetrievalHit:
 
 
 def render_window_line(utterance, audio) -> str:
-    """One window-text line: "[#idx] speaker: text [voice: ...]"."""
-    return (
-        f"[#{utterance.index}] {utterance.speaker}: {utterance.text} "
-        f"{describe_audio_as_text(audio)}"
-    )
+    """One window-text line: "[#idx] speaker: text [voice: ...]", without
+    the voice annotation when audio is None: a line states only the audio
+    its dialogue has."""
+    line = f"[#{utterance.index}] {utterance.speaker}: {utterance.text}"
+    return line if audio is None else f"{line} {describe_audio_as_text(audio)}"
 
 
-def _windowing_problem(window_size: int, stride: int) -> str | None:
-    """Why build_windows refuses this window_size and stride, if it does."""
-    if window_size < 2:
-        return f"window_size must be >= 2, got {window_size}"
-    if stride < 1:
-        return f"stride must be >= 1, got {stride}"
-    if stride > window_size:
-        return (f"stride ({stride}) must not exceed window_size ({window_size}); "
-                "larger strides would leave utterances uncovered")
-
-
-def build_windows(
-    dialogue: Dialogue,
-    window_size: int,
-    stride: int,
-    *,
-    rate_scale: float = DEFAULT_RATE_SCALE,
-) -> list[TimeWindow]:
+def build_windows(dialogue: Dialogue, window_size: int, stride: int) -> list[TimeWindow]:
     """Slice the dialogue into overlapping windows of up to window_size
     utterances, stride apart; the final window may be shorter. Each line is
     rendered once and a window's text joins its utterances' lines.
@@ -114,13 +107,10 @@ def build_windows(
     stride must not exceed window_size or some utterances would fall in no
     window at all, losing context.
     """
-    if problem := _windowing_problem(window_size, stride):
+    if problem := windowing_problem(window_size, stride):
         raise ValueError(problem)
     n = dialogue.n
-    lines = [
-        render_window_line(u, dialogue.audio.get(i) or neutral_audio_record(i, rate_scale))
-        for i, u in enumerate(dialogue.utterances)
-    ]
+    lines = [render_window_line(u, dialogue.audio.get(i)) for i, u in enumerate(dialogue.utterances)]
     windows = []
     for j, start in enumerate(range(0, n, stride)):
         end = min(start + window_size, n) - 1
@@ -165,7 +155,7 @@ def index_corpus(
     for prev, d in zip(ordered, ordered[1:]):
         if prev.id == d.id:
             raise ValueError(f"dialogue id {d.id!r} is indexed more than once")
-    per_dialogue = [build_windows(d, window_size, stride, rate_scale=rate_scale) for d in ordered]
+    per_dialogue = [build_windows(d, window_size, stride) for d in ordered]
     windows = [w for ws in per_dialogue for w in ws]
     texts = dict.fromkeys(u.text for d in ordered for u in d.utterances)
     rows = np.zeros((len(windows), provider.dim + EMOTION_DIM + 1), dtype=np.float64)
@@ -315,23 +305,12 @@ def save_kb(kb: KnowledgeBase) -> bytes:
     )
 
 
-def _repeated_key(windows) -> tuple[str, int] | None:
-    """The first (dialogue_id, window_index) key seen twice, if any."""
-    seen = set()
-    for w in windows:
-        key = (w.dialogue_id, w.window_index)
-        if key in seen:
-            return key
-        seen.add(key)
-    return None
-
-
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse bytes produced by save_kb; corruption, version drift, a field
     of the wrong type, a window_size or stride build_windows refuses, a
-    window whose start_index exceeds its end_index, a repeated
-    (dialogue_id, window_index) key and a non-finite vector component are
-    rejected."""
+    window whose start_index exceeds its end_index, windows not strictly
+    increasing by (dialogue_id, window_index) and a non-finite vector
+    component are rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
         raise StoreFormatError("not a knowledge-base file (bad magic)")
@@ -347,7 +326,7 @@ def load_kb(data: bytes) -> KnowledgeBase:
         ]
     except (DialogueParseError, SchemaError) as exc:
         raise StoreFormatError(f"corrupt metadata: {exc}") from exc
-    if problem := _windowing_problem(meta.window_size, meta.stride):
+    if problem := windowing_problem(meta.window_size, meta.stride):
         raise StoreFormatError(f"corrupt metadata: meta: {problem}")
     matrix_bytes = r.section("vectors")
     if r.pos != len(data):
@@ -363,9 +342,15 @@ def load_kb(data: bytes) -> KnowledgeBase:
         raise StoreFormatError(
             f"window count {len(windows)} disagrees with entry_count {meta.entry_count}"
         )
-    repeated = _repeated_key(windows)
-    if repeated is not None:
-        raise StoreFormatError(f"window {repeated} is stored more than once")
+    for prev, w in zip(windows, windows[1:]):
+        key, before = (w.dialogue_id, w.window_index), (prev.dialogue_id, prev.window_index)
+        if key == before:
+            raise StoreFormatError(f"window {key} is stored more than once")
+        if key < before:
+            raise StoreFormatError(
+                f"window {key} is stored after window {before}; windows must be "
+                "ordered by (dialogue_id, window_index)"
+            )
     expected = meta.entry_count * meta.fused_dim * 8
     if len(matrix_bytes) != expected:
         raise StoreFormatError(

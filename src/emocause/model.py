@@ -183,6 +183,18 @@ class Sextuplet:
         return self.match_key() + (self.opinion.casefold(),)
 
 
+def windowing_problem(window_size: int, stride: int) -> str | None:
+    """Why this window_size and stride are refused, if they are: by
+    ScoringConfig and by kb.build_windows and kb.load_kb."""
+    if window_size < 2:
+        return f"window_size must be >= 2, got {window_size}"
+    if stride < 1:
+        return f"stride must be >= 1, got {stride}"
+    if stride > window_size:
+        return (f"stride ({stride}) must not exceed window_size ({window_size}); "
+                "larger strides would leave utterances uncovered")
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     """Knobs for windowing, retrieval and causal-edge scoring.
@@ -240,12 +252,8 @@ class ScoringConfig:
                 raise ConfigError(f"{name}={getattr(self, name)!r} outside [0, 1]")
         if self.top_n < 1:
             raise ConfigError(f"top_n={self.top_n!r} must be >= 1")
-        if self.window_size < 2:
-            raise ConfigError(f"window_size={self.window_size!r} must be >= 2")
-        if self.stride < 1:
-            raise ConfigError(f"stride={self.stride!r} must be >= 1")
-        if self.stride > self.window_size:
-            raise ConfigError(f"stride={self.stride!r} must not exceed window_size={self.window_size!r}")
+        if problem := windowing_problem(self.window_size, self.stride):
+            raise ConfigError(problem)
         if not self.rate_scale > 0.0:
             raise ConfigError(f"rate_scale={self.rate_scale!r} must be > 0")
         if self.max_gap is not None and not self.max_gap > 0.0:
@@ -371,7 +379,8 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # adds causal_links: [{cause, effect}] (metrics.gold_to_dict) and a graph
 # adds vertices: [sextuplet id] and edges: [CausalEdge] (graph.export_graph);
 # each of these keys is required. A .cmkb's windows of a dialogue must be
-# kb.build_windows of it at the meta's window_size and stride (extract_dialogue).
+# kb.build_windows of it at the meta's window_size and stride
+# (extraction.dialogue_rows).
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:

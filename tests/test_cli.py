@@ -25,6 +25,12 @@ from emocause.model import ScoringConfig, dumps_canonical
 from emocause.pipeline import sha256_file
 
 
+def digest(manifest_path):
+    """The prompt_sha256 of a manifest's extract stage."""
+    stages = json.loads(manifest_path.read_text())["stages"]
+    return next(stage["prompt_sha256"] for stage in stages if stage["name"] == "extract")
+
+
 @pytest.fixture
 def generated(tmp_path):
     code = main(["gen", "--seed", "7", "--turns", "80", "--chain-length", "4",
@@ -116,12 +122,17 @@ def test_retrieve_top_n_beyond_kb_prints_all(generated, capsys):
     assert out.count("similarity=") == 14  # 15 windows minus the query itself
 
 
-def test_retrieve_missing_window_is_format_error(generated):
+@pytest.mark.parametrize("window", ["15", "99", "-1"])
+def test_retrieve_missing_window_is_format_error(generated, capsys, window):
     tmp, dialogue_path, _ = generated
     kb_path = tmp / "kb.cmkb"
     main(["index", str(dialogue_path), "--out", str(kb_path)])
+    capsys.readouterr()
     assert main(["retrieve", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
-                 "--window", "99"]) == 4
+                 "--window", window]) == 4
+    captured = capsys.readouterr()
+    assert f"window {window} of dialogue 'synth-00000007' is not in the index" in captured.err
+    assert captured.out == ""
 
 
 def test_extract_graph_eval_flow(generated, capsys):
@@ -156,7 +167,8 @@ def test_extract_rejects_kb_windows_beyond_the_dialogue(generated, tmp_path, cap
     assert "error: window 3: does not match dialogue 'synth-00000007' (20 utterances)" in err
 
 
-def test_extract_refuses_a_kb_of_other_utterances_under_the_same_id(generated, capsys):
+@pytest.mark.parametrize("command", ["extract", "retrieve"])
+def test_extract_refuses_a_kb_of_other_utterances_under_the_same_id(generated, capsys, command):
     tmp, dialogue_path, _ = generated
     kb_path, out = tmp / "kb.cmkb", tmp / "sx.json"
     assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
@@ -166,26 +178,48 @@ def test_extract_refuses_a_kb_of_other_utterances_under_the_same_id(generated, c
     doc["id"] = "synth-00000007"
     renamed = tmp / "renamed.json"
     renamed.write_text(json.dumps(doc))
+    argv = {"extract": ["extract", "--kb", str(kb_path), "--dialogue", str(renamed), "--out", str(out)],
+            "retrieve": ["retrieve", "--kb", str(kb_path), "--dialogue", str(renamed), "--window", "0"]}
     capsys.readouterr()
-    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(renamed), "--out", str(out)]) == 4
-    assert "error: window 0: does not match dialogue 'synth-00000007'" in capsys.readouterr().err
+    assert main(argv[command]) == 4
+    captured = capsys.readouterr()
+    assert "error: window 0: does not match dialogue 'synth-00000007'" in captured.err
+    assert captured.err.rstrip().endswith("re-index the dialogue")
+    assert captured.out == ""
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
-def test_extract_needs_the_rate_scale_a_kb_was_indexed_with_where_audio_is_missing(generated, capsys):
+def test_extract_of_a_partial_audio_kb_needs_no_index_time_rate_scale(generated):
     tmp, dialogue_path, _ = generated
     doc = json.loads(dialogue_path.read_text())
     del doc["audio"][0]
-    partial, kb_path = tmp / "partial.json", tmp / "kb.cmkb"
+    partial, kb_path, sx_path = tmp / "partial.json", tmp / "kb.cmkb", tmp / "sx.json"
     partial.write_text(json.dumps(doc))
-    config = tmp / "config.json"
-    config.write_text('{"rate_scale": 2.0}')
     assert main(["index", str(partial), "--out", str(kb_path), "--rate-scale", "2"]) == 0
-    argv = ["extract", "--kb", str(kb_path), "--dialogue", str(partial), "--out", str(tmp / "sx.json")]
+    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(partial), "--out", str(sx_path)]) == 0
+    assert main(["run", "--dialogue", str(partial), "--out-dir", str(tmp / "run"), "--rate-scale", "2"]) == 0
+    assert sx_path.read_bytes() == (tmp / "run" / "sextuplets.json").read_bytes()
+
+    assert digest(Path(f"{sx_path}.manifest.json")) == digest(tmp / "run" / "manifest.json")
+
+
+@pytest.mark.parametrize("command", ["extract", "retrieve"])
+def test_a_kb_with_two_windows_swapped_is_format_error(generated, capsys, command):
+    tmp, dialogue_path, _ = generated
+    kb_path, out = tmp / "kb.cmkb", tmp / "sx.json"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    kb = read_kb(kb_path)
+    order = [1, 0, *range(2, kb.meta.entry_count)]
+    write_kb(replace(kb, windows=[kb.windows[i] for i in order], vectors=kb.vectors[order]), kb_path)
+    argv = {"extract": ["extract", "--kb", str(kb_path), "--dialogue", str(dialogue_path), "--out", str(out)],
+            "retrieve": ["retrieve", "--kb", str(kb_path), "--dialogue", str(dialogue_path), "--window", "0"]}
     capsys.readouterr()
-    assert main(argv) == 4
-    assert "error: window 0: " in capsys.readouterr().err
-    assert main(argv + ["--config", str(config)]) == 0
+    assert main(argv[command]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: {kb_path}: window ('synth-00000007', 0) is stored after window ('synth-00000007', 1)"
+    )
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -347,10 +381,6 @@ def test_extract_and_run_record_the_same_prompt_digest(generated):
         assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / jobs),
                      "--jobs", jobs]) == 0
 
-    def digest(manifest_path):
-        stages = json.loads(manifest_path.read_text())["stages"]
-        return next(stage["prompt_sha256"] for stage in stages if stage["name"] == "extract")
-
     extracted = digest(Path(f"{sx}.manifest.json"))
     assert len(extracted) == 64
     assert digest(tmp / "1" / "manifest.json") == digest(tmp / "2" / "manifest.json") == extracted
@@ -392,7 +422,7 @@ def test_config_with_a_stride_beyond_the_window_is_usage_error(generated, tmp_pa
     }[command]
     capsys.readouterr()
     assert main([command, *argv, "--config", str(config)]) == 2
-    assert "stride=5 must not exceed window_size=4" in capsys.readouterr().err
+    assert "stride (5) must not exceed window_size (4)" in capsys.readouterr().err
 
 
 def test_run_end_to_end(generated, capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocause.embedding import HashTextEmbedder, neutral_audio_record, window_embedding
+from emocause.embedding import HashTextEmbedder, window_embedding
 from emocause.errors import StoreFormatError
 from emocause.kb import (
     KnowledgeBase,
@@ -97,13 +97,22 @@ def test_build_windows_argument_errors():
 @pytest.mark.parametrize(("n", "k", "stride"), [(1, 2, 1), (10, 4, 2), (23, 6, 3), (12, 5, 5), (7, 7, 7)])
 def test_build_windows_text_matches_rendering_each_window_on_its_own(n, k, stride):
     d = make_dialogue(n=n)
-    d = replace(d, audio={i: a for i, a in d.audio.items() if i % 3})  # some lines use the default
-    for w in build_windows(d, k, stride, rate_scale=4.0):
+    d = replace(d, audio={i: a for i, a in d.audio.items() if i % 3})  # some lines have no audio
+    for w in build_windows(d, k, stride):
         lines = [
-            render_window_line(d.utterances[i], d.audio.get(i) or neutral_audio_record(i, 4.0))
+            render_window_line(d.utterances[i], d.audio.get(i))
             for i in range(w.start_index, w.end_index + 1)
         ]
         assert w.text == "\n".join(lines)
+
+
+def test_a_line_without_audio_states_no_voice():
+    d = make_dialogue(n=3)
+    d = replace(d, audio={i: a for i, a in d.audio.items() if i != 1})
+    u = d.utterances[1]
+    assert render_window_line(u, None) == f"[#1] {u.speaker}: {u.text}"
+    lines = build_windows(d, window_size=3, stride=1)[0].text.splitlines()
+    assert ["[voice: " in line for line in lines] == [True, False, True]
 
 
 def test_window_text_carries_speaker_and_audio(embedder):
@@ -431,6 +440,21 @@ def test_persist_rejects_repeated_window_key(embedder):
     )
     with pytest.raises(StoreFormatError, match=r"\('dlg-1', 1\)"):
         load_kb(save_kb(twice))
+
+
+@pytest.mark.parametrize("order, message", [
+    ([0, 1, 1, 2, 3], r"window \('dlg-1', 1\) is stored more than once"),
+    ([1, 0, 2, 3], r"window \('dlg-1', 0\) is stored after window \('dlg-1', 1\)"),
+], ids=["repeated", "swapped"])
+def test_persist_rejects_windows_out_of_key_order(embedder, order, message):
+    kb = index_dialogue(make_dialogue(n=10), embedder, window_size=4, stride=2)
+    shuffled = KnowledgeBase(
+        [kb.windows[i] for i in order],
+        kb.vectors[order],
+        replace(kb.meta, entry_count=len(order)),
+    )
+    with pytest.raises(StoreFormatError, match=message):
+        load_kb(save_kb(shuffled))
 
 
 @pytest.mark.parametrize("change, field", [

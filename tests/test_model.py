@@ -172,7 +172,7 @@ def test_scoring_config_is_validated_when_built():
 
 
 def test_scoring_config_rejects_a_stride_beyond_the_window():
-    with pytest.raises(ConfigError, match=r"stride=5 must not exceed window_size=4"):
+    with pytest.raises(ConfigError, match=r"stride \(5\) must not exceed window_size \(4\)"):
         ScoringConfig(window_size=4, stride=5)
     with pytest.raises(ConfigError, match="stride"):
         scoring_config_from_dict({"window_size": 4})
