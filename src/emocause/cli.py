@@ -12,10 +12,12 @@ input file that does not decode: one that is not UTF-8, is malformed, nests
 too deeply or holds a number JSON cannot read (the message names the file);
 an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
 document plus vertices and edges, and a native gold file that document plus
-causal_links; one without any of these keys exits 4. So do a .cmkb whose
-window_size or stride build_windows refuses, and extract or retrieve with a
-KB indexed from other utterances under the dialogue's id
-(extraction.dialogue_rows).
+causal_links; one without any of these keys exits 4. So do a corpus file
+that holds one dialogue id twice, a .cmkb whose window_size or stride
+build_windows refuses or whose text_dim is below 1 or emotion_dim not 8,
+and extract or retrieve with a KB indexed from other utterances under the
+dialogue's id (extraction.dialogue_rows). The same id in two files given to
+index is a usage error (exit 2).
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.

@@ -63,8 +63,9 @@ def parse_corpus(data: bytes | str, *, strict: bool = False) -> list[Dialogue]:
     """Parse a corpus: a single JSON document, a JSON array of dialogues, or
     one JSON object per line. A schema error names the failing document by
     its array position (``[1].utterances[0].t_start``) or by its line
-    (``line 2: utterances[0].t_start``). A file with no dialogue is a schema error."""
-    docs = json_documents(data)
+    (``line 2: utterances[0].t_start``). A file with no dialogue, or with
+    one dialogue id twice (``line 2: id``), is a schema error."""
+    docs, seen = json_documents(data), set()
     first = next(docs, None)
     if first is None or first[1] == []:
         raise SchemaError("", "no dialogue: the file is empty or starts with an empty array")
@@ -72,21 +73,24 @@ def parse_corpus(data: bytes | str, *, strict: bool = False) -> list[Dialogue]:
     if following is None:
         obj = first[1]
         if isinstance(obj, list):
-            return [_corpus_item(item, strict, f"[{i}]", ".") for i, item in enumerate(obj)]
+            return [_corpus_item(item, strict, f"[{i}]", ".", seen) for i, item in enumerate(obj)]
         return [_admit(dialogue_from_dict(obj), strict)]
     return [
-        _corpus_item(obj, strict, f"line {line}", ": ")
+        _corpus_item(obj, strict, f"line {line}", ": ", seen)
         for line, obj in itertools.chain((first, following), docs)
     ]
 
 
-def _corpus_item(obj: Any, strict: bool, where: str, sep: str) -> Dialogue:
-    """Parse and admit one document of a corpus, prefixing `where` to the
-    path of a schema error."""
+def _corpus_item(obj: Any, strict: bool, where: str, sep: str, seen: set[str]) -> Dialogue:
+    """Parse and admit one document of a corpus whose id is not in `seen`,
+    prefixing `where` to the path of a schema error."""
     try:
         dialogue = dialogue_from_dict(obj)
     except SchemaError as exc:
         raise SchemaError(sep.join(filter(None, (where, exc.path))), exc.message) from exc
+    if dialogue.id in seen:
+        raise SchemaError(f"{where}{sep}id", f"repeats dialogue id {dialogue.id!r}")
+    seen.add(dialogue.id)
     return _admit(dialogue, strict)
 
 

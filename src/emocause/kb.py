@@ -307,10 +307,10 @@ def save_kb(kb: KnowledgeBase) -> bytes:
 
 def load_kb(data: bytes) -> KnowledgeBase:
     """Parse bytes produced by save_kb; corruption, version drift, a field
-    of the wrong type, a window_size or stride build_windows refuses, a
-    window whose start_index exceeds its end_index, windows not strictly
-    increasing by (dialogue_id, window_index) and a non-finite vector
-    component are rejected."""
+    of the wrong type, a text_dim below 1 or emotion_dim not EMOTION_DIM, a
+    window_size or stride build_windows refuses, a window whose start_index
+    exceeds its end_index, windows not strictly increasing by (dialogue_id,
+    window_index) and a non-finite vector component are rejected."""
     r = _Reader(data)
     if r.take(4, "magic") != MAGIC:
         raise StoreFormatError("not a knowledge-base file (bad magic)")
@@ -326,7 +326,11 @@ def load_kb(data: bytes) -> KnowledgeBase:
         ]
     except (DialogueParseError, SchemaError) as exc:
         raise StoreFormatError(f"corrupt metadata: {exc}") from exc
-    if problem := windowing_problem(meta.window_size, meta.stride):
+    problem = windowing_problem(meta.window_size, meta.stride)
+    if meta.text_dim < 1 or meta.emotion_dim != EMOTION_DIM:
+        problem = (f"text_dim must be >= 1 and emotion_dim {EMOTION_DIM}, got "
+                   f"{meta.text_dim} and {meta.emotion_dim}")
+    if problem:
         raise StoreFormatError(f"corrupt metadata: meta: {problem}")
     matrix_bytes = r.section("vectors")
     if r.pos != len(data):

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 from urllib.parse import urljoin
 
@@ -13,6 +18,7 @@ import pytest
 import requests
 import urllib3
 
+import emocause
 from emocause import transport
 from emocause.embedding import HashTextEmbedder
 from emocause.graph import JaccardNli
@@ -151,6 +157,18 @@ def http_stub(monkeypatch):
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+def run_child(*args: str, cli: bool = False) -> subprocess.CompletedProcess:
+    """`python *args` in a child process, or with cli=True the `emocause`
+    script with args (`python -m emocause.cli` where no script is on PATH),
+    with text output captured. The child's PYTHONPATH is the absolute
+    directory this process imports emocause from, so it runs the same code
+    whatever its working directory."""
+    script = cli and shutil.which("emocause")
+    command = [script] if script else [sys.executable, *(["-m", "emocause.cli"] if cli else [])]
+    env = {**os.environ, "PYTHONPATH": str(Path(emocause.__file__).resolve().parents[1])}
+    return subprocess.run([*command, *args], capture_output=True, text=True, env=env)
 
 
 def make_utterance(index, text="hello there everyone", speaker="ana", t_start=None, t_end=None):

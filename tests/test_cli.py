@@ -1,4 +1,11 @@
-"""Subcommand behavior and exit codes, driven through cli.main in-process."""
+"""Subcommand behavior and exit codes, driven through cli.main in-process.
+
+Every check of the CLI contract lives here except those that need a process
+of its own: that main's return value becomes the exit status of the
+`emocause` script and a refusal one stderr line without a traceback
+(tests/test_console.py), and that an offline run never imports requests
+(test_offline_run_never_imports_requests, in a child Python).
+"""
 
 from __future__ import annotations
 
@@ -6,11 +13,9 @@ import contextlib
 import io
 import itertools
 import json
-import os
+import re
 import shutil
 import struct
-import subprocess
-import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -18,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import emocause
 from emocause.cli import main
 from emocause.kb import _pack_section, read_kb, write_kb
 from emocause.model import ScoringConfig, dumps_canonical
 from emocause.pipeline import sha256_file
+
+from conftest import run_child
 
 
 def digest(manifest_path):
@@ -88,7 +94,10 @@ def test_emotion_vector_of_the_wrong_length_is_a_validation_error(generated, tmp
     assert [line.split()[1] for line in errors] == [f"audio[{i}].emotion:" for i in records]
     assert f"has {len(short)} components, expected one per category: happy, sad," in errors[0]
     assert main(["run", "--dialogue", str(broken), "--out-dir", str(tmp / "out")]) == 1
-    assert "audio[0].emotion: emotion vector has" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "audio[0].emotion: emotion vector has" in err
+    # run quotes the first 5 errors, where validate printed every one
+    assert len(err.encode()) < 2000 and ("; and 75 more" in err) == (len(records) == 80)
     assert not (tmp / "out").exists()
 
 
@@ -98,17 +107,22 @@ def test_validate_malformed_json_is_format_error(tmp_path):
     assert main(["validate", str(bad)]) == 4
 
 
-def test_index_and_retrieve(generated, capsys):
+@pytest.mark.parametrize("corpus", ["dialogue", "two-dialogue-jsonl"])
+def test_index_and_retrieve(generated, capsys, corpus):
     tmp, dialogue_path, _ = generated
-    kb_path = tmp / "kb.cmkb"
-    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
-    assert kb_path.exists()
-    assert Path(str(kb_path) + ".manifest.json").exists()
+    kb_path, source, count = tmp / "kb.cmkb", dialogue_path, 1
+    if corpus == "two-dialogue-jsonl":
+        assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+        source, count = tmp / "corpus.jsonl", 2
+        source.write_text("".join(json.dumps(json.loads(path.read_text())) + "\n"
+                                  for path in (dialogue_path, tmp / "other.dialogue.json")))
     capsys.readouterr()
+    assert main(["index", str(source), "--out", str(kb_path)]) == 0
+    assert f"from {count} dialogue(s) -> {kb_path}" in capsys.readouterr().out
+    assert kb_path.exists() and Path(f"{kb_path}.manifest.json").exists()
     assert main(["retrieve", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
                  "--window", "3", "--top-n", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("similarity=") == 2
+    assert re.findall(r"^(#\d+) similarity=", capsys.readouterr().out, re.M) == ["#1", "#2"]
 
 
 def test_retrieve_top_n_beyond_kb_prints_all(generated, capsys):
@@ -189,20 +203,6 @@ def test_extract_refuses_a_kb_of_other_utterances_under_the_same_id(generated, c
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
-def test_extract_of_a_partial_audio_kb_needs_no_index_time_rate_scale(generated):
-    tmp, dialogue_path, _ = generated
-    doc = json.loads(dialogue_path.read_text())
-    del doc["audio"][0]
-    partial, kb_path, sx_path = tmp / "partial.json", tmp / "kb.cmkb", tmp / "sx.json"
-    partial.write_text(json.dumps(doc))
-    assert main(["index", str(partial), "--out", str(kb_path), "--rate-scale", "2"]) == 0
-    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(partial), "--out", str(sx_path)]) == 0
-    assert main(["run", "--dialogue", str(partial), "--out-dir", str(tmp / "run"), "--rate-scale", "2"]) == 0
-    assert sx_path.read_bytes() == (tmp / "run" / "sextuplets.json").read_bytes()
-
-    assert digest(Path(f"{sx_path}.manifest.json")) == digest(tmp / "run" / "manifest.json")
-
-
 @pytest.mark.parametrize("command", ["extract", "retrieve"])
 def test_a_kb_with_two_windows_swapped_is_format_error(generated, capsys, command):
     tmp, dialogue_path, _ = generated
@@ -228,18 +228,22 @@ def test_a_kb_with_two_windows_swapped_is_format_error(generated, capsys, comman
         ({"window_size": 1}, "window_size must be >= 2, got 1"),
         ({"stride": 0}, "stride must be >= 1, got 0"),
         ({"stride": 11}, "stride (11) must not exceed window_size (10)"),
+        ({"text_dim": 65, "emotion_dim": 7}, "text_dim must be >= 1 and emotion_dim 8, got 65 and 7"),
+        ({"text_dim": -9}, "text_dim must be >= 1 and emotion_dim 8, got -9 and 8"),
+        ({"text_dim": 0, "emotion_dim": 0}, "text_dim must be >= 1 and emotion_dim 8, got 0 and 0"),
     ],
-    ids=["window-size", "stride", "stride-beyond-window"],
+    ids=["window-size", "stride", "stride-beyond-window", "emotion-dim-7", "text-dim-negative",
+         "both-dims-0"],
 )
 @pytest.mark.parametrize("command", ["extract", "retrieve"])
 def test_a_kb_meta_that_build_windows_refuses_is_format_error(generated, capsys, meta, message, command):
     tmp, dialogue_path, _ = generated
     kb_path, out = tmp / "kb.cmkb", tmp / "sx.json"
     assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
-    data = kb_path.read_bytes()
-    (length,) = struct.unpack_from("<Q", data, 6)
-    crafted = {**json.loads(data[14 : 14 + length]), **meta}
-    kb_path.write_bytes(data[:6] + _pack_section(json.dumps(crafted).encode()) + data[18 + length :])
+    kb = read_kb(kb_path)
+    crafted = replace(kb.meta, **meta)
+    # the vector section has the size the crafted meta implies, so only the meta is at fault
+    write_kb(replace(kb, meta=crafted, vectors=kb.vectors[:, : crafted.fused_dim]), kb_path)
     capsys.readouterr()
     argv = {"extract": ["extract", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
                         "--out", str(out)],
@@ -392,8 +396,8 @@ def test_offline_run_never_imports_requests(generated):
             f"assert main(['run', '--dialogue', {str(dialogue_path)!r}, '--gold', "
             f"{str(gold_path)!r}, '--out-dir', {str(tmp / 'out')!r}]) == 0; "
             "assert 'requests' not in sys.modules, 'an offline run imported requests'")
-    src = str(Path(emocause.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("spec, code", [("foo", 2), ("remote:m", 2), ("hash:x", 2), ("remote:m:8", 3)])
@@ -479,6 +483,7 @@ def test_config_value_of_wrong_type_is_usage_error(generated, tmp_path, capsys, 
                  "--config", str(config_path)]) == 2
     [name] = config
     assert f"error: {name}=" in capsys.readouterr().err
+    assert not (tmp / "x").exists()
 
 
 def test_non_finite_number_in_a_dialogue_is_format_error(generated, tmp_path, capsys):
@@ -601,30 +606,54 @@ def test_eval_rejects_a_gold_file_without_causal_links(generated, capsys):
 MANIFEST_KEYS = {"version", "config", "providers", "inputs", "outputs", "stages"}
 
 
-def test_every_subcommand_manifest_has_the_run_format(generated):
-    tmp, dialogue_path, gold_path = generated
-    kb, sx, graph, report = tmp / "kb.cmkb", tmp / "sx.json", tmp / "g.json", tmp / "report.json"
+@pytest.mark.parametrize(
+    "gen_flags, partial_audio",
+    [([], False), (["--turns", "200", "--noise", "1.0"], False), ([], True)],
+    ids=["seed-1", "200-turns-noise-1", "partial-audio"],
+)
+def test_every_subcommand_manifest_has_the_run_format(tmp_path, gen_flags, partial_audio):
+    """The stage subcommands write run's bytes and manifests of its format.
+    At noise 1.0 every utterance outside the chain carries a decoy event.
+    A window line states only the audio its dialogue has, so extract of a
+    partial-audio KB needs no index-time rate_scale."""
+    dialogue_path, gold_path = tmp_path / "d.dialogue.json", tmp_path / "d.gold.json"
+    assert main(["gen", "--seed", "1", *gen_flags, "--out-prefix", str(tmp_path / "d")]) == 0
+    source, flags = dialogue_path, []
+    if partial_audio:
+        doc = json.loads(dialogue_path.read_text())
+        del doc["audio"][0]
+        source, flags = tmp_path / "partial.json", ["--rate-scale", "2"]
+        source.write_text(json.dumps(doc))
+    run = tmp_path / "out"
+    kb, sx, graph, report = (tmp_path / name
+                             for name in ("kb.cmkb", "sextuplets.json", "graph.json", "report.json"))
     sidecar = lambda out: Path(f"{out}.manifest.json")
     steps = [
-        (["index", str(dialogue_path), "--out", str(kb)], sidecar(kb), ["validate", "index"]),
-        (["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx)],
+        (["index", str(source), "--out", str(kb), *flags], sidecar(kb), ["validate", "index"]),
+        (["extract", "--kb", str(kb), "--dialogue", str(source), "--out", str(sx)],
          sidecar(sx), ["validate", "extract"]),
         (["graph", "--sextuplets", str(sx), "--out", str(graph)], sidecar(graph), ["validate", "graph"]),
         (["eval", "--predicted", str(graph), "--gold", str(gold_path), "--out", str(report)],
          sidecar(report), ["validate", "eval"]),
-        (["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),
-          "--out-dir", str(tmp / "out")], tmp / "out" / "manifest.json",
+        (["run", "--dialogue", str(source), "--gold", str(gold_path),
+          "--out-dir", str(run), *flags], run / "manifest.json",
          ["validate", "index", "extract", "graph", "eval"]),
     ]
     for argv, _, _ in steps:
         assert main(argv) == 0
+    for out in (kb, sx, graph, report):
+        assert out.read_bytes() == (run / out.name).read_bytes(), out.name
+    assert digest(sidecar(sx)) == digest(run / "manifest.json")
+    # graph embeds the extract document unchanged
+    by_id = lambda doc: (doc["dialogue_id"], sorted(doc["sextuplets"], key=lambda item: item["id"]))
+    assert by_id(json.loads(graph.read_text())) == by_id(json.loads(sx.read_text()))
     for manifest_path, stages in [(sidecar(dialogue_path), ["gen"])] + [s[1:] for s in steps]:
         manifest = json.loads(manifest_path.read_text())
         assert set(manifest) == MANIFEST_KEYS
         assert [stage["name"] for stage in manifest["stages"]] == stages
         assert manifest["outputs"] and (manifest["inputs"] or stages == ["gen"])
-        for path, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
-            assert sha256_file(path) == digest
+        for path, sha in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert sha256_file(path) == sha
     gen_manifest = json.loads(sidecar(dialogue_path).read_text())
     assert gen_manifest["config"] is None
     assert set(gen_manifest["outputs"]) == {str(dialogue_path), str(gold_path)}
@@ -669,24 +698,6 @@ def test_missing_file_is_usage_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
-@pytest.mark.parametrize("case", ["validate-a-directory", "run-out-dir-a-file", "index-out-a-directory"])
-def test_a_path_that_cannot_be_read_or_written_is_usage_error(generated, case):
-    tmp, dialogue_path, _ = generated
-    (tmp / "a-dir").mkdir()
-    (tmp / "a-file").write_text("kept")
-    argv = {
-        "validate-a-directory": ["validate", str(tmp / "a-dir")],
-        "run-out-dir-a-file": ["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "a-file")],
-        "index-out-a-directory": ["index", str(dialogue_path), "--out", str(tmp / "a-dir")],
-    }[case]
-    src = str(Path(emocause.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-m", "emocause.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
-    assert (tmp / "a-file").read_text() == "kept"
-
-
 @pytest.mark.parametrize("content", ["", " \n\t\n", "[]"])
 def test_a_corpus_file_with_no_dialogue_is_format_error(tmp_path, capsys, content):
     corpus, out = tmp_path / "empty.jsonl", tmp_path / "kb.cmkb"
@@ -704,6 +715,24 @@ def test_a_schema_error_names_its_file(generated, capsys, content):
     capsys.readouterr()
     assert main(["index", str(dialogue_path), str(corpus), "--out", str(tmp / "kb.cmkb")]) == 4
     assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+
+
+@pytest.mark.parametrize("layout, code, message", [
+    ("jsonl", 4, "error: {corpus}: line 2: id: repeats dialogue id 'synth-00000007'"),
+    ("array", 4, "error: {corpus}: [1].id: repeats dialogue id 'synth-00000007'"),
+    ("one-file-twice", 2, "error: dialogue id 'synth-00000007' is indexed more than once"),
+], ids=["jsonl", "array", "one-file-twice"])
+def test_a_dialogue_id_indexed_twice_is_refused(generated, capsys, layout, code, message):
+    """Within one corpus file the repeat is a fault of the file (exit 4),
+    across the files given to index a fault of the arguments (exit 2)."""
+    tmp, dialogue_path, _ = generated
+    text, corpus, out = dialogue_path.read_text(), tmp / "corpus.json", tmp / "kb.cmkb"
+    corpus.write_text(f"[{text}, {text}]" if layout == "array" else (json.dumps(json.loads(text)) + "\n") * 2)
+    inputs = [dialogue_path] * 2 if layout == "one-file-twice" else [corpus]
+    capsys.readouterr()
+    assert main(["index", *map(str, inputs), "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message.format(corpus=corpus))
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_eval_of_a_graph_without_sextuplets_names_its_file(generated, capsys):

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import emocause
 from emocause.errors import SchemaError
 from emocause.graph import CausalEdge, CausalGraph
 from emocause.metrics import (
@@ -34,7 +29,7 @@ from emocause.metrics import (
     span_and_pair_f1,
 )
 
-from conftest import make_sextuplet
+from conftest import make_sextuplet, run_child
 
 
 def _edge(cause, effect, weight=0.8, semantic=0.9, delta_t=5.0):
@@ -225,8 +220,8 @@ def test_consistent_edges_flags_exactly_the_edges_on_a_cycle(pairs):
 
 def test_importing_emocause_does_not_import_networkx():
     code = "import sys, emocause.cli; assert 'networkx' not in sys.modules"
-    src = str(Path(emocause.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_causal_consistency_empty_graph():

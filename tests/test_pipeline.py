@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +20,8 @@ from emocause.metrics import gold_to_dict
 from emocause.pipeline import RunManifest, run_pipeline, sha256_file
 from emocause.synth import ChainSpec, generate
 
+from conftest import run_child
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -38,8 +36,8 @@ def workdir(tmp_path):
 def test_importing_emocause_loads_none_of_its_modules():
     code = ("import sys, emocause; assert emocause.__version__; "
             "loaded = sorted(m for m in sys.modules if m.startswith('emocause.')); assert not loaded, loaded")
-    src = str(Path(emocause.__file__).parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_pipeline_produces_all_artifacts(workdir):
