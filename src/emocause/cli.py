@@ -7,17 +7,21 @@ refused or timed-out connection, HTTP 429 or 5xx still failing after the
 transport's retries, or any other non-200 status exits 3; a 200 whose body
 is not JSON exits 4, as do a reply nested deeper than json's recursion
 limit, a reply without its fields, an embedding reply whose row count is
-not the number of texts sent, a corpus file with no dialogue, and a JSON
+not the number of texts sent, a dialogue file with no dialogue, and a JSON
 input file that does not decode: one that is not UTF-8, is malformed, nests
 too deeply or holds a number JSON cannot read (the message names the file);
 an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
 document plus vertices and edges, and a native gold file that document plus
-causal_links; one without any of these keys exits 4. So do a corpus file
-that holds one dialogue id twice, a .cmkb whose window_size or stride
+causal_links; one without any of these keys exits 4. So do a dialogue file
+that holds one dialogue id twice, a dialogue file of two or more dialogues
+given to run, extract or retrieve, a .cmkb whose window_size or stride
 build_windows refuses or whose text_dim is below 1 or emotion_dim not 8,
 and extract or retrieve with a KB indexed from other utterances under the
 dialogue's id (extraction.dialogue_rows). The same id in two files given to
-index is a usage error (exit 2).
+index is a usage error (exit 2); a reader that closes stdout early ends the
+command with exit 0. A dialogue file is a JSON document, a JSON array of
+dialogues or JSONL (one per line); validate reports on each of its
+dialogues and index reads them all.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -26,7 +30,9 @@ subcommands write has the one format described in pipeline.RunManifest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -43,7 +49,7 @@ from .errors import (
 from .extraction import dialogue_rows, extractor_from_spec
 from .embedding import provider_from_spec
 from .graph import graph_from_json, nli_from_spec
-from .ingest import load_raw_dialogue, read_corpus, read_dialogue
+from .ingest import parse_corpus, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
 from .metrics import gold_to_dict, load_gold, match_gold, render_report_text
 from .model import (
@@ -64,6 +70,8 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_PROVIDER = 3
 EXIT_FORMAT = 4
+
+_ONE_DIALOGUE = "dialogue file of one dialogue: a JSON document, a one-element array or one JSONL line"
 
 _CONFIG_FLAGS = (
     # (flag, config field, type, help)
@@ -86,12 +94,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, names: set[str] | None = 
     for flag, dest, typ, help_text in _CONFIG_FLAGS:
         if names is None or dest in names:
             parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-    parser.add_argument(
-        "--raw-scores",
-        action="store_true",
-        default=None,
-        help="keep components in their raw ranges (ScoringConfig.normalize_scores=False)",
-    )
+    if names is None or "normalize_scores" in names:
+        parser.add_argument("--raw-scores", action="store_true", default=None,
+                            help="keep components in their raw ranges (ScoringConfig.normalize_scores=False)")
     parser.add_argument("--config", default=None, help="JSON file of ScoringConfig fields")
 
 
@@ -117,12 +122,16 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
 
 
 def _cmd_validate(args) -> int:
-    dialogue = read_input(args.dialogue, load_raw_dialogue)
-    report = validate_dialogue(dialogue)
-    for issue in report.issues:
-        print(f"{issue.severity.upper():7s} {issue.location}: {issue.message}")
-    print(f"{len(report.errors)} error(s), {len(report.warnings)} warning(s)")
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    dialogues = read_input(args.dialogue, parse_corpus)
+    errors = warnings = 0
+    for dialogue in dialogues:
+        report = validate_dialogue(dialogue)
+        prefix = f"{dialogue.id}: " if len(dialogues) > 1 else ""
+        for issue in report.issues:
+            print(f"{prefix}{issue.severity.upper():7s} {issue.location}: {issue.message}")
+        errors, warnings = errors + len(report.errors), warnings + len(report.warnings)
+    print(f"{errors} error(s), {warnings} warning(s)")
+    return EXIT_VALIDATION if errors else EXIT_OK
 
 
 def _cmd_index(args) -> int:
@@ -178,6 +187,8 @@ def _cmd_extract(args) -> int:
     with manifest.stage("validate"):
         kb = read_kb(args.kb)
         dialogue = read_dialogue(args.dialogue, strict=args.strict)
+    # the windows are the KB's, whatever window settings the config holds
+    manifest.config = replace(cfg, window_size=kb.meta.window_size, stride=kb.meta.stride)
     sextuplets = extract_stage(manifest, dialogue, kb, provider, cfg, args.out, jobs=args.jobs)
     manifest.write(f"{args.out}.manifest.json")
     print(f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}")
@@ -267,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a dialogue file against every invariant")
-    p.add_argument("dialogue", help="dialogue JSON file")
+    p = sub.add_parser("validate", help="check each dialogue of a dialogue file against every invariant")
+    p.add_argument("dialogue", help="dialogue file: one JSON document, a JSON array or JSONL")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("index", help="build and persist the sliding-window knowledge base")
-    p.add_argument("dialogues", nargs="+", help="dialogue .json / .jsonl files")
+    p.add_argument("dialogues", nargs="+", help="dialogue files: one JSON document, a JSON array or JSONL")
     p.add_argument("--out", required=True, help="output .cmkb file")
     p.add_argument("--embedder", default="hash:64:0",
                    help="hash:<dim>:<seed> or remote:<model>:<dim>")
@@ -283,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="print the most similar windows for a query window")
     p.add_argument("--kb", required=True, help=".cmkb file")
     p.add_argument("--dialogue", required=True,
-                   help="dialogue JSON file; its windows in the KB are checked against it")
+                   help=f"{_ONE_DIALOGUE}; its windows in the KB are checked against it")
     p.add_argument("--window", required=True, type=int, help="query window index")
     p.add_argument("--top-n", type=int, default=ScoringConfig.top_n, help="result depth (ScoringConfig.top_n)")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("extract", help="extract sextuplets with retrieval-augmented prompts")
     p.add_argument("--kb", required=True, help=".cmkb file containing the dialogue's windows")
-    p.add_argument("--dialogue", required=True, help="dialogue JSON file")
+    p.add_argument("--dialogue", required=True, help=_ONE_DIALOGUE)
     p.add_argument("--provider", default="mock", help="mock or remote:<model>")
     p.add_argument("--out", required=True, help="output sextuplets JSON file")
     p.add_argument("--jobs", type=int, default=1, help="threads for window calls; remote calls always overlap")
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedder", default="hash:64:0")
     p.add_argument("--nli", default="overlap", help="overlap or remote")
     p.add_argument("--jobs", type=int, default=1, help="threads for NLI calls; remote calls always overlap")
-    _add_config_flags(p, {"alpha", "beta", "gamma", "tau", "edge_threshold", "max_gap"})
+    _add_config_flags(p, {"alpha", "beta", "gamma", "tau", "edge_threshold", "max_gap", "normalize_scores"})
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("eval", help="score a predicted graph against gold annotations")
@@ -325,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run every stage and emit a manifest")
-    p.add_argument("--dialogue", required=True, help="dialogue JSON file")
+    p.add_argument("--dialogue", required=True, help=_ONE_DIALOGUE)
     p.add_argument("--gold", default=None, help="optional gold file for evaluation")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--provider", default="mock", help="extractor: mock or remote:<model>")
@@ -350,10 +361,16 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout chose to stop; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    return code
 
 
 if __name__ == "__main__":

@@ -159,16 +159,22 @@ def http_stub(monkeypatch):
         assert not thread.is_alive()
 
 
-def run_child(*args: str, cli: bool = False) -> subprocess.CompletedProcess:
-    """`python *args` in a child process, or with cli=True the `emocause`
-    script with args (`python -m emocause.cli` where no script is on PATH),
-    with text output captured. The child's PYTHONPATH is the absolute
-    directory this process imports emocause from, so it runs the same code
-    whatever its working directory."""
+def child(*args: str, cli: bool = False) -> tuple[list[str], dict[str, str]]:
+    """The command line and environment of `python *args` in a child
+    process, or with cli=True of the `emocause` script with args (`python -m
+    emocause.cli` where no script is on PATH). The child's PYTHONPATH is the
+    absolute directory this process imports emocause from, so it runs the
+    same code whatever its working directory."""
     script = cli and shutil.which("emocause")
     command = [script] if script else [sys.executable, *(["-m", "emocause.cli"] if cli else [])]
     env = {**os.environ, "PYTHONPATH": str(Path(emocause.__file__).resolve().parents[1])}
-    return subprocess.run([*command, *args], capture_output=True, text=True, env=env)
+    return [*command, *args], env
+
+
+def run_child(*args: str, cli: bool = False) -> subprocess.CompletedProcess:
+    """The child(*args, cli=cli) process run to its end, with text output captured."""
+    argv, env = child(*args, cli=cli)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def make_utterance(index, text="hello there everyone", speaker="ana", t_start=None, t_end=None):

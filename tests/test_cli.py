@@ -112,10 +112,7 @@ def test_index_and_retrieve(generated, capsys, corpus):
     tmp, dialogue_path, _ = generated
     kb_path, source, count = tmp / "kb.cmkb", dialogue_path, 1
     if corpus == "two-dialogue-jsonl":
-        assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
-        source, count = tmp / "corpus.jsonl", 2
-        source.write_text("".join(json.dumps(json.loads(path.read_text())) + "\n"
-                                  for path in (dialogue_path, tmp / "other.dialogue.json")))
+        source, count = _two_dialogue_jsonl(tmp, dialogue_path), 2
     capsys.readouterr()
     assert main(["index", str(source), "--out", str(kb_path)]) == 0
     assert f"from {count} dialogue(s) -> {kb_path}" in capsys.readouterr().out
@@ -733,6 +730,92 @@ def test_a_dialogue_id_indexed_twice_is_refused(generated, capsys, layout, code,
     assert main(["index", *map(str, inputs), "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(message.format(corpus=corpus))
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+@pytest.mark.parametrize("shape", ["document", "jsonl-line", "array"])
+def test_every_dialogue_reader_takes_each_file_shape(generated, capsys, shape):
+    """The dialogue as its own document, one JSONL line or a one-element
+    array: validate, retrieve and extract print and write what they do for
+    the document itself, and run writes SHA-identical artifacts."""
+    tmp, dialogue_path, gold_path = generated
+    source, kb, text = tmp / f"{shape}.json", tmp / "kb.cmkb", json.dumps(json.loads(dialogue_path.read_text()))
+    source.write_text({"document": dialogue_path.read_text(), "jsonl-line": text + "\n", "array": f"[{text}]"}[shape])
+    assert main(["index", str(dialogue_path), "--out", str(kb)]) == 0
+    outputs = {}
+    for name, path in (("doc", dialogue_path), ("shaped", source)):
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 0
+        assert main(["retrieve", "--kb", str(kb), "--dialogue", str(path), "--window", "3"]) == 0
+        assert main(["extract", "--kb", str(kb), "--dialogue", str(path), "--out", str(tmp / f"{name}.sx.json")]) == 0
+        assert main(["run", "--dialogue", str(path), "--gold", str(gold_path), "--out-dir", str(tmp / name)]) == 0
+        printed = capsys.readouterr().out
+        outputs[name] = (printed[: printed.index("extracted ")],
+                         *(sha256_file(tmp / name / artifact) for artifact in
+                           ("kb.cmkb", "sextuplets.json", "graph.json", "report.json")),
+                         (tmp / f"{name}.sx.json").read_bytes())
+    assert outputs["shaped"] == outputs["doc"]
+
+
+def _two_dialogue_jsonl(tmp: Path, dialogue_path: Path, broken: bool = False) -> Path:
+    """dialogue_path then gen --seed 8's dialogue, as JSONL; with `broken`,
+    the second has utterance 3 of zero duration."""
+    assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+    first, second = (json.loads(path.read_text()) for path in (dialogue_path, tmp / "other.dialogue.json"))
+    if broken:
+        second["utterances"][3]["t_end"] = second["utterances"][3]["t_start"]
+    corpus = tmp / "two.jsonl"
+    corpus.write_text("".join(json.dumps(doc) + "\n" for doc in (first, second)))
+    return corpus
+
+
+@pytest.mark.parametrize("command", ["run", "extract", "retrieve"])
+def test_a_file_of_two_dialogues_is_refused_where_one_is_read(generated, capsys, command):
+    tmp, dialogue_path, _ = generated
+    corpus, kb, out = _two_dialogue_jsonl(tmp, dialogue_path), tmp / "kb.cmkb", tmp / "out"
+    assert main(["index", str(corpus), "--out", str(kb)]) == 0
+    capsys.readouterr()
+    argv = {
+        "run": ["run", "--dialogue", str(corpus), "--out-dir", str(out)],
+        "extract": ["extract", "--kb", str(kb), "--dialogue", str(corpus), "--out", str(out)],
+        "retrieve": ["retrieve", "--kb", str(kb), "--dialogue", str(corpus), "--window", "3"],
+    }[command]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {corpus}: holds 2 dialogues, expected one\n"
+    assert captured.out == "" and not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+def test_validate_reports_each_dialogue_of_a_corpus(generated, capsys):
+    tmp, dialogue_path, _ = generated
+    corpus = _two_dialogue_jsonl(tmp, dialogue_path, broken=True)
+    capsys.readouterr()
+    assert main(["validate", str(corpus)]) == 1
+    *issues, summary = capsys.readouterr().out.splitlines()
+    assert issues and all(line.startswith("synth-00000008: ") for line in issues)
+    assert any(line.startswith("synth-00000008: ERROR   utterances[3]: ") for line in issues)
+    errors = sum(" ERROR " in line for line in issues)
+    assert summary == f"{errors} error(s), {len(issues) - errors} warning(s)"
+
+
+def test_extract_manifest_records_the_kb_window_settings(generated):
+    """The windows come from the KB, so its window_size and stride are the
+    ones extract's manifest records, whatever --config says."""
+    tmp, dialogue_path, _ = generated
+    kb, sx, config = tmp / "kb.cmkb", tmp / "sx.json", tmp / "config.json"
+    config.write_text(json.dumps({"window_size": 20, "stride": 7}))
+    assert main(["index", str(dialogue_path), "--out", str(kb), "--window-size", "4", "--stride", "2"]) == 0
+    assert main(["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx),
+                 "--config", str(config)]) == 0
+    recorded = json.loads(Path(f"{sx}.manifest.json").read_text())["config"]
+    assert (recorded["window_size"], recorded["stride"]) == (4, 2)
+
+
+@pytest.mark.parametrize("command", ["validate", "index", "retrieve", "extract", "graph", "eval", "gen", "run"])
+def test_raw_scores_is_a_flag_only_where_scores_are_normalized(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--raw-scores" in capsys.readouterr().out) == (command in ("graph", "run"))
 
 
 def test_eval_of_a_graph_without_sextuplets_names_its_file(generated, capsys):

@@ -2,21 +2,23 @@
 
 tests/test_cli.py holds every other check of the CLI contract, through
 cli.main in-process. Here the `emocause` script runs in a child process, or
-`python -m emocause.cli` where no script is on PATH (conftest.run_child),
-to check that main's return value becomes the process's exit status and
-that a refusal reaches stderr as one `error:` line, not a traceback.
+`python -m emocause.cli` where no script is on PATH (conftest.child),
+to check that main's return value becomes the process's exit status, that
+a refusal reaches stderr as one `error:` line, not a traceback, and that a
+reader closing a real pipe on stdout early ends the command with exit 0.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import subprocess
 
 import pytest
 
 from emocause.cli import main
 
-from conftest import run_child
+from conftest import child, run_child
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +67,19 @@ def test_a_path_that_cannot_be_read_or_written_is_usage_error(inputs, tmp_path, 
     }[case]
     assert_exit(run_child(*argv, cli=True), 2)
     assert (tmp_path / "a-file").read_text() == "kept"
+
+
+def test_a_reader_that_closes_stdout_early_leaves_exit_0(tmp_path):
+    """retrieve ... | head -c 10, where retrieve prints far more than a pipe holds."""
+    for seed in range(1, 5):
+        assert main(["gen", "--seed", str(seed), "--turns", "200", "--out-prefix", str(tmp_path / str(seed))]) == 0
+    dialogues, kb = [str(tmp_path / f"{seed}.dialogue.json") for seed in range(1, 5)], str(tmp_path / "kb.cmkb")
+    assert main(["index", *dialogues, "--out", kb]) == 0
+    argv, env = child("retrieve", "--kb", kb, "--dialogue", dialogues[0], "--window", "3", "--top-n", "999",
+                      cli=True)
+    for _ in range(10):
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+        assert (proc.returncode, stderr) == (0, b"")
