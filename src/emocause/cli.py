@@ -18,10 +18,10 @@ given to run, extract or retrieve, a .cmkb whose window_size or stride
 build_windows refuses or whose text_dim is below 1 or emotion_dim not 8,
 and extract or retrieve with a KB indexed from other utterances under the
 dialogue's id (extraction.dialogue_rows). The same id in two files given to
-index is a usage error (exit 2); a reader that closes stdout early ends the
-command with exit 0. A dialogue file is a JSON document, a JSON array of
-dialogues or JSONL (one per line); validate reports on each of its
-dialogues and index reads them all.
+index is a usage error (exit 2); a reader that closes stdout early leaves
+the command's exit status as it is. A dialogue file is a JSON document, a
+JSON array of dialogues or JSONL (one per line); validate reports on each
+of its dialogues and index reads them all.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -121,20 +121,20 @@ def _resolve_config(args: argparse.Namespace) -> ScoringConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, list[str]]:
     dialogues = read_input(args.dialogue, parse_corpus)
-    errors = warnings = 0
+    lines, errors, warnings = [], 0, 0
     for dialogue in dialogues:
         report = validate_dialogue(dialogue)
         prefix = f"{dialogue.id}: " if len(dialogues) > 1 else ""
-        for issue in report.issues:
-            print(f"{prefix}{issue.severity.upper():7s} {issue.location}: {issue.message}")
+        lines += (f"{prefix}{issue.severity.upper():7s} {issue.location}: {issue.message}"
+                  for issue in report.issues)
         errors, warnings = errors + len(report.errors), warnings + len(report.warnings)
-    print(f"{errors} error(s), {warnings} warning(s)")
-    return EXIT_VALIDATION if errors else EXIT_OK
+    lines.append(f"{errors} error(s), {warnings} warning(s)")
+    return EXIT_VALIDATION if errors else EXIT_OK, lines
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> tuple[int, list[str]]:
     cfg = _resolve_config(args)
     provider = provider_from_spec(args.embedder)
     manifest = RunManifest(cfg, {"embedder": provider.id})
@@ -154,11 +154,10 @@ def _cmd_index(args) -> int:
         write_kb(kb, args.out)
         manifest.add_output(args.out)
     manifest.write(f"{args.out}.manifest.json")
-    print(f"indexed {kb.meta.entry_count} windows from {len(dialogues)} dialogue(s) -> {args.out}")
-    return EXIT_OK
+    return EXIT_OK, [f"indexed {kb.meta.entry_count} windows from {len(dialogues)} dialogue(s) -> {args.out}"]
 
 
-def _cmd_retrieve(args) -> int:
+def _cmd_retrieve(args) -> tuple[int, list[str]]:
     kb = read_kb(args.kb)
     dialogue = read_dialogue(args.dialogue)
     rows = dialogue_rows(kb, dialogue)
@@ -168,17 +167,17 @@ def _cmd_retrieve(args) -> int:
         )
     query = rows[args.window]
     hits = retrieve(kb.windows[query], kb.vectors[query], kb, args.top_n)
+    lines = []
     for rank, hit in enumerate(hits, start=1):
         w = hit.window
-        print(f"#{rank} similarity={hit.similarity:.4f} "
-              f"dialogue={w.dialogue_id} window={w.window_index} "
-              f"utterances=[{w.start_index}..{w.end_index}]")
-        for line in w.text.splitlines():
-            print(f"    {line}")
-    return EXIT_OK
+        lines.append(f"#{rank} similarity={hit.similarity:.4f} "
+                     f"dialogue={w.dialogue_id} window={w.window_index} "
+                     f"utterances=[{w.start_index}..{w.end_index}]")
+        lines += (f"    {line}" for line in w.text.splitlines())
+    return EXIT_OK, lines
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> tuple[int, list[str]]:
     cfg = _resolve_config(args)
     provider = extractor_from_spec(args.provider)
     manifest = RunManifest(cfg, {"extractor": provider.id})
@@ -191,11 +190,10 @@ def _cmd_extract(args) -> int:
     manifest.config = replace(cfg, window_size=kb.meta.window_size, stride=kb.meta.stride)
     sextuplets = extract_stage(manifest, dialogue, kb, provider, cfg, args.out, jobs=args.jobs)
     manifest.write(f"{args.out}.manifest.json")
-    print(f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}")
-    return EXIT_OK
+    return EXIT_OK, [f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}"]
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> tuple[int, list[str]]:
     cfg = _resolve_config(args)
     embedder = provider_from_spec(args.embedder)
     nli = nli_from_spec(args.nli)
@@ -205,12 +203,11 @@ def _cmd_graph(args) -> int:
         dialogue_id, sextuplets = sextuplets_from_dict(read_input(args.sextuplets, loads_json))
     graph = graph_stage(manifest, dialogue_id, sextuplets, cfg, embedder, nli, args.out, jobs=args.jobs)
     manifest.write(f"{args.out}.manifest.json")
-    print(f"graph for {dialogue_id}: {len(graph.vertices)} vertices, "
-          f"{len(graph.edges)} edges -> {args.out}")
-    return EXIT_OK
+    return EXIT_OK, [f"graph for {dialogue_id}: {len(graph.vertices)} vertices, "
+                     f"{len(graph.edges)} edges -> {args.out}"]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[int, list[str]]:
     cfg = _resolve_config(args)
     manifest = RunManifest(cfg, {})
     manifest.add_input(args.predicted)
@@ -219,13 +216,12 @@ def _cmd_eval(args) -> int:
         graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
         gold = read_input(args.gold, lambda data: match_gold(load_gold(data), dialogue_id))
     report = eval_stage(manifest, graph, sextuplets, gold, cfg, args.out)
-    print(render_report_text(report))
     if args.out:
         manifest.write(f"{args.out}.manifest.json")
-    return EXIT_OK
+    return EXIT_OK, [render_report_text(report)]
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, list[str]]:
     spec = ChainSpec(
         seed=args.seed,
         scenario=args.scenario,
@@ -244,12 +240,11 @@ def _cmd_gen(args) -> int:
         manifest.add_output(dialogue_path)
         manifest.add_output(gold_path)
     manifest.write(f"{dialogue_path}.manifest.json")
-    print(f"wrote {dialogue_path} ({dialogue.n} utterances) and "
-          f"{gold_path} ({len(gold.sextuplets)} sextuplets, {len(gold.causal_links)} links)")
-    return EXIT_OK
+    return EXIT_OK, [f"wrote {dialogue_path} ({dialogue.n} utterances) and "
+                     f"{gold_path} ({len(gold.sextuplets)} sextuplets, {len(gold.causal_links)} links)"]
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, list[str]]:
     cfg = _resolve_config(args)
     result = run_pipeline(
         args.dialogue,
@@ -262,8 +257,7 @@ def _cmd_run(args) -> int:
         jobs=args.jobs,
         strict=args.strict,
     )
-    print(describe_run(result))
-    return EXIT_OK
+    return EXIT_OK, [describe_run(result)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +355,12 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader of stdout chose to stop; the interpreter's last flush goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        code, lines = args.func(args)  # each command's output is printed here, once it has its status
+        try:
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early: the status stands, the last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

@@ -14,16 +14,13 @@ import functools
 import hashlib
 import itertools
 import json
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .errors import EmbeddingError, FusionError, ResponseParseError, TransportError
 from .model import AudioFeatureRecord, DEFAULT_EMOTION_CATEGORIES, ScoringConfig, Utterance
 from .transport import JsonEndpoint
-
-if TYPE_CHECKING:
-    import requests
 
 UNIT_NORM_TOLERANCE = 1e-6
 DEFAULT_RATE_SCALE = ScoringConfig.rate_scale
@@ -102,13 +99,13 @@ class RemoteTextEmbedder:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 30.0,
-        session: requests.Session | None = None,
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     ):
         self.model = model
         self.dim = dim
         self.id = f"remote:{model}"
         try:
-            self._http = JsonEndpoint("embedding", "EMBED", endpoint, api_key, timeout, session)
+            self._http = JsonEndpoint("embedding", "EMBED", endpoint, api_key, timeout)
         except TransportError as exc:
             raise EmbeddingError(str(exc)) from exc
 

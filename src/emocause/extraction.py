@@ -32,8 +32,6 @@ from .transport import JsonEndpoint, map_calls
 if TYPE_CHECKING:
     import hashlib
 
-    import requests
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_SYSTEM_INSTRUCTIONS = (
@@ -207,11 +205,11 @@ class RemoteExtractor:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 60.0,
-        session: requests.Session | None = None,
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     ):
         self.model = model
         self.id = f"remote:{model}"
-        self._http = JsonEndpoint("extractor", "LLM", endpoint, api_key, timeout, session)
+        self._http = JsonEndpoint("extractor", "LLM", endpoint, api_key, timeout)
 
     def complete(self, prompt_text: str) -> str:
         head, _, body = prompt_text.partition("\n\n" + _SECTION_CONTEXT)

@@ -14,7 +14,7 @@ import json
 import math
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .embedding import EmbeddingProvider, embed_text, embed_texts
 from .errors import PrecedenceError, ResponseParseError, SchemaError, TransportError
@@ -22,9 +22,6 @@ from .kb import cosine_similarity
 from .model import ScoringConfig, Sextuplet, _need, sextuplets_from_dict, sextuplets_to_dict
 from .model import _as_list, _as_obj, _as_str, dumps_canonical, loads_json, record_from_dict, record_to_dict
 from .transport import JsonEndpoint, map_calls
-
-if TYPE_CHECKING:
-    import requests
 
 LN2 = math.log(2.0)
 
@@ -105,10 +102,10 @@ class RemoteNli:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 30.0,
-        session: requests.Session | None = None,
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     ):
         self.id = "remote:nli"
-        self._http = JsonEndpoint("NLI", "NLI", endpoint, api_key, timeout, session)
+        self._http = JsonEndpoint("NLI", "NLI", endpoint, api_key, timeout)
 
     def entailment_probability(self, premise: str, hypothesis: str) -> float:
         reply = self._http.call({"premise": premise, "hypothesis": hypothesis})

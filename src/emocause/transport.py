@@ -4,37 +4,26 @@ Each remote provider POSTs a JSON body to one endpoint, read from
 ``<PREFIX>_ENDPOINT`` with an optional bearer token from ``<PREFIX>_API_KEY``
 unless both are given explicitly, and gets a JSON reply back.
 
-What a call needs is resolved once, when the endpoint is built. Its
-requests.Session prepares a request template (the URL, the session's headers
-merged with Content-Type and the bearer header, netrc or session auth) and
-reads the environment for the proxies (``HTTPS_PROXY``, ``NO_PROXY`` and the
-like) and the CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``). The
-HTTPAdapter mounted for the URL then gives the urllib3 pool and the request
-target its own send would use, so proxies, CA bundle and client certificate
-apply as there; the transport posts to that pool itself and never calls the
-adapter's send (nor its max_retries or the session's hooks), and resolves
-the pool again once ``session.close()`` has closed it. Headers are built once
-as a plain dict; each call adds Content-Length, the jar's cookies as they are
-then and the body bytes ``session.post(json=...)`` would send, and stores
-cookies only from a reply that sets one (Set-Cookie or Set-Cookie2). A proxy
-or CA variable changed later applies only to providers built later. An
-endpoint that cannot be prepared or resolved raises TransportError when built.
+http.client carries every call. Resolved once, when the endpoint is built:
+target and headers; the proxy, an ``http://`` one from urllib.request's
+``getproxies()`` and ``proxy_bypass()``, with CONNECT for https; the TLS
+context, verifying against the ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE``
+file, else the system store. What cannot be resolved, a missing CA bundle too,
+raises TransportError then. Idle keep-alive connections wait in a LIFO list
+under a lock, at most one per thread; one the server has closed is reopened
+before use. A request leaves in one write and accepts only the identity
+Content-Encoding. A dropped endpoint's connections close. Gone with requests,
+as a bearer-token JSON endpoint needs none: session headers, netrc, cookies,
+mounted adapters, proxy credentials, a User-Agent, certifi's CAs.
 
-Retry policy: a connection, TLS or proxy error, a timeout, HTTP 429 and any
-5xx are transient. Such a call is retried at most MAX_RETRIES times, sleeping
-BACKOFF_BASE * 2**k seconds before retry k (0.5, 1 and 2 s), so a request is
-posted at most four times before TransportError is raised. Any other status
-but 200, a 3xx too (redirects are not followed), an invalid header or content
-encoding is final and raises TransportError after one post. A 200 whose body
-is not JSON or nests too deeply raises ResponseParseError carrying the raw
-text and is not retried: the same request would get the same reply.
-
-Concurrency: map_calls overlaps the independent calls of one stage (a chat
-per window, an NLI call per distinct pair that can reach the threshold) on
-REMOTE_WORKERS threads, or `jobs` if more, for a remote provider; a local one
-runs on `jobs` threads. Retries stay per call. It returns, waking its caller
-once, when every call has finished; after a failure no later item's call
-starts, and the first failing item in input order raises, as in a serial loop.
+Retry policy: a connection, TLS or proxy error, a timeout, a reply cut short
+or malformed, HTTP 429 and any 5xx are transient: the call is retried at most
+MAX_RETRIES times, sleeping BACKOFF_BASE * 2**k seconds before retry k (0.5,
+1 and 2 s), so a request is posted at most four times before TransportError.
+Any other status but 200, a 3xx too (redirects are not followed), or another
+content encoding is final: TransportError after one post. A 200 whose body is
+not JSON or nests too deeply raises ResponseParseError carrying the raw text
+and is not retried: the same request would get the same reply.
 """
 
 from __future__ import annotations
@@ -45,12 +34,9 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ResponseParseError, TransportError
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +46,11 @@ REMOTE_WORKERS = 4
 
 
 def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
-    """[fn(x) for x in items] in input order, on max(jobs, REMOTE_WORKERS)
-    threads for a remote provider and on `jobs` threads otherwise."""
+    """[fn(x) for x in items] in input order, overlapping one stage's independent
+    calls (a chat per window, an NLI call per distinct pair that can reach the
+    threshold) on max(jobs, REMOTE_WORKERS) threads for a remote provider, on
+    `jobs` threads otherwise. It returns when every call has finished; after a
+    failure no later item's call starts, and the first failing item raises."""
     workers = max(jobs, REMOTE_WORKERS) if provider.mode == "remote" else jobs
     if min(workers, len(items)) <= 1:
         return [fn(x) for x in items]
@@ -85,96 +74,121 @@ def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
     return [f.result() for f in futures]
 
 
+def _connection_class(url: str, timeout: float):
+    """The http.client connection class reaching url through its proxy, and the target to send."""
+    import http.client  # here, not at module level: an offline run never loads it
+    import select
+    import ssl
+    import urllib.parse
+    import urllib.request
+
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http:// or https:// URL")
+    https, path, options, tunnel = parts.scheme == "https", parts.path or "/", {"timeout": timeout}, None
+    address = (parts.hostname, parts.port or (443 if https else 80))
+    target = urllib.parse.urlunsplit(("", "", path, parts.query, ""))
+    ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if https and ca and not os.path.isfile(ca):
+        raise ValueError(f"no CA certificate bundle file at {ca!r}")
+    if https:
+        options["context"] = ssl.create_default_context(cafile=ca)
+    proxy = not urllib.request.proxy_bypass(parts.netloc) and urllib.request.getproxies().get(parts.scheme)
+    if proxy:
+        proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if proxy.scheme != "http" or not proxy.hostname or proxy.username is not None:
+            raise ValueError(f"proxy {proxy.geturl()!r} is not an http:// proxy without credentials")
+        if https:  # CONNECT to the endpoint, then TLS to it through the tunnel
+            tunnel = address
+        else:  # an HTTP proxy takes the absolute URL
+            target = urllib.parse.urlunsplit((parts.scheme, parts.netloc, path, parts.query, ""))
+        address = (proxy.hostname, proxy.port or 80)
+
+    class Connection(http.client.HTTPSConnection if https else http.client.HTTPConnection):
+        def __init__(self):  # unconnected: request() connects
+            super().__init__(*address, **options)
+            if tunnel:
+                self.set_tunnel(*tunnel)
+
+        def _send_output(self, message_body=None, encode_chunked=False):
+            # the header block and the body in one send, where http.client makes two
+            self._buffer.extend((b"", message_body or b""))
+            request = b"\r\n".join(self._buffer)
+            del self._buffer[:]
+            self.send(request)
+
+        def closed_while_idle(self) -> bool:  # the idle socket reads as ready: its server closed it
+            if self.sock is None or not hasattr(select, "poll"):  # Windows' select() takes any socket
+                return self.sock is not None and bool(select.select([self.sock], [], [], 0)[0])
+            poller = select.poll()
+            poller.register(self.sock, select.POLLIN)
+            return bool(poller.poll(0))
+
+        def __del__(self):  # a dropped endpoint's connections close, with no ResourceWarning
+            self.close()
+
+    return Connection, target
+
+
 class JsonEndpoint:
     """POSTs JSON bodies to one endpoint and returns the decoded replies."""
 
-    def __init__(
-        self,
-        name: str,
-        env_prefix: str,
-        endpoint: str | None,
-        api_key: str | None,
-        timeout: float,
-        session: requests.Session | None,
-    ):
-        import requests  # here, not at module level: an offline run never loads it
-        import urllib3
+    def __init__(self, name: str, env_prefix: str, endpoint: str | None, api_key: str | None,
+                 timeout: float):
+        import http.client
 
         self.name = name
         self.url = endpoint or os.environ.get(f"{env_prefix}_ENDPOINT", "")
         if not self.url:
             raise TransportError(f"no {name} endpoint configured (set {env_prefix}_ENDPOINT)")
         api_key = api_key or os.environ.get(f"{env_prefix}_API_KEY", "")
-        headers = {"Content-Type": "application/json"}
+        self._headers = {"Content-Type": "application/json"}
         if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-        timeout = urllib3.Timeout(connect=timeout, read=timeout)
-        self._urlopen_args = dict(redirect=False, assert_same_host=False, retries=False,
-                                  preload_content=True, timeout=timeout)
-        self._session = session or requests.Session()
+            self._headers["Authorization"] = f"Bearer {api_key}"
         try:
-            request = requests.Request("POST", self.url, headers=headers)
-            self._template = self._session.prepare_request(request)
-            if self._session.headers.get("Cookie") is None:  # the jar's cookies are added per call
-                self._template.headers.pop("Cookie", None)
-            self._headers = dict(self._template.headers)
-            url = self._template.url
-            self._settings = self._session.merge_environment_settings(url, {}, None, None, None)
-            self._adapter = self._session.get_adapter(url)
-            self._pool = self._connect()
-            self._target = self._adapter.request_url(self._template, self._settings["proxies"])
-        except (OSError, ValueError) as exc:  # requests' own errors are OSErrors
+            self._connection, self._target = _connection_class(self.url, timeout)
+            check = self._connection()  # putrequest and putheader only check and buffer
+            check.putrequest("POST", self._target)
+            for header in self._headers.items():
+                check.putheader(*header)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportError(f"invalid {name} endpoint {self.url!r}: {exc}") from exc
-
-    def _connect(self):
-        """The pool HTTPAdapter.send would post the template through, set up as it would."""
-        verify, proxies, cert = (self._settings[k] for k in ("verify", "proxies", "cert"))
-        pool = self._adapter.get_connection_with_tls_context(self._template, verify, proxies, cert)
-        self._adapter.cert_verify(pool, self._template.url, verify, cert)
-        return pool
-
-    def _post(self, data: bytes):
-        """The urllib3 reply to one POST of data; its cookies go to the session's jar."""
-        import requests
-        import urllib3
-
-        headers = {**self._headers, "Content-Length": str(len(data))}
-        cookie = requests.cookies.get_cookie_header(self._session.cookies, self._template)
-        if cookie is not None:
-            headers["Cookie"] = cookie
-        try:
-            resp = self._pool.urlopen("POST", self._target, data, headers, **self._urlopen_args)
-        except urllib3.exceptions.ClosedPoolError:  # session.close() closed it; take a new one
-            self._pool = self._connect()
-            resp = self._pool.urlopen("POST", self._target, data, headers, **self._urlopen_args)
-        if "Set-Cookie" in resp.headers or "Set-Cookie2" in resp.headers:  # else the jar is not locked
-            requests.cookies.extract_cookies_to_jar(self._session.cookies, self._template, resp)
-        return resp
+        self._transient = (OSError, http.client.HTTPException)
+        self._idle, self._lock = [], threading.Lock()  # idle connections, the last put back last
 
     def call(self, body: dict):
         """The decoded JSON reply to body, after the retries described above."""
-        from urllib3 import exceptions as u3
-
-        data = json.dumps(body, allow_nan=False).encode()  # what post(json=body) sends
+        data = json.dumps(body, allow_nan=False).encode()
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 delay = BACKOFF_BASE * 2.0 ** (attempt - 1)
                 logger.warning("%s; retry %d of %d in %.1f s", failure, attempt, MAX_RETRIES, delay)
                 time.sleep(delay)
+            with self._lock:
+                conn = self._idle.pop() if self._idle else self._connection()
+            if conn.closed_while_idle():
+                conn.close()  # request() opens it again
             try:
-                resp = self._post(data)
-            except (OSError, u3.ProtocolError, u3.TimeoutError, u3.SSLError, u3.ProxyError,
-                    u3.ClosedPoolError) as exc:
+                conn.request("POST", self._target, data, self._headers)
+                resp = conn.getresponse()
+                raw = resp.read()
+            except BaseException as exc:
+                conn.close()
+                if not isinstance(exc, self._transient):
+                    raise
                 failure = f"{self.name} request failed: {exc}"
                 continue
-            except u3.HTTPError as exc:  # an invalid header or content encoding
-                raise TransportError(f"{self.name} request failed: {exc}") from exc
+            with self._lock:
+                self._idle.append(conn)
             if resp.status == 200:
+                encoding = resp.getheader("Content-Encoding", "identity")
+                if encoding.lower() != "identity":
+                    raise TransportError(f"{self.name} request failed: reply in Content-Encoding {encoding!r}")
                 try:
-                    return json.loads(resp.data)
+                    return json.loads(raw)
                 except (ValueError, RecursionError) as exc:
                     raise ResponseParseError(
-                        f"{self.name} reply is not JSON: {exc}", resp.data.decode(errors="replace")
+                        f"{self.name} reply is not JSON: {exc}", raw.decode(errors="replace")
                     ) from exc
             failure = f"{self.name} endpoint returned HTTP {resp.status}"
             if resp.status != 429 and resp.status < 500:

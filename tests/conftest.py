@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
-from urllib.parse import urljoin
 
 import pytest
-import requests
-import urllib3
 
 import emocause
 from emocause import transport
@@ -55,70 +53,20 @@ def backoff_sleeps(monkeypatch):
     return delays
 
 
-class ScriptedSession(requests.Session):
-    """A real requests.Session whose mounted adapters hand out recording
-    pools. Each POST is recorded in `requests` (with .url, .body and
-    .headers) and answered with the next scripted (status, body) reply, the
-    last one forever; a body that is not a str is sent as JSON. Without
-    replies the request goes out for real through the adapter's own pool.
-    `pool_proxies` lists the proxies each pool was resolved with. The
-    session ignores proxy variables and ~/.netrc, so neither reaches a test."""
-
-    def __init__(self, *replies):
-        super().__init__()
-        self.trust_env = False
-        self.replies = list(replies)
-        self.requests = []
-        self.pool_proxies = []
-        for prefix in ("https://", "http://"):
-            self.mount(prefix, _ScriptedAdapter(self))
-
-    @property
-    def posts(self):
-        return len(self.requests)
-
-
-class _ScriptedAdapter(requests.adapters.HTTPAdapter):
-    def __init__(self, session):
-        super().__init__()
-        self.session = session
-
-    def get_connection_with_tls_context(self, request, verify, proxies=None, cert=None):
-        self.session.pool_proxies.append(proxies)
-        pool = super().get_connection_with_tls_context(request, verify, proxies, cert)
-        return _ScriptedPool(self.session, pool, request.url)
-
-    def cert_verify(self, conn, url, verify, cert):
-        super().cert_verify(conn.pool, url, verify, cert)
-
-
-class _ScriptedPool:
-    def __init__(self, session, pool, url):
-        self.session, self.pool, self.url = session, pool, url
-
-    def urlopen(self, method, url, body=None, headers=None, **kwargs):
-        session = self.session
-        session.requests.append(SimpleNamespace(url=urljoin(self.url, url), body=body, headers=headers))
-        if not session.replies:
-            return self.pool.urlopen(method, url, body=body, headers=headers, **kwargs)
-        status, reply = session.replies[min(session.posts, len(session.replies)) - 1]
-        data = (reply if isinstance(reply, str) else json.dumps(reply)).encode()
-        return urllib3.HTTPResponse(io.BytesIO(data), status=status, preload_content=True)
-
-
 class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 (http.server naming)
         stub = self.server.stub
         raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         body = raw and json.loads(raw)
         stub.requests.append((self.path, self.headers.get("Authorization"), body))
-        stub.cookies.append(self.headers.get("Cookie"))
+        stub.sent.append(SimpleNamespace(headers=self.headers.items(), raw=raw))
         if stub.replies:
             status, reply = stub.replies.pop(0)
         elif self.path in stub.routes:
             status, reply = 200, json.dumps(stub.routes[self.path](body)).encode()
         else:
             status, reply = stub.default
+        time.sleep(stub.hold_s)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -133,20 +81,58 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_stub(monkeypatch):
-    """An HTTP server on 127.0.0.1 that records each request as (path,
-    Authorization header, JSON body or b"" for none) in `requests` and its
-    Cookie header in `cookies`, and answers with the next queued (status,
-    body bytes) reply; once the queue is empty, with 200 and
-    `routes[path](body)` as JSON when `routes` has the path, else `default`.
-    Every reply also carries the `headers` dict."""
+class _KeepAliveHandler(_StubHandler):
+    """HTTP/1.1: a connection stays open for the next request until either
+    side closes it. Each one is counted in `connections` and kept in `open`
+    while its handler runs."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else each reply's body waits on the client's delayed ACK
+    timeout = 10  # a connection the client leaves open ends its handler at the latest then
+
+    def setup(self):
+        super().setup()
+        with self.server.stub.lock:
+            self.server.stub.connections += 1
+            self.server.stub.open.add(self.connection)
+
+    def finish(self):
+        super().finish()
+        with self.server.stub.lock:
+            self.server.stub.open.discard(self.connection)
+
+
+def wait_for(condition, seconds=5.0):
+    """Poll condition() until it holds; fail the test after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.005)
+
+
+def _serve(monkeypatch, server_class, handler):
+    """A stub server on 127.0.0.1, as http_stub describes, for the duration of a fixture."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = server_class(("127.0.0.1", 0), handler)
     stub = SimpleNamespace(
-        requests=[], cookies=[], headers={}, replies=[], routes={}, default=(200, b"{}")
+        requests=[], sent=[], headers={}, replies=[], routes={}, default=(200, b"{}"), hold_s=0.0,
+        connections=0, open=set(), lock=threading.Lock(),
     )
     stub.url = lambda path: f"http://127.0.0.1:{server.server_port}/{path}"
+
+    def script(*replies):
+        encoded = [(status, (body if isinstance(body, str) else json.dumps(body)).encode())
+                   for status, body in replies]
+        stub.replies[:], stub.default = encoded[:-1], encoded[-1]
+
+    def close_open_connections():
+        with stub.lock:
+            connections = list(stub.open)
+        for conn in connections:
+            conn.shutdown(socket.SHUT_RDWR)
+        wait_for(lambda: not stub.open)
+
+    stub.script, stub.close_open_connections = script, close_open_connections
     server.stub = stub
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -154,9 +140,33 @@ def http_stub(monkeypatch):
         yield stub
     finally:
         server.shutdown()
+        close_open_connections()
         server.server_close()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_stub(monkeypatch):
+    """An HTTP/1.0 server on 127.0.0.1 that closes each connection after its
+    reply. It records each request as (path, Authorization header, JSON body
+    or b"" for none) in `requests` and its headers and body bytes in `sent`,
+    and answers with the next queued (status, body bytes) reply; once the
+    queue is empty, with 200 and `routes[path](body)` as JSON when `routes`
+    has the path, else `default`. `script(*replies)` queues (status, body)
+    replies, the last one answering every request from then on, and sends a
+    body that is not a str as JSON. Every reply also carries the `headers`
+    dict and is held `hold_s` seconds."""
+    yield from _serve(monkeypatch, HTTPServer, _StubHandler)
+
+
+@pytest.fixture
+def keepalive_stub(monkeypatch):
+    """http_stub over HTTP/1.1, one thread per connection, so that a client
+    may keep a connection open. It counts the connections it accepted in
+    `connections`, and `close_open_connections()` closes every open one from
+    the server's side and waits for their handlers to end."""
+    yield from _serve(monkeypatch, ThreadingHTTPServer, _KeepAliveHandler)
 
 
 def child(*args: str, cli: bool = False) -> tuple[list[str], dict[str, str]]:

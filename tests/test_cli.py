@@ -1,10 +1,9 @@
 """Subcommand behavior and exit codes, driven through cli.main in-process.
 
 Every check of the CLI contract lives here except those that need a process
-of its own: that main's return value becomes the exit status of the
-`emocause` script and a refusal one stderr line without a traceback
-(tests/test_console.py), and that an offline run never imports requests
-(test_offline_run_never_imports_requests, in a child Python).
+of its own (tests/test_console.py): that main's return value becomes the
+exit status of the `emocause` script, a refusal one stderr line without a
+traceback, and that an offline run loads no networking module.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from emocause.cli import main
 from emocause.kb import _pack_section, read_kb, write_kb
 from emocause.model import ScoringConfig, dumps_canonical
 from emocause.pipeline import sha256_file
-
-from conftest import run_child
 
 
 def digest(manifest_path):
@@ -385,16 +382,6 @@ def test_extract_and_run_record_the_same_prompt_digest(generated):
     extracted = digest(Path(f"{sx}.manifest.json"))
     assert len(extracted) == 64
     assert digest(tmp / "1" / "manifest.json") == digest(tmp / "2" / "manifest.json") == extracted
-
-
-def test_offline_run_never_imports_requests(generated):
-    tmp, dialogue_path, gold_path = generated
-    code = ("import sys; from emocause.cli import main; "
-            f"assert main(['run', '--dialogue', {str(dialogue_path)!r}, '--gold', "
-            f"{str(gold_path)!r}, '--out-dir', {str(tmp / 'out')!r}]) == 0; "
-            "assert 'requests' not in sys.modules, 'an offline run imported requests'")
-    proc = run_child("-c", code)
-    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("spec, code", [("foo", 2), ("remote:m", 2), ("hash:x", 2), ("remote:m:8", 3)])

@@ -29,7 +29,7 @@ from emocause.embedding import (
 from emocause.errors import EmbeddingError, FusionError, ResponseParseError, TransportError
 from emocause.model import AudioFeatureRecord
 
-from conftest import ScriptedSession, make_audio, make_utterance
+from conftest import make_audio, make_utterance
 
 
 def test_embed_text_deterministic(embedder):
@@ -196,20 +196,17 @@ def test_describe_audio_category_count_mismatch():
         describe_audio_as_text(make_audio(0, dim=4))
 
 
-def test_remote_embedder_normalizes_and_posts_contract():
-    session = ScriptedSession((200, {"embeddings": [[3.0, 4.0]]}))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", api_key="k", session=session)
+def test_remote_embedder_normalizes_and_posts_contract(http_stub):
+    http_stub.script((200, {"embeddings": [[3.0, 4.0]]}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("").rstrip("/"), api_key="k")
     v = embed_text(provider, "hello")
     assert np.allclose(v, [0.6, 0.8])
-    request = session.requests[0]
-    assert request.url == "http://e/"
-    assert json.loads(request.body) == {"model": "m1", "input": ["hello"]}
-    assert request.headers["Authorization"] == "Bearer k"
+    assert http_stub.requests == [("/", "Bearer k", {"model": "m1", "input": ["hello"]})]
 
 
-def test_remote_embedder_http_error_is_transport():
-    session = ScriptedSession((503, {}))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+def test_remote_embedder_http_error_is_transport(http_stub):
+    http_stub.script((503, {}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     with pytest.raises(TransportError, match="retry"):
         provider.embed("hello")
 
@@ -220,41 +217,40 @@ def test_remote_embedder_requires_endpoint(monkeypatch):
         RemoteTextEmbedder("m1", dim=2)
 
 
-def test_remote_embedder_dim_mismatch():
-    session = ScriptedSession((200, {"embeddings": [[1.0, 2.0, 3.0]]}))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+def test_remote_embedder_dim_mismatch(http_stub):
+    http_stub.script((200, {"embeddings": [[1.0, 2.0, 3.0]]}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     with pytest.raises(EmbeddingError, match="dimension"):
         provider.embed("hello")
 
 
-def test_remote_embedder_posts_distinct_texts_once_in_first_seen_order():
-    session = ScriptedSession((200, {"embeddings": [[3.0, 4.0], [0.0, 2.0], [1.0, 1.0]]}))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+def test_remote_embedder_posts_distinct_texts_once_in_first_seen_order(http_stub):
+    http_stub.script((200, {"embeddings": [[3.0, 4.0], [0.0, 2.0], [1.0, 1.0]]}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     vectors = embed_texts(provider, ["b a", "c", "b a", "d", "c"])
-    assert session.posts == 1
-    assert json.loads(session.requests[0].body) == {"model": "m1", "input": ["b a", "c", "d"]}
+    assert [body for _, _, body in http_stub.requests] == [{"model": "m1", "input": ["b a", "c", "d"]}]
     assert list(vectors) == ["b a", "c", "d"]
     assert np.allclose(vectors["b a"], [0.6, 0.8])
     assert np.allclose(vectors["c"], [0.0, 1.0])
     assert all(abs(np.linalg.norm(v) - 1.0) < 1e-12 for v in vectors.values())
 
 
-def test_remote_embedder_sends_at_most_batch_size_texts_per_post():
+def test_remote_embedder_sends_at_most_batch_size_texts_per_post(http_stub):
     sizes = [EMBED_BATCH_SIZE, EMBED_BATCH_SIZE, 130 - 2 * EMBED_BATCH_SIZE]
-    session = ScriptedSession(*((200, {"embeddings": [[1.0, 0.0]] * n}) for n in sizes))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+    http_stub.script(*((200, {"embeddings": [[1.0, 0.0]] * n}) for n in sizes))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     texts = [f"text {i}" for i in range(130)]
     assert len(provider.embed_many(texts)) == 130
-    bodies = [json.loads(r.body)["input"] for r in session.requests]
+    bodies = [body["input"] for _, _, body in http_stub.requests]
     assert [len(b) for b in bodies] == [64, 64, 2]
     assert sum(bodies, []) == texts
 
 
 @pytest.mark.parametrize("rows", [0, 2, 4])
-def test_remote_embedder_row_count_mismatch_is_parse_error(rows):
+def test_remote_embedder_row_count_mismatch_is_parse_error(http_stub, rows):
     reply = {"embeddings": [[1.0, 0.0]] * rows}
-    session = ScriptedSession((200, reply))
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=session)
+    http_stub.script((200, reply))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     with pytest.raises(ResponseParseError, match="embeddings for 3 texts") as info:
         provider.embed_many(["a", "b", "c"])
     assert info.value.raw == json.dumps(reply)
@@ -263,10 +259,11 @@ def test_remote_embedder_row_count_mismatch_is_parse_error(rows):
 
 
 @pytest.mark.parametrize("bad", [None, True, "0.6"], ids=["null", "true", "string"])
-def test_remote_embedder_rejects_components_that_are_not_json_numbers(bad):
+def test_remote_embedder_rejects_components_that_are_not_json_numbers(http_stub, bad):
     # np.asarray reads null as NaN and true or "0.6" as numbers
     reply = {"embeddings": [[0.6, 0.8], [bad, 0.8]]}
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=ScriptedSession((200, reply)))
+    http_stub.script((200, reply))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     with pytest.raises(ResponseParseError, match="non-number components") as info:
         provider.embed_many(["a", "b"])
     assert info.value.raw == json.dumps(reply)
@@ -274,18 +271,18 @@ def test_remote_embedder_rejects_components_that_are_not_json_numbers(bad):
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
                          ids=["NaN", "Infinity", "-Infinity", "1e400", "int-1e400"])
-def test_remote_embedder_rejects_components_that_are_not_finite(literal):
+def test_remote_embedder_rejects_components_that_are_not_finite(http_stub, literal):
     body = '{"embeddings": [[0.6, 0.8], [%s, 0.5]]}' % literal
-    provider = RemoteTextEmbedder("m1", dim=2, endpoint="http://e", session=ScriptedSession((200, body)))
+    http_stub.script((200, body))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     with pytest.raises(ResponseParseError, match="malformed embedding response") as info:
         provider.embed_many(["a", "b"])
     assert info.value.raw == json.dumps(json.loads(body))
 
 
-def test_remote_embedder_takes_integer_components():
-    provider = RemoteTextEmbedder(
-        "m1", dim=2, endpoint="http://e", session=ScriptedSession((200, {"embeddings": [[0, 2]]}))
-    )
+def test_remote_embedder_takes_integer_components(http_stub):
+    http_stub.script((200, {"embeddings": [[0, 2]]}))
+    provider = RemoteTextEmbedder("m1", dim=2, endpoint=http_stub.url("embed"))
     assert provider.embed("a").tolist() == [0.0, 1.0]
 
 

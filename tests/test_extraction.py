@@ -25,7 +25,7 @@ from emocause.kb import RetrievalHit, TimeWindow, build_windows, index_corpus, i
 from emocause.model import Dialogue, ScoringConfig, Utterance
 from emocause.synth import ChainSpec, generate
 
-from conftest import ScriptedSession, make_dialogue, make_sextuplet
+from conftest import make_dialogue, make_sextuplet
 
 
 def _window(text, index=0, dialogue_id="dlg-1", start=0, end=1):
@@ -405,14 +405,13 @@ def test_extractor_from_spec():
         extractor_from_spec("wat")
 
 
-def test_remote_extractor_contract():
-    session = ScriptedSession((200, {"content": "[]"}))
-    provider = RemoteExtractor("glm", endpoint="http://llm", api_key="k", session=session)
+def test_remote_extractor_contract(http_stub):
+    http_stub.script((200, {"content": "[]"}))
+    provider = RemoteExtractor("glm", endpoint=http_stub.url("").rstrip("/"), api_key="k")
     prompt = assemble_prompt(_window("[#0] ana: hi"), [])
     assert provider.complete(prompt.render()) == "[]"
-    request = session.requests[0]
-    body = json.loads(request.body)
-    assert request.url == "http://llm/"
+    [(path, auth, body)] = http_stub.requests
+    assert (path, auth) == ("/", "Bearer k")
     assert body["model"] == "glm"
     assert body["temperature"] == 0
     assert [m["role"] for m in body["messages"]] == ["system", "user"]
@@ -420,16 +419,17 @@ def test_remote_extractor_contract():
 
 
 @pytest.mark.parametrize("content", [[], None, 5, {"events": []}], ids=["list", "null", "number", "object"])
-def test_remote_extractor_rejects_content_that_is_not_a_string(content):
+def test_remote_extractor_rejects_content_that_is_not_a_string(http_stub, content):
     reply = {"content": content}
-    provider = RemoteExtractor("glm", endpoint="http://llm", session=ScriptedSession((200, reply)))
+    http_stub.script((200, reply))
+    provider = RemoteExtractor("glm", endpoint=http_stub.url("chat"))
     with pytest.raises(ResponseParseError, match="is not a string") as exc:
         provider.complete("prompt")
     assert exc.value.raw == json.dumps(reply)
 
 
-def test_remote_extractor_http_error():
-    session = ScriptedSession((500, {}))
-    provider = RemoteExtractor("glm", endpoint="http://llm", session=session)
+def test_remote_extractor_http_error(http_stub):
+    http_stub.script((500, {}))
+    provider = RemoteExtractor("glm", endpoint=http_stub.url("chat"))
     with pytest.raises(TransportError):
         provider.complete("prompt")

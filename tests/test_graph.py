@@ -41,7 +41,7 @@ from emocause.kb import index_dialogue
 from emocause.model import ScoringConfig, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
 
-from conftest import ScriptedSession, make_sextuplet
+from conftest import make_sextuplet
 
 
 def test_semantic_identity(embedder):
@@ -395,46 +395,48 @@ def test_export_unknown_format(cfg, embedder, nli):
         export_graph(g, "yaml", items, "dlg-9")
 
 
-def test_remote_nli_contract():
-    session = ScriptedSession((200, {"entailment_probability": 0.25}))
-    nli = RemoteNli(endpoint="http://nli", api_key="k", session=session)
+def test_remote_nli_contract(http_stub):
+    http_stub.script((200, {"entailment_probability": 0.25}))
+    nli = RemoteNli(endpoint=http_stub.url("nli"), api_key="k")
     assert nli.entailment_probability("p", "h") == 0.25
-    assert json.loads(session.requests[0].body) == {"premise": "p", "hypothesis": "h"}
+    assert http_stub.requests == [("/nli", "Bearer k", {"premise": "p", "hypothesis": "h"})]
 
 
-def test_remote_nli_rejects_out_of_range():
-    session = ScriptedSession((200, {"entailment_probability": 1.5}))
-    nli = RemoteNli(endpoint="http://nli", session=session)
+def test_remote_nli_rejects_out_of_range(http_stub):
+    http_stub.script((200, {"entailment_probability": 1.5}))
+    nli = RemoteNli(endpoint=http_stub.url("nli"))
     with pytest.raises(ResponseParseError):
         nli.entailment_probability("p", "h")
 
 
 @pytest.mark.parametrize("value", [True, "0.7", None, [0.5]], ids=["true", "string", "null", "list"])
-def test_remote_nli_rejects_a_probability_that_is_not_a_json_number(value):
+def test_remote_nli_rejects_a_probability_that_is_not_a_json_number(http_stub, value):
     reply = {"entailment_probability": value}
-    nli = RemoteNli(endpoint="http://nli", session=ScriptedSession((200, reply)))
+    http_stub.script((200, reply))
+    nli = RemoteNli(endpoint=http_stub.url("nli"))
     with pytest.raises(ResponseParseError, match="not a number in") as exc:
         nli.entailment_probability("p", "h")
     assert exc.value.raw == json.dumps(reply)
 
 
-def test_remote_nli_takes_json_numbers_in_range():
+def test_remote_nli_takes_json_numbers_in_range(http_stub):
     replies = [(200, {"entailment_probability": p}) for p in (0, 1, 0.5)]
-    nli = RemoteNli(endpoint="http://nli", session=ScriptedSession(*replies))
+    http_stub.script(*replies)
+    nli = RemoteNli(endpoint=http_stub.url("nli"))
     got = [nli.entailment_probability("p", "h") for _ in replies]
     assert got == [0.0, 1.0, 0.5] and all(type(p) is float for p in got)
 
 
-def test_remote_nli_http_error():
-    session = ScriptedSession((502, {}))
-    nli = RemoteNli(endpoint="http://nli", session=session)
+def test_remote_nli_http_error(http_stub):
+    http_stub.script((502, {}))
+    nli = RemoteNli(endpoint=http_stub.url("nli"))
     with pytest.raises(TransportError):
         nli.entailment_probability("p", "h")
 
 
-def test_build_graph_nli_parse_error_keeps_raw_reply(cfg, embedder):
-    session = ScriptedSession((200, {"entailment_probability": 7}))
-    nli = RemoteNli(endpoint="http://nli", session=session)
+def test_build_graph_nli_parse_error_keeps_raw_reply(http_stub, cfg, embedder):
+    http_stub.script((200, {"entailment_probability": 7}))
+    nli = RemoteNli(endpoint=http_stub.url("nli"))
     with pytest.raises(ResponseParseError, match=r"scoring failed for pair \(a -> b\)") as exc:
         build_graph(_chain_sextuplets(), cfg, embedder, nli)
     assert exc.value.raw == '{"entailment_probability": 7}'
