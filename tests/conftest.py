@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
 import socket
+import socketserver
 import subprocess
 import sys
 import threading
@@ -59,7 +61,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         body = raw and json.loads(raw)
         stub.requests.append((self.path, self.headers.get("Authorization"), body))
-        stub.sent.append(SimpleNamespace(headers=self.headers.items(), raw=raw))
+        stub.sent.append(SimpleNamespace(headers=self.headers.items(), raw=raw, port=self.client_address[1]))
         if stub.replies:
             status, reply = stub.replies.pop(0)
         elif self.path in stub.routes:
@@ -81,12 +83,11 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-class _KeepAliveHandler(_StubHandler):
-    """HTTP/1.1: a connection stays open for the next request until either
-    side closes it. Each one is counted in `connections` and kept in `open`
-    while its handler runs."""
+class _CountedConnections(socketserver.StreamRequestHandler):
+    """A connection stays open for the next request until either side closes
+    it. Each one is counted in `connections` and kept in `open` while its
+    handler runs."""
 
-    protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # else each reply's body waits on the client's delayed ACK
     timeout = 10  # a connection the client leaves open ends its handler at the latest then
 
@@ -102,6 +103,42 @@ class _KeepAliveHandler(_StubHandler):
             self.server.stub.open.discard(self.connection)
 
 
+class _KeepAliveHandler(_CountedConnections, _StubHandler):
+    """_StubHandler over HTTP/1.1, on a connection kept open."""
+
+    protocol_version = "HTTP/1.1"
+
+
+class _RawHandler(_CountedConnections):
+    """Answers each request on a connection with the stub's next scripted bytes."""
+
+    def handle(self):
+        stub = self.server.stub
+        try:
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = self.rfile.readline()
+                    if not line:  # the client closed the connection
+                        return
+                    head += line
+                length = next((int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                               if line.lower().startswith(b"content-length:")), 0)
+                with stub.lock:
+                    stub.requests.append(head + self.rfile.read(length))
+                    reply = stub.replies.pop(0) if len(stub.replies) > 1 else stub.replies[0]
+                if stub.pause_s:
+                    for byte in reply:
+                        time.sleep(stub.pause_s)
+                        self.wfile.write(bytes([byte]))
+                else:
+                    self.wfile.write(reply)
+                if stub.close:
+                    return
+        except OSError:  # the client reset the connection, or left it idle for `timeout` seconds
+            pass
+
+
 def wait_for(condition, seconds=5.0):
     """Poll condition() until it holds; fail the test after `seconds`."""
     deadline = time.monotonic() + seconds
@@ -110,15 +147,16 @@ def wait_for(condition, seconds=5.0):
         time.sleep(0.005)
 
 
-def _serve(monkeypatch, server_class, handler):
-    """A stub server on 127.0.0.1, as http_stub describes, for the duration of a fixture."""
+def _serve(monkeypatch, server_class, handler, **fields):
+    """A stub server on 127.0.0.1, as http_stub describes, for the duration of
+    a fixture; `fields` add to or replace the stub's attributes."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = server_class(("127.0.0.1", 0), handler)
     stub = SimpleNamespace(
         requests=[], sent=[], headers={}, replies=[], routes={}, default=(200, b"{}"), hold_s=0.0,
-        connections=0, open=set(), lock=threading.Lock(),
+        connections=0, open=set(), lock=threading.Lock(), **fields,
     )
-    stub.url = lambda path: f"http://127.0.0.1:{server.server_port}/{path}"
+    stub.url = lambda path: f"http://127.0.0.1:{server.server_address[1]}/{path}"
 
     def script(*replies):
         encoded = [(status, (body if isinstance(body, str) else json.dumps(body)).encode())
@@ -129,7 +167,8 @@ def _serve(monkeypatch, server_class, handler):
         with stub.lock:
             connections = list(stub.open)
         for conn in connections:
-            conn.shutdown(socket.SHUT_RDWR)
+            with contextlib.suppress(OSError):  # one the client has reset is no longer connected
+                conn.shutdown(socket.SHUT_RDWR)
         wait_for(lambda: not stub.open)
 
     stub.script, stub.close_open_connections = script, close_open_connections
@@ -150,13 +189,13 @@ def _serve(monkeypatch, server_class, handler):
 def http_stub(monkeypatch):
     """An HTTP/1.0 server on 127.0.0.1 that closes each connection after its
     reply. It records each request as (path, Authorization header, JSON body
-    or b"" for none) in `requests` and its headers and body bytes in `sent`,
-    and answers with the next queued (status, body bytes) reply; once the
-    queue is empty, with 200 and `routes[path](body)` as JSON when `routes`
-    has the path, else `default`. `script(*replies)` queues (status, body)
-    replies, the last one answering every request from then on, and sends a
-    body that is not a str as JSON. Every reply also carries the `headers`
-    dict and is held `hold_s` seconds."""
+    or b"" for none) in `requests` and its headers, body bytes and client
+    port in `sent`, and answers with the next queued (status, body bytes)
+    reply; once the queue is empty, with 200 and `routes[path](body)` as
+    JSON when `routes` has the path, else `default`. `script(*replies)`
+    queues (status, body) replies, the last one answering every request from
+    then on, and sends a body that is not a str as JSON. Every reply also
+    carries the `headers` dict and is held `hold_s` seconds."""
     yield from _serve(monkeypatch, HTTPServer, _StubHandler)
 
 
@@ -167,6 +206,18 @@ def keepalive_stub(monkeypatch):
     `connections`, and `close_open_connections()` closes every open one from
     the server's side and waits for their handlers to end."""
     yield from _serve(monkeypatch, ThreadingHTTPServer, _KeepAliveHandler)
+
+
+@pytest.fixture
+def raw_stub(monkeypatch):
+    """A server on 127.0.0.1 that answers each request with scripted bytes,
+    one thread per connection. It records each whole request, head and body
+    bytes, in `requests` and counts the connections it accepted in
+    `connections`. Each request gets the next bytes in `replies`, the last
+    one answering every request from then on. With `close` set, the server
+    closes the connection after each reply; with `pause_s` set, it sends a
+    reply one byte at a time, pausing that long before each byte."""
+    yield from _serve(monkeypatch, socketserver.ThreadingTCPServer, _RawHandler, close=False, pause_s=0.0)
 
 
 def child(*args: str, cli: bool = False) -> tuple[list[str], dict[str, str]]:

@@ -11,8 +11,10 @@ import socket
 import sys
 import threading
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from emocause.cli import main
@@ -26,7 +28,7 @@ from emocause.extraction import (
     extract_sextuplets,
 )
 from emocause.graph import JaccardNli, RemoteNli, build_graph, temporal_gap
-from emocause.kb import build_windows, index_dialogue
+from emocause.kb import build_windows, index_dialogue, read_kb
 from emocause.model import Dialogue, ScoringConfig, Utterance, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
 from emocause.transport import REMOTE_WORKERS, JsonEndpoint, map_calls
@@ -249,6 +251,96 @@ def test_a_dropped_provider_closes_its_connections(keepalive_stub):
     del nli
     gc.collect()
     wait_for(lambda: not keepalive_stub.open)  # each handler saw its client close
+
+
+# ---------------------------------------------------------------------------
+# The bytes on the wire: each request, and each reply read off the socket
+# ---------------------------------------------------------------------------
+
+OK = b'{"ok": 1}'
+OK_HEADERS = b"Content-Length: 9\r\n\r\n" + OK  # the last header line, the blank line and the body
+OK_REPLY = b"HTTP/1.1 200 OK\r\n" + OK_HEADERS
+
+
+def test_request_bytes_on_the_wire(raw_stub, monkeypatch):
+    raw_stub.replies = [OK_REPLY]
+    host = raw_stub.url("").split("/")[2].encode()
+    JsonEndpoint("test", "TEST", raw_stub.url("v1/nli?model=m"), "k", 1.0).call({"premise": "p"})
+    # through an HTTP proxy, the stub standing in for one
+    monkeypatch.delenv("http_proxy", raising=False)
+    monkeypatch.setenv("HTTP_PROXY", raw_stub.url("").rstrip("/"))
+    JsonEndpoint("test", "TEST", "http://nli.example:8080/v1/nli?model=m", None, 1.0).call({"i": 1})
+    assert raw_stub.requests == [
+        b"POST /v1/nli?model=m HTTP/1.1\r\nHost: " + host + b"\r\nAccept-Encoding: identity\r\n"
+        b"Content-Length: 16\r\nContent-Type: application/json\r\nAuthorization: Bearer k\r\n\r\n"
+        b'{"premise": "p"}',
+        b"POST http://nli.example:8080/v1/nli?model=m HTTP/1.1\r\nHost: nli.example:8080\r\n"
+        b"Accept-Encoding: identity\r\nContent-Length: 8\r\nContent-Type: application/json\r\n\r\n"
+        b'{"i": 1}',
+    ]
+
+
+WELL_FORMED = {
+    # name: (reply, the server closes the connection after it, connections for two calls)
+    "chunked-with-extension-and-trailer": (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b'4;name=value\r\n{"ok\r\n5\r\n": 1}\r\n0\r\nX-Trailer: t\r\n\r\n',
+        False, 1,
+    ),
+    "http-1.0-read-until-close": (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + OK, True, 2),
+    "http-1.0-keep-alive": (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n" + OK_HEADERS, False, 1),
+    # the client closes the connection although the server would keep it open
+    "connection-close": (b"HTTP/1.1 200 OK\r\nConnection: close\r\n" + OK_HEADERS, False, 2),
+    "100-before-200": (b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY, False, 1),
+    "100-header-lines": (b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 99 + OK_HEADERS, False, 1),
+    "stray-bytes-after-the-body": (OK_REPLY + b"stray", False, 2),
+}
+
+
+@pytest.mark.parametrize("name", WELL_FORMED)
+def test_well_formed_replies_are_read_to_their_end(raw_stub, backoff_sleeps, name):
+    reply, close, connections = WELL_FORMED[name]
+    raw_stub.replies, raw_stub.close = [reply], close
+    endpoint = JsonEndpoint("test", "TEST", raw_stub.url(""), None, 1.0)
+    assert [endpoint.call({"i": i}) for i in range(2)] == [{"ok": 1}] * 2
+    # one post per call, none failed and none retried
+    assert len(raw_stub.requests) == 2 and backoff_sleeps == []
+    assert raw_stub.connections == connections
+
+
+MALFORMED = {
+    "bad-status-code": b"HTTP/1.1 2OO OK\r\n" + OK_HEADERS,
+    "unknown-version": b"HTTP/2.0 200 OK\r\n" + OK_HEADERS,
+    "101-header-lines": b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 100 + OK_HEADERS,
+    "head-over-64-KiB": b"HTTP/1.1 200 OK\r\nX-Filler: " + b"x" * 65536 + b"\r\n" + OK_HEADERS,
+    "body-cut-short": b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + OK,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_a_malformed_reply_is_retried(raw_stub, backoff_sleeps, name):
+    raw_stub.replies, raw_stub.close = [MALFORMED[name], OK_REPLY], True
+    assert JsonEndpoint("test", "TEST", raw_stub.url(""), None, 1.0).call({}) == {"ok": 1}
+    assert len(raw_stub.requests) == 2 and backoff_sleeps == [0.5]
+
+
+def test_a_204_reply_has_no_body(raw_stub, backoff_sleeps):
+    raw_stub.replies = [b"HTTP/1.1 204 No Content\r\n\r\n"]
+    with pytest.raises(TransportError, match="HTTP 204"):  # not a timeout waiting for a body
+        JsonEndpoint("test", "TEST", raw_stub.url(""), None, 1.0).call({})
+    assert len(raw_stub.requests) == 1 and backoff_sleeps == []
+
+
+def test_the_timeout_bounds_a_whole_attempt(raw_stub, backoff_sleeps):
+    """A reply that trickles in one byte every 50 ms never resets the clock:
+    each attempt ends `timeout` seconds after it started."""
+    raw_stub.replies = [b"HTTP/1.1 200 OK\r\nContent-Length: 69\r\n\r\n" + b" " * 60 + OK]
+    raw_stub.pause_s = 0.05
+    timeout, start = 0.5, time.monotonic()
+    with pytest.raises(TransportError, match="timed out"):
+        JsonEndpoint("test", "TEST", raw_stub.url(""), None, timeout).call({})
+    assert time.monotonic() - start < 4 * timeout + 0.5
+    assert len(raw_stub.requests) == 4 and backoff_sleeps == BACKOFF
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +594,35 @@ def test_remote_and_offline_runs_record_the_same_prompt_digest(http_stub, monkey
         for run in ("offline", "remote")
     ]
     assert digests[0] == digests[1]
+
+
+def test_a_remote_run_over_keepalive_connections_matches_an_offline_run(
+    keepalive_stub, monkeypatch, tmp_path, backoff_sleeps
+):
+    assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
+                 "--out-prefix", str(tmp_path / "d")]) == 0
+    inputs = ["--dialogue", str(tmp_path / "d.dialogue.json"), "--gold", str(tmp_path / "d.gold.json")]
+    offline, remote = tmp_path / "offline", tmp_path / "remote"
+    assert main(["run", *inputs, "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
+    providers = _serve_offline_providers(keepalive_stub, monkeypatch)
+    assert main(["run", *inputs, "--out-dir", str(remote), *providers]) == 0
+    for name in ("sextuplets.json", "graph.json", "report.json"):
+        assert (remote / name).read_bytes() == (offline / name).read_bytes()
+    kbs = [read_kb(run / "kb.cmkb") for run in (offline, remote)]
+    assert kbs[1].windows == kbs[0].windows
+    assert replace(kbs[1].meta, provider_id=kbs[0].meta.provider_id) == kbs[0].meta  # it names the embedder
+    # the remote embedder normalises each row it receives once more
+    assert np.allclose(kbs[1].vectors, kbs[0].vectors, rtol=0, atol=1e-12)
+    digests = [
+        [s.get("prompt_sha256") for s in json.loads((run / "manifest.json").read_text())["stages"]]
+        for run in (offline, remote)
+    ]
+    assert digests[0] == digests[1] and any(digests[0])
+    ports = {}  # the client ports of each endpoint's connections
+    for (path, _, _), sent in zip(keepalive_stub.requests, keepalive_stub.sent):
+        ports.setdefault(path, set()).add(sent.port)
+    assert sorted(ports) == ["/chat", "/embed", "/nli"]
+    assert all(len(used) <= REMOTE_WORKERS for used in ports.values()) and backoff_sleeps == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "4"])
