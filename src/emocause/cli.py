@@ -25,6 +25,7 @@ of its dialogues and index reads them all.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
+A remote provider's calls overlap on transport.REMOTE_WORKERS threads.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _cmd_extract(args) -> tuple[int, list[str]]:
         dialogue = read_dialogue(args.dialogue, strict=args.strict)
     # the windows are the KB's, whatever window settings the config holds
     manifest.config = replace(cfg, window_size=kb.meta.window_size, stride=kb.meta.stride)
-    sextuplets = extract_stage(manifest, dialogue, kb, provider, cfg, args.out, jobs=args.jobs)
+    sextuplets = extract_stage(manifest, dialogue, kb, provider, cfg, args.out)
     manifest.write(f"{args.out}.manifest.json")
     return EXIT_OK, [f"extracted {len(sextuplets)} sextuplet(s) -> {args.out}"]
 
@@ -201,7 +202,7 @@ def _cmd_graph(args) -> tuple[int, list[str]]:
     manifest.add_input(args.sextuplets)
     with manifest.stage("validate"):
         dialogue_id, sextuplets = sextuplets_from_dict(read_input(args.sextuplets, loads_json))
-    graph = graph_stage(manifest, dialogue_id, sextuplets, cfg, embedder, nli, args.out, jobs=args.jobs)
+    graph = graph_stage(manifest, dialogue_id, sextuplets, cfg, embedder, nli, args.out)
     manifest.write(f"{args.out}.manifest.json")
     return EXIT_OK, [f"graph for {dialogue_id}: {len(graph.vertices)} vertices, "
                      f"{len(graph.edges)} edges -> {args.out}"]
@@ -254,7 +255,6 @@ def _cmd_run(args) -> tuple[int, list[str]]:
         embedder=args.embedder,
         extractor=args.provider,
         nli=args.nli,
-        jobs=args.jobs,
         strict=args.strict,
     )
     return EXIT_OK, [describe_run(result)]
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dialogue", required=True, help=_ONE_DIALOGUE)
     p.add_argument("--provider", default="mock", help="mock or remote:<model>")
     p.add_argument("--out", required=True, help="output sextuplets JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="threads for window calls; remote calls always overlap")
     p.add_argument("--strict", action="store_true", help="treat ingest warnings as errors")
     _add_config_flags(p, {"top_n"})
     p.set_defaults(func=_cmd_extract)
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output graph file (.json or .dot)")
     p.add_argument("--embedder", default="hash:64:0")
     p.add_argument("--nli", default="overlap", help="overlap or remote")
-    p.add_argument("--jobs", type=int, default=1, help="threads for NLI calls; remote calls always overlap")
     _add_config_flags(p, {"alpha", "beta", "gamma", "tau", "edge_threshold", "max_gap", "normalize_scores"})
     p.set_defaults(func=_cmd_graph)
 
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--provider", default="mock", help="extractor: mock or remote:<model>")
     p.add_argument("--embedder", default="hash:64:0")
     p.add_argument("--nli", default="overlap")
-    p.add_argument("--jobs", type=int, default=1, help="threads for provider calls; remote ones overlap")
     p.add_argument("--strict", action="store_true", help="treat ingest warnings as errors")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_run)

@@ -101,6 +101,8 @@ class RemoteTextEmbedder:
         timeout: float = 30.0,
         session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     ):
+        if dim < 1:  # refused before the endpoint is resolved: no request is sent
+            raise ValueError(f"dim must be >= 1, got {dim}")
         self.model = model
         self.dim = dim
         self.id = f"remote:{model}"
@@ -143,17 +145,17 @@ class RemoteTextEmbedder:
 
 
 def provider_from_spec(spec: str) -> EmbeddingProvider:
-    """Build a provider from a spec string: "hash:<dim>:<seed>" or "remote:<model>:<dim>"."""
+    """Build a provider from a spec string: "hash:<dim>:<seed>" or "remote:<model>:<dim>",
+    the dim after the last ':', so that a model name may hold one."""
     parts = spec.split(":")
-    if parts[0] == "hash":
+    if parts[0] == "hash" and len(parts) <= 3:
         dim = int(parts[1]) if len(parts) > 1 else 64
         seed = int(parts[2]) if len(parts) > 2 else 0
         return HashTextEmbedder(dim=dim, seed=seed)
-    if parts[0] == "remote":
-        if len(parts) < 3:
-            raise ValueError("remote embedder spec must be remote:<model>:<dim>")
-        return RemoteTextEmbedder(model=parts[1], dim=int(parts[2]))
-    raise ValueError(f"unknown embedding provider spec {spec!r}")
+    model, _, dim = spec.removeprefix("remote:").rpartition(":")
+    if parts[0] == "remote" and model:
+        return RemoteTextEmbedder(model=model, dim=int(dim))
+    raise ValueError(f"embedding provider spec {spec!r} is not hash:<dim>:<seed> or remote:<model>:<dim>")
 
 
 def embed_texts(provider: EmbeddingProvider, texts: Iterable[str]) -> dict[str, np.ndarray]:

@@ -227,7 +227,7 @@ class RemoteExtractor:
 def extractor_from_spec(spec: str) -> ExtractorProvider:
     if spec == "mock":
         return MockExtractor()
-    if spec.startswith("remote:"):
+    if spec.startswith("remote:") and spec != "remote:":  # an empty model is refused
         return RemoteExtractor(model=spec.split(":", 1)[1])
     raise ValueError(f"unknown extractor spec {spec!r} (use 'mock' or 'remote:<model>')")
 
@@ -405,32 +405,31 @@ def extract_dialogue(
     provider: ExtractorProvider,
     cfg: ScoringConfig | None = None,
     *,
-    jobs: int = 1,
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-
     augmented prompts, then deduplicate across overlapping windows. The
     KB's windows of the dialogue are checked first (dialogue_rows).
 
-    Windows run through map_calls (a remote provider overlaps them) and
-    are re-sorted by window index, so the output is independent of scheduling.
-    Each rendered prompt is fed into prompt_hash (a hashlib object), if given,
-    in window order: its digest changes with what retrieval puts in front of
-    the provider even where the sextuplets do not.
+    Windows run through map_calls: a remote provider's calls overlap, any
+    other's run in order. Each rendered prompt is fed into prompt_hash (a
+    hashlib object), if given, in window order: its digest changes with what
+    retrieval puts in front of the provider even where the sextuplets do not.
     """
     cfg = cfg or ScoringConfig()
     indexed = [(i, kb.windows[i]) for i in dialogue_rows(kb, dialogue)]
 
-    def run_one(item: tuple[int, TimeWindow]) -> tuple[int, ExtractionPrompt, list[Sextuplet]]:
+    def run_one(item: tuple[int, TimeWindow]) -> tuple[ExtractionPrompt, list[Sextuplet]]:
         i, window = item
         context = retrieve(window, kb.vectors[i], kb, cfg.top_n)
         prompt = assemble_prompt(window, context)
-        return window.window_index, prompt, extract_sextuplets(prompt, provider, window, dialogue)
+        return prompt, extract_sextuplets(prompt, provider, window, dialogue)
 
-    outcomes = map_calls(run_one, indexed, provider, jobs)
-    outcomes.sort(key=lambda outcome: outcome[0])
+    # in window order: dialogue_rows returns the rows so, and map_calls keeps input order
+    outcomes = map_calls(run_one, indexed, provider)
     if prompt_hash is not None:
-        for _, prompt, _ in outcomes:
+        for prompt, _ in outcomes:
             prompt_hash.update(prompt.render().encode("utf-8"))
-    flat = [s for *_, found in outcomes for s in found]
+    flat = [s for _, found in outcomes for s in found]
     return dedup_sextuplets(flat)

@@ -216,7 +216,7 @@ def build_graph(
     embedder: EmbeddingProvider,
     nli: NliProvider,
     *,
-    jobs: int = 1,
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
 ) -> CausalGraph:
     """Score every temporally admissible ordered pair and keep edges whose
     weight reaches the threshold.
@@ -231,12 +231,12 @@ def build_graph(
     weights are positive and float + and * round monotonically, so the
     threshold would cut it whatever the NLI says. The NLI is asked once per
     distinct pair that can reach the threshold, (cause rationale, serialized
-    effect), through map_calls (a remote provider overlaps the calls), which
-    assumes a deterministic provider. A failure names the first scored pair in
-    enumeration order that asks the failing question; a P that is not a number
-    in [0, 1] from any provider fails as a ResponseParseError so named.
-    Vertices include isolated events. Output is deterministic and independent
-    of evaluation order and thread count.
+    effect), through map_calls, which assumes a deterministic provider: a
+    remote provider's calls overlap on REMOTE_WORKERS threads, any other's run
+    in order. A failure names the first scored pair in enumeration order that
+    asks the failing question; a P that is not a number in [0, 1] from any
+    provider fails as a ResponseParseError so named. Vertices include isolated
+    events. Output is deterministic, whether the NLI calls overlap or not.
     """
     ids = [s.id for s in sextuplets]
     if len(set(ids)) != len(ids):
@@ -285,7 +285,7 @@ def build_graph(
                 raise TransportError(message) from exc
             raise ResponseParseError(message, getattr(exc, "raw", "")) from exc
 
-    rationales = dict(zip(first_asker, map_calls(ask, list(first_asker.values()), nli, jobs)))
+    rationales = dict(zip(first_asker, map_calls(ask, list(first_asker.values()), nli)))
     edges = []
     for cause, effect, delta_t, semantic, temporal, question in scored:
         rationale = rationales[question]

@@ -2,7 +2,8 @@
 
 Every stage (one function shared by `run` and its subcommand) writes a plain
 file and records its digest in the run manifest; with deterministic providers,
-identical inputs and config produce byte-identical files at any worker count.
+identical inputs and config produce byte-identical files, whether a stage's
+calls overlap (a remote provider's) or run in order (transport.map_calls).
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ class RunManifest:
 
 
 def extract_stage(manifest: RunManifest, dialogue: Dialogue, kb: KnowledgeBase,
-                  extractor: ExtractorProvider, cfg: ScoringConfig, out_path: str | Path,
-                  *, jobs: int) -> list[Sextuplet]:
+                  extractor: ExtractorProvider, cfg: ScoringConfig,
+                  out_path: str | Path) -> list[Sextuplet]:
     """Write the sextuplets document to out_path; record the digest of the prompts."""
     with manifest.stage("extract") as stage:
         prompts = hashlib.sha256()
-        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, jobs=jobs, prompt_hash=prompts)
+        sextuplets = extract_dialogue(dialogue, kb, extractor, cfg, prompt_hash=prompts)
         stage["prompt_sha256"] = prompts.hexdigest()
         Path(out_path).write_text(dumps_canonical(sextuplets_to_dict(dialogue.id, sextuplets)))
         manifest.add_output(out_path)
@@ -89,10 +90,10 @@ def extract_stage(manifest: RunManifest, dialogue: Dialogue, kb: KnowledgeBase,
 
 def graph_stage(manifest: RunManifest, dialogue_id: str, sextuplets: list[Sextuplet],
                 cfg: ScoringConfig, embedder: EmbeddingProvider, nli: NliProvider,
-                out_path: str | Path, *, jobs: int) -> CausalGraph:
+                out_path: str | Path) -> CausalGraph:
     """Write DOT to a .dot out_path, else JSON embedding the sextuplets and dialogue id."""
     with manifest.stage("graph"):
-        graph = build_graph(sextuplets, cfg, embedder, nli, jobs=jobs)
+        graph = build_graph(sextuplets, cfg, embedder, nli)
         fmt = "dot" if str(out_path).endswith(".dot") else "json"
         Path(out_path).write_bytes(export_graph(graph, fmt, sextuplets, dialogue_id))
         manifest.add_output(out_path)
@@ -129,7 +130,7 @@ def run_pipeline(
     embedder: EmbeddingProvider | str = "hash:64:0",
     extractor: ExtractorProvider | str = "mock",
     nli: NliProvider | str = "overlap",
-    jobs: int = 1,
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
     strict: bool = False,
 ) -> RunResult:
     """Run every stage over one dialogue file, writing all artifacts to out_dir."""
@@ -167,8 +168,8 @@ def run_pipeline(
         write_kb(kb, kb_path)
         manifest.add_output(kb_path)
 
-    sextuplets = extract_stage(manifest, dialogue, kb, extractor, cfg, out / "sextuplets.json", jobs=jobs)
-    graph = graph_stage(manifest, dialogue.id, sextuplets, cfg, embedder, nli, out / "graph.json", jobs=jobs)
+    sextuplets = extract_stage(manifest, dialogue, kb, extractor, cfg, out / "sextuplets.json")
+    graph = graph_stage(manifest, dialogue.id, sextuplets, cfg, embedder, nli, out / "graph.json")
     eval_report = None
     if gold is not None:
         eval_report = eval_stage(manifest, graph, sextuplets, gold, cfg, out / "report.json")

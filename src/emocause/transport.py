@@ -56,14 +56,14 @@ _MAX_HEAD = 65536  # bytes in a reply's head, chunk-size line or trailer: http.c
 _clock = time.monotonic  # bound here: tests replace the module's `time` with one holding only sleep
 
 
-def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
-    """[fn(x) for x in items] in input order, overlapping one stage's independent
-    calls (a chat per window, an NLI call per distinct pair that can reach the
-    threshold) on max(jobs, REMOTE_WORKERS) threads for a remote provider, on
-    `jobs` threads otherwise. It returns when every call has finished; after a
+def map_calls(fn: Callable, items: Sequence, provider) -> list:
+    """[fn(x) for x in items] in input order. A remote provider's calls of one
+    stage (a chat per window, an NLI call per distinct pair that can reach the
+    threshold) overlap on REMOTE_WORKERS threads; any other provider's run in
+    order, as local providers are pure Python and threads would only contend for
+    the interpreter lock. It returns when every call has finished; after a
     failure no later item's call starts, and the first failing item raises."""
-    workers = max(jobs, REMOTE_WORKERS) if provider.mode == "remote" else jobs
-    if min(workers, len(items)) <= 1:
+    if provider.mode != "remote" or len(items) <= 1:
         return [fn(x) for x in items]
     # lowest index of a failed call so far: a later item may fail first, and
     # the items before it still run, so that the first failing one raises
@@ -80,7 +80,7 @@ def map_calls(fn: Callable, items: Sequence, provider, jobs: int) -> list:
                 first_failed[0] = min(first_failed[0], i)
             raise
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=REMOTE_WORKERS) as pool:
         futures = [pool.submit(call, i, x) for i, x in enumerate(items)]
     return [f.result() for f in futures]
 

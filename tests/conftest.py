@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import shutil
@@ -21,6 +22,7 @@ import pytest
 import emocause
 from emocause import transport
 from emocause.embedding import HashTextEmbedder
+from emocause.extraction import MockExtractor
 from emocause.graph import JaccardNli
 from emocause.model import (
     AudioFeatureRecord,
@@ -145,6 +147,65 @@ def wait_for(condition, seconds=5.0):
     while not condition():
         assert time.monotonic() < deadline, "condition not met in time"
         time.sleep(0.005)
+
+
+class _Rendezvous:
+    """The first two calls return only when both are in flight at once:
+    made one after the other, the first breaks the barrier after 5 s."""
+
+    def __init__(self):
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.calls = itertools.count()
+
+    def __call__(self):
+        if next(self.calls) < 2:
+            self.barrier.wait()
+
+
+class PairedExtractor(MockExtractor):
+    """MockExtractor in remote mode, so that transport.map_calls overlaps its
+    calls; its first two calls prove it by meeting at a _Rendezvous."""
+
+    mode = "remote"
+
+    def __init__(self):
+        self.rendezvous = _Rendezvous()
+
+    def complete(self, prompt_text):
+        self.rendezvous()
+        return super().complete(prompt_text)
+
+
+class PairedNli(JaccardNli):
+    """JaccardNli in remote mode, its first two calls meeting as PairedExtractor's do."""
+
+    mode = "remote"
+
+    def __init__(self):
+        self.rendezvous = _Rendezvous()
+
+    def entailment_probability(self, premise, hypothesis):
+        self.rendezvous()
+        return super().entailment_probability(premise, hypothesis)
+
+
+def serve_offline_providers(stub, monkeypatch, dim=8):
+    """Answer /embed, /chat and /nli on an http_stub-like stub as the offline
+    providers would, and point the remote providers' endpoint variables at
+    them. Returns the run flags that select all three remote providers."""
+    embedder, extractor, nli = HashTextEmbedder(dim), MockExtractor(), JaccardNli()
+    stub.routes.update({
+        "/embed": lambda req: {"embeddings": [embedder.embed(t).tolist() for t in req["input"]]},
+        "/chat": lambda req: {
+            "content": extractor.complete("\n".join(m["content"] for m in req["messages"]))
+        },
+        "/nli": lambda req: {
+            "entailment_probability": nli.entailment_probability(req["premise"], req["hypothesis"])
+        },
+    })
+    for var, path in (("EMBED", "embed"), ("LLM", "chat"), ("NLI", "nli")):
+        monkeypatch.setenv(f"{var}_ENDPOINT", stub.url(path))
+    return ["--embedder", f"remote:m1:{dim}", "--provider", "remote:glm", "--nli", "remote"]
 
 
 def _serve(monkeypatch, server_class, handler, **fields):

@@ -50,6 +50,8 @@ from emocause.metrics import (
 from emocause.model import AudioFeatureRecord, ScoringConfig, Sextuplet
 from emocause.synth import ChainSpec, generate
 
+from conftest import serve_offline_providers
+
 
 @contextmanager
 def criterion(name):
@@ -352,19 +354,22 @@ def test_criterion_7_persistence_round_trip():
                 load_kb(bytes(corrupted))
 
 
-def test_criterion_8_run_determinism(tmp_path):
+def test_criterion_8_run_determinism(tmp_path, http_stub, monkeypatch):
     with criterion("8 run determinism"):
         prefix = tmp_path / "case"
         assert cli_main(["gen", "--seed", "7", "--turns", "80", "--chain-length", "4",
                          "--out-prefix", str(prefix)]) == 0
         dialogue_path = f"{prefix}.dialogue.json"
         gold_path = f"{prefix}.gold.json"
+        serve_offline_providers(http_stub, monkeypatch)
+        # the third run's extractor and NLI calls overlap, as remote calls do,
+        # and the stub answers them as MockExtractor and JaccardNli would
+        overlapping = ["--provider", "remote:glm", "--nli", "remote"]
         outputs = []
-        for run_dir, jobs in (("run1", "1"), ("run2", "1"), ("run3", "4")):
+        for run_dir, providers in (("run1", []), ("run2", []), ("run3", overlapping)):
             out_dir = tmp_path / run_dir
             assert cli_main(["run", "--dialogue", dialogue_path, "--gold", gold_path,
-                             "--out-dir", str(out_dir), "--provider", "mock",
-                             "--jobs", jobs]) == 0
+                             "--out-dir", str(out_dir), *providers]) == 0
             outputs.append({
                 name: (out_dir / name).read_bytes()
                 for name in ("sextuplets.json", "graph.json", "report.json", "kb.cmkb")

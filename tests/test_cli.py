@@ -27,6 +27,8 @@ from emocause.kb import _pack_section, read_kb, write_kb
 from emocause.model import ScoringConfig, dumps_canonical
 from emocause.pipeline import sha256_file
 
+from conftest import serve_offline_providers
+
 
 def digest(manifest_path):
     """The prompt_sha256 of a manifest's extract stage."""
@@ -370,28 +372,39 @@ def test_nli_probability_outside_the_unit_interval_exits_4_naming_the_pair(
     assert f"entailment probability {p!r} is outside [0, 1]" in err
 
 
-def test_extract_and_run_record_the_same_prompt_digest(generated):
+def test_extract_and_run_record_the_same_prompt_digest(generated, http_stub, monkeypatch):
     tmp, dialogue_path, _ = generated
     kb, sx = tmp / "kb.cmkb", tmp / "sx.json"
     assert main(["index", str(dialogue_path), "--out", str(kb)]) == 0
     assert main(["extract", "--kb", str(kb), "--dialogue", str(dialogue_path), "--out", str(sx)]) == 0
-    for jobs in ("1", "2"):
-        assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / jobs),
-                     "--jobs", jobs]) == 0
+    serve_offline_providers(http_stub, monkeypatch)
+    # the remote extractor's calls overlap; the stub answers as MockExtractor would
+    for run, providers in (("local", []), ("overlapping", ["--provider", "remote:glm"])):
+        assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / run),
+                     *providers]) == 0
 
     extracted = digest(Path(f"{sx}.manifest.json"))
     assert len(extracted) == 64
-    assert digest(tmp / "1" / "manifest.json") == digest(tmp / "2" / "manifest.json") == extracted
+    assert digest(tmp / "local" / "manifest.json") == extracted
+    assert digest(tmp / "overlapping" / "manifest.json") == extracted
 
 
-@pytest.mark.parametrize("spec, code", [("foo", 2), ("remote:m", 2), ("hash:x", 2), ("remote:m:8", 3)])
+@pytest.mark.parametrize("option, spec, code", [
+    ("--embedder", "foo", 2), ("--embedder", "remote:m", 2), ("--embedder", "hash:x", 2),
+    ("--embedder", "remote:m:0", 2), ("--embedder", "remote:m:-4", 2), ("--embedder", "remote::64", 2),
+    ("--embedder", "hash:64:0:junk", 2), ("--provider", "remote:", 2),
+    ("--embedder", "remote:m:8", 3), ("--embedder", "remote:nomic-embed-text:latest:768", 3),
+])
 def test_embedder_spec_errors_are_usage_errors_and_a_missing_endpoint_a_provider_error(
-    generated, monkeypatch, spec, code
+    generated, monkeypatch, option, spec, code
 ):
+    """A spec is refused (exit 2) as it is parsed, before any endpoint is
+    resolved: with none configured, resolving one exits 3."""
     tmp, dialogue_path, _ = generated
-    monkeypatch.delenv("EMBED_ENDPOINT", raising=False)
+    for var in ("EMBED_ENDPOINT", "LLM_ENDPOINT"):
+        monkeypatch.delenv(var, raising=False)
     assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out"),
-                 "--embedder", spec]) == code
+                 option, spec]) == code
     assert not (tmp / "out").exists()
 
 
@@ -803,6 +816,27 @@ def test_raw_scores_is_a_flag_only_where_scores_are_normalized(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert ("--raw-scores" in capsys.readouterr().out) == (command in ("graph", "run"))
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("extract", ["--kb", "kb.cmkb", "--dialogue", "d.json", "--out", "sx.json"]),
+    ("graph", ["--sextuplets", "sx.json", "--out", "g.json"]),
+    ("run", ["--dialogue", "d.json", "--out-dir", "out"]),
+], ids=["extract", "graph", "run"])
+def test_there_is_no_jobs_flag_and_passing_one_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, command, argv
+):
+    """Remote calls overlap on REMOTE_WORKERS threads and all others run in
+    order, so no command takes a thread count."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_of_a_graph_without_sextuplets_names_its_file(generated, capsys):

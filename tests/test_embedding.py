@@ -61,9 +61,12 @@ def test_embedder_casefolds_tokens(embedder):
     assert np.array_equal(embed_text(embedder, "Hello"), embed_text(embedder, "hello"))
 
 
-def test_provider_from_spec_round_trip():
+def test_provider_from_spec_round_trip(monkeypatch):
     p = provider_from_spec("hash:32:5")
     assert (p.dim, p.seed, p.id) == (32, 5, "hash:32:5")
+    monkeypatch.setenv("EMBED_ENDPOINT", "http://127.0.0.1:1/embed")  # resolved, never posted to
+    p = provider_from_spec("remote:a:b:8")  # the dim follows the last ':'
+    assert (p.model, p.dim, p.id) == ("a:b", 8, "remote:a:b")
     for spec in ("unknown:thing", "remote:m"):
         with pytest.raises(ValueError, match="spec"):
             provider_from_spec(spec)

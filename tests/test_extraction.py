@@ -25,7 +25,7 @@ from emocause.kb import RetrievalHit, TimeWindow, build_windows, index_corpus, i
 from emocause.model import Dialogue, ScoringConfig, Utterance
 from emocause.synth import ChainSpec, generate
 
-from conftest import make_dialogue, make_sextuplet
+from conftest import PairedExtractor, make_dialogue, make_sextuplet
 
 
 def _window(text, index=0, dialogue_id="dlg-1", start=0, end=1):
@@ -380,15 +380,15 @@ def test_extract_dialogue_dedups_and_orders(embedder):
     assert all(s.window_index <= t.window_index for s, t in zip(found, found[1:]))
 
 
-def test_extract_dialogue_jobs_equivalence(embedder):
+def test_extract_dialogue_overlap_equivalence(embedder):
     from emocause.synth import ChainSpec, generate
 
     dialogue, _ = generate(ChainSpec(seed=4, turns=30, chain_length=2))
     kb = index_dialogue(dialogue, embedder, window_size=10, stride=5)
     cfg = ScoringConfig()
-    sequential = extract_dialogue(dialogue, kb, MockExtractor(), cfg, jobs=1)
-    parallel = extract_dialogue(dialogue, kb, MockExtractor(), cfg, jobs=4)
-    assert sequential == parallel
+    in_order = extract_dialogue(dialogue, kb, MockExtractor(), cfg)
+    overlapping = extract_dialogue(dialogue, kb, PairedExtractor(), cfg)
+    assert in_order == overlapping
 
 
 def test_extract_dialogue_unknown_dialogue(embedder):
@@ -401,8 +401,9 @@ def test_extract_dialogue_unknown_dialogue(embedder):
 
 def test_extractor_from_spec():
     assert extractor_from_spec("mock").id == "mock"
-    with pytest.raises(ValueError):
-        extractor_from_spec("wat")
+    for spec in ("wat", "remote:"):
+        with pytest.raises(ValueError):
+            extractor_from_spec(spec)
 
 
 def test_remote_extractor_contract(http_stub):

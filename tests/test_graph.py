@@ -9,6 +9,7 @@ import random
 import re
 import string
 import sys
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +42,7 @@ from emocause.kb import index_dialogue
 from emocause.model import ScoringConfig, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
 
-from conftest import make_sextuplet
+from conftest import PairedNli, make_sextuplet
 
 
 def test_semantic_identity(embedder):
@@ -267,11 +268,9 @@ def test_build_graph_duplicate_ids_rejected(cfg, embedder, nli):
         build_graph([make_sextuplet("x"), make_sextuplet("x")], cfg, embedder, nli)
 
 
-def test_build_graph_jobs_equivalence(cfg, embedder, nli):
+def test_build_graph_overlap_equivalence(cfg, embedder, nli):
     items = _chain_sextuplets()
-    assert build_graph(items, cfg, embedder, nli, jobs=1) == build_graph(
-        items, cfg, embedder, nli, jobs=4
-    )
+    assert build_graph(items, cfg, embedder, nli) == build_graph(items, cfg, embedder, PairedNli())
 
 
 class _SlowEmbedder(HashTextEmbedder):
@@ -295,14 +294,14 @@ def test_build_graph_embeds_each_text_once_under_threads(cfg, nli):
                        t_start=10.0 * i, t_end=10.0 * i + 4.0)
         for i, (opinion, label) in enumerate(zip(opinions, labels))
     ]
-    graphs = {}
-    for jobs in (1, 2):
+    graphs = []
+    for scorer in (nli, PairedNli()):  # the second's calls overlap
         embedder = _SlowEmbedder()
-        graphs[jobs] = build_graph(items, replace(cfg, edge_threshold=0.0), embedder, nli, jobs=jobs)
+        graphs.append(build_graph(items, replace(cfg, edge_threshold=0.0), embedder, scorer))
         # causes are e0..e4 and effects e1..e5: every opinion and label text occurs
         assert Counter(embedder.texts) == Counter(set(opinions[:5] + labels[1:]))
-    assert len(graphs[2].edges) == 15
-    assert graphs[2].edges == graphs[1].edges
+    assert len(graphs[1].edges) == 15
+    assert graphs[1].edges == graphs[0].edges
 
 
 def test_build_graph_threshold_monotonicity(cfg, embedder, nli):
@@ -540,12 +539,15 @@ def test_build_graph_matches_a_scorer_without_pruning_or_dedup_on_a_noisy_synth_
 
 
 class _CountingNli(JaccardNli):
-    def __init__(self, fail_on=()):
+    def __init__(self, fail_on=(), mode=JaccardNli.mode):
         self.asked = Counter()
         self.fail_on = set(fail_on)
+        self.mode = mode  # "remote": map_calls overlaps the calls
+        self.lock = threading.Lock()  # so that overlapping calls lose no count
 
     def entailment_probability(self, premise, hypothesis):
-        self.asked[premise, hypothesis] += 1
+        with self.lock:
+            self.asked[premise, hypothesis] += 1
         if (premise, hypothesis) in self.fail_on:
             raise TransportError("NLI endpoint returned HTTP 503")
         return super().entailment_probability(premise, hypothesis)
@@ -562,15 +564,15 @@ def _repeating_sextuplets():
     ]
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("mode", [JaccardNli.mode, "remote"])
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.6])
 def test_build_graph_asks_each_distinct_pair_that_can_reach_the_threshold_once(
-    jobs, threshold, cfg, embedder
+    mode, threshold, cfg, embedder
 ):
     items = _repeating_sextuplets()
     cfg = replace(cfg, edge_threshold=threshold)
-    nli = _CountingNli()
-    graph = build_graph(items, cfg, embedder, nli, jobs=jobs)
+    nli = _CountingNli(mode=mode)
+    graph = build_graph(items, cfg, embedder, nli)
     # at P = 1 the weight is the bound, so the edges kept are the pairs that survive it
     by_id = {s.id: s for s in items}
     survivors = {

@@ -20,7 +20,7 @@ from emocause.metrics import gold_to_dict
 from emocause.pipeline import RunManifest, run_pipeline, sha256_file
 from emocause.synth import ChainSpec, generate
 
-from conftest import run_child
+from conftest import PairedExtractor, PairedNli, run_child
 
 
 @pytest.fixture
@@ -91,10 +91,11 @@ def test_run_pipeline_without_gold_skips_eval(workdir):
     assert not (tmp / "out2" / "report.json").exists()
 
 
-def test_run_pipeline_deterministic_across_jobs(workdir):
+def test_run_pipeline_deterministic_whether_calls_overlap_or_not(workdir):
     tmp, dialogue_path, gold_path = workdir
-    a = run_pipeline(dialogue_path, tmp / "a", gold_path=gold_path, jobs=1)
-    b = run_pipeline(dialogue_path, tmp / "b", gold_path=gold_path, jobs=4)
+    a = run_pipeline(dialogue_path, tmp / "a", gold_path=gold_path)
+    b = run_pipeline(dialogue_path, tmp / "b", gold_path=gold_path,
+                     extractor=PairedExtractor(), nli=PairedNli())
     for name in ("kb.cmkb", "sextuplets.json", "graph.json", "report.json"):
         assert (tmp / "a" / name).read_bytes() == (tmp / "b" / name).read_bytes()
     assert _prompt_digest(a) == _prompt_digest(b)
@@ -113,7 +114,7 @@ def test_prompt_digest_is_the_sha256_of_the_prompts_and_survives_a_kb_file(workd
     recorder = SimpleNamespace(id="rec", mode="mock",
                                complete=lambda text: prompts.append(text) or extractor.complete(text))
     again = hashlib.sha256()
-    assert extract_dialogue(result.dialogue, stored, recorder, jobs=1, prompt_hash=again) == result.sextuplets
+    assert extract_dialogue(result.dialogue, stored, recorder, prompt_hash=again) == result.sextuplets
     assert len(prompts) == stored.meta.entry_count
     assert again.hexdigest() == _prompt_digest(result)
     assert again.hexdigest() == hashlib.sha256("".join(prompts).encode("utf-8")).hexdigest()

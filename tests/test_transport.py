@@ -5,7 +5,6 @@ driven through a real socket, plus the CLI exit codes their failures map to."""
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import socket
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 from emocause.cli import main
-from emocause.embedding import EMBED_BATCH_SIZE, HashTextEmbedder, RemoteTextEmbedder
+from emocause.embedding import EMBED_BATCH_SIZE, RemoteTextEmbedder
 from emocause.errors import ResponseParseError, TransportError
 from emocause.extraction import (
     MockExtractor,
@@ -27,13 +26,14 @@ from emocause.extraction import (
     extract_dialogue,
     extract_sextuplets,
 )
-from emocause.graph import JaccardNli, RemoteNli, build_graph, temporal_gap
+from emocause.graph import RemoteNli, build_graph, temporal_gap
 from emocause.kb import build_windows, index_dialogue, read_kb
 from emocause.model import Dialogue, ScoringConfig, Utterance, sextuplets_from_dict
 from emocause.synth import ChainSpec, generate
+from emocause import transport
 from emocause.transport import REMOTE_WORKERS, JsonEndpoint, map_calls
 
-from conftest import wait_for
+from conftest import PairedExtractor, PairedNli, serve_offline_providers, wait_for
 
 BACKOFF = [0.5, 1.0, 2.0]
 
@@ -228,7 +228,7 @@ def test_one_stage_opens_at_most_one_connection_per_worker(keepalive_stub, backo
     keepalive_stub.default = (200, b'{"entailment_probability": 0.5}')
     keepalive_stub.hold_s = 0.005  # long enough for the workers' calls to overlap
     nli = RemoteNli(endpoint=keepalive_stub.url("nli"))
-    got = map_calls(lambda i: nli.entailment_probability("p", str(i)), range(40), nli, 1)
+    got = map_calls(lambda i: nli.entailment_probability("p", str(i)), range(40), nli)
     assert got == [0.5] * 40 and len(keepalive_stub.requests) == 40
     assert 1 <= keepalive_stub.connections <= REMOTE_WORKERS and backoff_sleeps == []
 
@@ -246,7 +246,7 @@ def test_a_connection_the_server_closed_while_idle_is_reopened(keepalive_stub, b
 def test_a_dropped_provider_closes_its_connections(keepalive_stub):
     keepalive_stub.default = (200, b'{"entailment_probability": 0.5}')
     nli = RemoteNli(endpoint=keepalive_stub.url("nli"))
-    map_calls(lambda i: nli.entailment_probability("p", str(i)), range(8), nli, 1)
+    map_calls(lambda i: nli.entailment_probability("p", str(i)), range(8), nli)
     assert keepalive_stub.open
     del nli
     gc.collect()
@@ -421,69 +421,36 @@ def test_provider_connection_refused_is_retried(monkeypatch, backoff_sleeps, nam
 # ---------------------------------------------------------------------------
 
 
-class _Rendezvous:
-    """The first two calls return only when both are in flight at once:
-    made one after the other, the first breaks the barrier after 5 s."""
-
-    def __init__(self):
-        self.barrier = threading.Barrier(2, timeout=5)
-        self.calls = itertools.count()
-
-    def __call__(self):
-        if next(self.calls) < 2:
-            self.barrier.wait()
-
-
-class _PairedExtractor(MockExtractor):
-    mode = "remote"
-
-    def __init__(self):
-        self.rendezvous = _Rendezvous()
-
-    def complete(self, prompt_text):
-        self.rendezvous()
-        return super().complete(prompt_text)
-
-
-class _PairedNli(JaccardNli):
-    mode = "remote"
-
-    def __init__(self):
-        self.rendezvous = _Rendezvous()
-
-    def entailment_probability(self, premise, hypothesis):
-        self.rendezvous()
-        return super().entailment_probability(premise, hypothesis)
-
-
-def test_remote_calls_of_one_stage_overlap_at_one_job(embedder, nli, cfg):
+def test_remote_calls_of_one_stage_overlap(embedder, nli, cfg):
     dialogue, _ = generate(ChainSpec(seed=4, turns=30, chain_length=2))
     kb = index_dialogue(dialogue, embedder, window_size=10, stride=5)
-    found = extract_dialogue(dialogue, kb, _PairedExtractor(), cfg, jobs=1)
-    assert found == extract_dialogue(dialogue, kb, MockExtractor(), cfg, jobs=1)
-    graph = build_graph(found, cfg, embedder, _PairedNli(), jobs=1)
-    assert graph == build_graph(found, cfg, embedder, nli, jobs=1)
+    found = extract_dialogue(dialogue, kb, PairedExtractor(), cfg)
+    assert found == extract_dialogue(dialogue, kb, MockExtractor(), cfg)
+    graph = build_graph(found, cfg, embedder, PairedNli())
+    assert graph == build_graph(found, cfg, embedder, nli)
     assert len(graph.edges) > 0
 
 
-def test_map_calls_keeps_input_order_and_the_first_error_under_contention():
-    """Eight threads on two cores with a shortened switch interval: results
-    come back in input order, and with every item from 300 on failing, the
-    error raised is item 300's, whichever call failed first."""
+def test_map_calls_keeps_input_order_and_the_first_error_under_contention(monkeypatch):
+    """A remote provider's calls on eight threads, more than the cores, with a
+    shortened switch interval: results come back in input order, and with
+    every item from 300 on failing, the error raised is item 300's, whichever
+    call failed first."""
 
     def square_below_300(x):
         if x >= 300:
             raise ValueError(x)
         return x * x
 
-    local = SimpleNamespace(mode="mock")
+    monkeypatch.setattr(transport, "REMOTE_WORKERS", 8)
+    remote = SimpleNamespace(mode="remote")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert map_calls(square_below_300, range(300), local, 8) == [x * x for x in range(300)]
+        assert map_calls(square_below_300, range(300), remote) == [x * x for x in range(300)]
         for _ in range(20):
             with pytest.raises(ValueError) as exc:
-                map_calls(square_below_300, range(600), local, 8)
+                map_calls(square_below_300, range(600), remote)
             assert exc.value.args == (300,)
     finally:
         sys.setswitchinterval(interval)
@@ -515,7 +482,7 @@ def test_map_calls_raises_the_first_error_once_every_started_call_has_finished()
                 item_3_done.set()
 
     with pytest.raises(ValueError) as exc:
-        map_calls(sleep_then_fail_1_and_3, range(8), SimpleNamespace(mode="remote"), 1)
+        map_calls(sleep_then_fail_1_and_3, range(8), SimpleNamespace(mode="remote"))
     assert exc.value.args == (1,)
     with lock:
         assert started == finished == {0, 1, 2, 3}
@@ -544,24 +511,6 @@ def test_remote_run_exit_codes(http_stub, monkeypatch, tmp_path, capsys, reply, 
     assert len(http_stub.requests) == (4 if code == 3 else 1)
 
 
-def _serve_offline_providers(http_stub, monkeypatch, dim=8):
-    """Answer /embed, /chat and /nli as the offline providers would, and
-    point the remote provider specs at them."""
-    embedder, extractor, nli = HashTextEmbedder(dim), MockExtractor(), JaccardNli()
-    http_stub.routes.update({
-        "/embed": lambda req: {"embeddings": [embedder.embed(t).tolist() for t in req["input"]]},
-        "/chat": lambda req: {
-            "content": extractor.complete("\n".join(m["content"] for m in req["messages"]))
-        },
-        "/nli": lambda req: {
-            "entailment_probability": nli.entailment_probability(req["premise"], req["hypothesis"])
-        },
-    })
-    for var, path in (("EMBED", "embed"), ("LLM", "chat"), ("NLI", "nli")):
-        monkeypatch.setenv(f"{var}_ENDPOINT", http_stub.url(path))
-    return ["--embedder", f"remote:m1:{dim}", "--provider", "remote:glm", "--nli", "remote"]
-
-
 def test_remote_run_embeds_each_stage_in_one_post(http_stub, monkeypatch, tmp_path):
     # 15 events and 105 admissible pairs: the remote graph stage fans out 105 NLI calls
     assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
@@ -569,24 +518,22 @@ def test_remote_run_embeds_each_stage_in_one_post(http_stub, monkeypatch, tmp_pa
     inputs = ["--dialogue", str(tmp_path / "d.dialogue.json"), "--gold", str(tmp_path / "d.gold.json")]
     offline = tmp_path / "offline"
     assert main(["run", *inputs, "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
-    remote = _serve_offline_providers(http_stub, monkeypatch)
-    for jobs in ("1", "4"):
-        http_stub.requests.clear()
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", *inputs, "--out-dir", str(out), "--jobs", jobs, *remote]) == 0
-        embeds = [body["input"] for path, _, body in http_stub.requests if path == "/embed"]
-        assert len(embeds) == 2  # one for the index, one for the graph
-        assert len(embeds[0]) == len(set(embeds[0])) <= EMBED_BATCH_SIZE
-        assert sum(path == "/nli" for path, _, _ in http_stub.requests) == 105
-        for name in ("sextuplets.json", "graph.json", "report.json"):
-            assert (out / name).read_bytes() == (offline / name).read_bytes()
+    remote = serve_offline_providers(http_stub, monkeypatch)
+    out = tmp_path / "remote"
+    assert main(["run", *inputs, "--out-dir", str(out), *remote]) == 0
+    embeds = [body["input"] for path, _, body in http_stub.requests if path == "/embed"]
+    assert len(embeds) == 2  # one for the index, one for the graph
+    assert len(embeds[0]) == len(set(embeds[0])) <= EMBED_BATCH_SIZE
+    assert sum(path == "/nli" for path, _, _ in http_stub.requests) == 105
+    for name in ("sextuplets.json", "graph.json", "report.json"):
+        assert (out / name).read_bytes() == (offline / name).read_bytes()
 
 
 def test_remote_and_offline_runs_record_the_same_prompt_digest(http_stub, monkeypatch, tmp_path):
     assert main(["gen", "--seed", "1", "--out-prefix", str(tmp_path / "d")]) == 0
     dialogue = ["--dialogue", str(tmp_path / "d.dialogue.json")]
     assert main(["run", *dialogue, "--out-dir", str(tmp_path / "offline"), "--embedder", "hash:8:0"]) == 0
-    remote = _serve_offline_providers(http_stub, monkeypatch)
+    remote = serve_offline_providers(http_stub, monkeypatch)
     assert main(["run", *dialogue, "--out-dir", str(tmp_path / "remote"), *remote]) == 0
     digests = [
         next(s["prompt_sha256"] for s in json.loads((tmp_path / run / "manifest.json").read_text())["stages"]
@@ -604,7 +551,7 @@ def test_a_remote_run_over_keepalive_connections_matches_an_offline_run(
     inputs = ["--dialogue", str(tmp_path / "d.dialogue.json"), "--gold", str(tmp_path / "d.gold.json")]
     offline, remote = tmp_path / "offline", tmp_path / "remote"
     assert main(["run", *inputs, "--out-dir", str(offline), "--embedder", "hash:8:0"]) == 0
-    providers = _serve_offline_providers(keepalive_stub, monkeypatch)
+    providers = serve_offline_providers(keepalive_stub, monkeypatch)
     assert main(["run", *inputs, "--out-dir", str(remote), *providers]) == 0
     for name in ("sextuplets.json", "graph.json", "report.json"):
         assert (remote / name).read_bytes() == (offline / name).read_bytes()
@@ -625,8 +572,8 @@ def test_a_remote_run_over_keepalive_connections_matches_an_offline_run(
     assert all(len(used) <= REMOTE_WORKERS for used in ports.values()) and backoff_sleeps == []
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path, capsys, jobs):
+@pytest.mark.parametrize("status, posts", [(503, 4), (400, 1)], ids=["retried-503", "final-400"])
+def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path, capsys, status, posts):
     assert main(["gen", "--seed", "1", "--turns", "40", "--chain-length", "14",
                  "--out-prefix", str(tmp_path / "d")]) == 0
     dialogue = ["--dialogue", str(tmp_path / "d.dialogue.json")]
@@ -635,19 +582,19 @@ def test_remote_nli_failure_starts_no_new_call(http_stub, monkeypatch, tmp_path,
     max_gap = ScoringConfig().effective_max_gap()
     cause, effect = next((c, e) for c in events for e in events
                          if c.id != e.id and 0.0 <= temporal_gap(c, e) <= max_gap)
-    remote = _serve_offline_providers(http_stub, monkeypatch)
+    remote = serve_offline_providers(http_stub, monkeypatch)
     del http_stub.routes["/nli"]
-    http_stub.default = (503, b"{}")
+    http_stub.default = (status, b"{}")
     capsys.readouterr()
-    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "out"), "--jobs", jobs, *remote]) == 3
+    assert main(["run", *dialogue, "--out-dir", str(tmp_path / "out"), *remote]) == 3
     assert f"scoring failed for pair ({cause.id} -> {effect.id})" in capsys.readouterr().err
-    # each worker's call fails after four posts, and then no worker starts another
-    assert sum(path == "/nli" for path, _, _ in http_stub.requests) <= 4 * REMOTE_WORKERS
+    # each worker's call fails after its posts, and then no worker starts another
+    assert sum(path == "/nli" for path, _, _ in http_stub.requests) <= posts * REMOTE_WORKERS
 
 
 def test_remote_run_with_a_null_embedding_component_exits_4(http_stub, monkeypatch, tmp_path, capsys):
     assert main(["gen", "--seed", "1", "--out-prefix", str(tmp_path / "d")]) == 0
-    remote = _serve_offline_providers(http_stub, monkeypatch)
+    remote = serve_offline_providers(http_stub, monkeypatch)
     http_stub.routes["/embed"] = lambda req: {"embeddings": [[None] + [0.5] * 7] * len(req["input"])}
     assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
                  "--out-dir", str(tmp_path / "out"), *remote]) == 4
@@ -658,7 +605,7 @@ def test_remote_run_with_a_null_embedding_component_exits_4(http_stub, monkeypat
 def test_remote_run_with_wrong_embedding_row_count_exits_4(http_stub, monkeypatch, tmp_path, capsys):
     assert main(["gen", "--seed", "3", "--turns", "20", "--chain-length", "1",
                  "--out-prefix", str(tmp_path / "d")]) == 0
-    remote = _serve_offline_providers(http_stub, monkeypatch)
+    remote = serve_offline_providers(http_stub, monkeypatch)
     http_stub.routes["/embed"] = lambda req: {"embeddings": [[1.0] * 8] * (len(req["input"]) + 1)}
     assert main(["run", "--dialogue", str(tmp_path / "d.dialogue.json"),
                  "--out-dir", str(tmp_path / "out"), *remote]) == 4
