@@ -11,17 +11,19 @@ not the number of texts sent, a dialogue file with no dialogue, and a JSON
 input file that does not decode: one that is not UTF-8, is malformed, nests
 too deeply or holds a number JSON cannot read (the message names the file);
 an embedding of the wrong dimension exits 3. A graph JSON is the sextuplets
-document plus vertices and edges, and a native gold file that document plus
-causal_links; one without any of these keys exits 4. So do a dialogue file
-that holds one dialogue id twice, a dialogue file of two or more dialogues
-given to run, extract or retrieve, a .cmkb whose window_size or stride
-build_windows refuses or whose text_dim is below 1 or emotion_dim not 8,
-and extract or retrieve with a KB indexed from other utterances under the
-dialogue's id (extraction.dialogue_rows). The same id in two files given to
+document plus vertices and edges, and a native gold document that document
+plus causal_links; one without any of these keys exits 4. So do a dialogue or
+gold file that holds one dialogue id twice, a gold file with no document for
+the dialogue (a triplet document's doc_id must be the dialogue's id too), a
+dialogue file of two or more dialogues given to run, extract or retrieve, a
+.cmkb whose window_size or stride build_windows refuses or whose text_dim is
+below 1 or emotion_dim not 8, and extract or retrieve with a KB indexed from
+other utterances under the dialogue's id (extraction.dialogue_rows). The same id in two files given to
 index is a usage error (exit 2); a reader that closes stdout early leaves
 the command's exit status as it is. A dialogue file is a JSON document, a
 JSON array of dialogues or JSONL (one per line); validate reports on each
-of its dialogues and index reads them all.
+of its dialogues and index reads them all. A gold file is read the same
+way, one native or triplet-schema document per dialogue id.
 Scoring flags map one-to-one onto ScoringConfig fields; flags override the
 --config file, which overrides the built-in defaults. Every manifest the
 subcommands write has the one format described in pipeline.RunManifest.
@@ -52,7 +54,7 @@ from .embedding import provider_from_spec
 from .graph import graph_from_json, nli_from_spec
 from .ingest import parse_corpus, read_corpus, read_dialogue
 from .kb import index_corpus, read_kb, retrieve, write_kb
-from .metrics import gold_to_dict, load_gold, match_gold, render_report_text
+from .metrics import gold_to_dict, read_gold, render_report_text
 from .model import (
     ScoringConfig,
     dialogue_to_dict,
@@ -215,7 +217,7 @@ def _cmd_eval(args) -> tuple[int, list[str]]:
     manifest.add_input(args.gold)
     with manifest.stage("validate"):
         graph, sextuplets, dialogue_id = read_input(args.predicted, graph_from_json)
-        gold = read_input(args.gold, lambda data: match_gold(load_gold(data), dialogue_id))
+        gold = read_gold(args.gold, dialogue_id)
     report = eval_stage(manifest, graph, sextuplets, gold, cfg, args.out)
     if args.out:
         manifest.write(f"{args.out}.manifest.json")
@@ -312,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score a predicted graph against gold annotations")
     p.add_argument("--predicted", required=True, help="graph JSON (with embedded sextuplets)")
-    p.add_argument("--gold", required=True, help="gold file (native or triplet schema)")
+    p.add_argument("--gold", required=True, help="gold file, read like a dialogue file: one native or "
+                   "triplet document per dialogue id, the graph's among them (a triplet's doc_id is its id)")
     p.add_argument("--out", default=None, help="optional report JSON output")
     _add_config_flags(p, {"consistency_floor"})
     p.set_defaults(func=_cmd_eval)

@@ -7,12 +7,18 @@ usual aspect-sentiment-evaluation style.
 
 Empty graphs: with no predicted link, causal correctness is 1.0 when the
 gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
+
+A report scores only what its gold annotates: a triplet-schema gold has no
+holder, rationale or causal links, so those metrics are left out. A gold
+file is read like a dialogue file (model.parse_documents), one native or
+triplet document per dialogue id, each matched to its dialogue by that id.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import SchemaError
@@ -24,7 +30,8 @@ from .model import (
     _as_obj,
     _as_str,
     _need,
-    loads_json,
+    parse_documents,
+    read_input,
     sextuplets_from_dict,
     sextuplets_to_dict,
 )
@@ -39,18 +46,22 @@ _COMPARED_FIELDS = {
 }
 
 DEFAULT_CONSISTENCY_FLOOR = ScoringConfig.consistency_floor
+# What a gold document annotates: the Sextuplet fields its spans carry, and its causal links.
+# A triplet corpus has no holder, rationale, timing or links; placeholders fill those fields.
+TRIPLET_FIELDS = frozenset(("target", "aspect", "opinion", "sentiment_label"))
+NATIVE_FIELDS = TRIPLET_FIELDS | {"holder", "rationale", "causal_links"}
+_CAUSAL_METRICS = ("causal_correctness", "causal_consistency", "causal_chain_score")
 
 
 @dataclass(frozen=True)
 class GoldAnnotation:
-    """Reference sextuplets and directed causal links for one dialogue;
-    `triplet_schema` marks a document of a triplet-schema file, whose doc_id
-    comes from the external corpus."""
+    """Reference sextuplets and directed causal links for one dialogue, and
+    the fields it annotates: the metrics that may be scored against it."""
 
     dialogue_id: str
     sextuplets: tuple[Sextuplet, ...]
     causal_links: tuple[tuple[str, str], ...]
-    triplet_schema: bool = False
+    annotates: frozenset[str] = NATIVE_FIELDS
 
     def __post_init__(self):
         object.__setattr__(self, "sextuplets", tuple(self.sextuplets))
@@ -65,17 +76,20 @@ class GoldAnnotation:
 
 @dataclass
 class EvalReport:
-    """All causal and span/pair metrics for one dialogue or a merged corpus."""
+    """The causal and span/pair metrics of one dialogue or a merged corpus
+    that its gold annotates. A span or pair F1 not annotated has no key; the
+    causal metrics and counts are None, and left out of to_dict, when the
+    causal links are not annotated."""
 
-    causal_correctness: float
-    causal_consistency: float
-    causal_chain_score: float
     span_f1: dict[str, float]
     pair_f1: dict[str, float]
-    counts: dict[str, int] = field(default_factory=dict)
+    causal_correctness: float | None = None
+    causal_consistency: float | None = None
+    causal_chain_score: float | None = None
+    counts: dict[str, int] | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -241,50 +255,49 @@ def evaluate_many(
     *,
     consistency_floor: float = DEFAULT_CONSISTENCY_FLOOR,
 ) -> EvalReport:
-    """Evaluate one or more dialogues, merging by micro-averaged counts."""
+    """Evaluate one or more dialogues, merging by micro-averaged counts, on
+    the fields every gold annotates."""
+    annotated = NATIVE_FIELDS.intersection(*(gold.annotates for _, _, gold in items))
+    scored = [k for k, fields in _COMPARED_FIELDS.items() if annotated.issuperset(fields)]
     correct = predicted_total = consistent = gold_total = 0
-    totals = {k: _MicroCounts() for k in _COMPARED_FIELDS}
+    totals = {k: _MicroCounts() for k in scored}
     for graph, pred_sextuplets, gold in items:
         correct += sum(1 for _, link in match_links(graph, pred_sextuplets, gold) if link)
         predicted_total += len(graph.edges)
         consistent += sum(consistent_edges(graph, floor=consistency_floor))
         gold_total += len(gold.causal_links)
-        for k, c in span_and_pair_counts(pred_sextuplets, gold.sextuplets).items():
-            totals[k] += c
+        counts = span_and_pair_counts(pred_sextuplets, gold.sextuplets)
+        for k in scored:
+            totals[k] += counts[k]
 
-    correctness, consistency = _causal_ratios(correct, consistent, predicted_total, gold_total)
-    return EvalReport(
-        causal_correctness=correctness,
-        causal_consistency=consistency,
-        causal_chain_score=causal_chain_score(correctness, consistency),
-        span_f1={k: totals[k].f1() for k in SPAN_ELEMENTS},
-        pair_f1={k: totals[k].f1() for k in PAIR_KEYS},
-        counts={
-            "correct_links": correct,
-            "predicted_links": predicted_total,
-            "consistent_links": consistent,
-            "total_links": predicted_total,
-            "gold_links": gold_total,
-        },
+    report = EvalReport(
+        span_f1={k: totals[k].f1() for k in SPAN_ELEMENTS if k in totals},
+        pair_f1={k: totals[k].f1() for k in PAIR_KEYS if k in totals},
     )
+    if "causal_links" in annotated:
+        correctness, consistency = _causal_ratios(correct, consistent, predicted_total, gold_total)
+        report.causal_correctness, report.causal_consistency = correctness, consistency
+        report.causal_chain_score = causal_chain_score(correctness, consistency)
+        report.counts = {"correct_links": correct, "predicted_links": predicted_total,
+                         "consistent_links": consistent, "total_links": predicted_total,
+                         "gold_links": gold_total}
+    return report
 
 
 def render_report_text(report: EvalReport) -> str:
     """Aligned plain-text table of every metric in the report."""
     rows: list[tuple[str, str]] = [
-        ("causal_correctness", f"{report.causal_correctness:.4f}"),
-        ("causal_consistency", f"{report.causal_consistency:.4f}"),
-        ("causal_chain_score", f"{report.causal_chain_score:.4f}"),
+        (name, f"{value:.4f}") for name in _CAUSAL_METRICS if (value := getattr(report, name)) is not None
     ]
     rows += [(f"span_f1[{k}]", f"{v:.4f}") for k, v in report.span_f1.items()]
     rows += [(f"pair_f1[{k}]", f"{v:.4f}") for k, v in report.pair_f1.items()]
-    rows += [(f"counts[{k}]", str(v)) for k, v in report.counts.items()]
+    rows += [(f"counts[{k}]", str(v)) for k, v in (report.counts or {}).items()]
     width = max(len(name) for name, _ in rows)
     return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
 # ---------------------------------------------------------------------------
-# Gold-file ingestion: native schema and the public dialogue-ASQ triplet shape
+# Gold files: read like dialogue files, one native or triplet document per dialogue id
 # ---------------------------------------------------------------------------
 
 
@@ -300,13 +313,9 @@ def gold_from_dict(obj: Mapping) -> GoldAnnotation:
     dialogue_id, sextuplets = sextuplets_from_dict(obj)
     links = []
     for i, item in enumerate(_as_list(_need(obj, "causal_links", ""), "causal_links")):
-        item = _as_obj(item, f"causal_links[{i}]")
-        links.append(
-            (
-                _as_str(_need(item, "cause", f"causal_links[{i}]"), f"causal_links[{i}].cause"),
-                _as_str(_need(item, "effect", f"causal_links[{i}]"), f"causal_links[{i}].effect"),
-            )
-        )
+        path = f"causal_links[{i}]"
+        item = _as_obj(item, path)
+        links.append(tuple(_as_str(_need(item, key, path), f"{path}.{key}") for key in ("cause", "effect")))
     return GoldAnnotation(dialogue_id, tuple(sextuplets), tuple(links))
 
 
@@ -331,58 +340,40 @@ def _triplet_fields(entry, path: str) -> tuple[str, str, str, str]:
     return target, aspect, opinion, sentiment
 
 
-def gold_from_triplet_doc(obj: Mapping) -> GoldAnnotation:
-    """Convert one triplet-annotated document into a gold annotation.
-
-    Triplet corpora carry no holder, rationale, timing, or causal links;
-    placeholders are substituted so span/pair metrics still apply.
-    """
+def _gold_document(obj) -> tuple[str, str, GoldAnnotation]:
+    """(the key of its dialogue id, the id, the gold) of one gold document:
+    native by its "sextuplets" key, or triplet-schema by its "triplets" key
+    and identified by its doc_id, else its dialogue_id."""
     obj = _as_obj(obj, "")
-    id_key = "doc_id" if "doc_id" in obj else "dialogue_id"
-    doc_id = _as_str(obj.get(id_key, "doc"), id_key)
-    sextuplets = []
-    for i, entry in enumerate(_as_list(obj.get("triplets", []), "triplets")):
+    if "sextuplets" in obj:
+        gold = gold_from_dict(obj)
+        return "dialogue_id", gold.dialogue_id, gold
+    if "triplets" not in obj:
+        raise SchemaError("", "a gold document needs a sextuplets or a triplets key")
+    key = "doc_id" if "doc_id" in obj else "dialogue_id"
+    doc_id, sextuplets = _as_str(_need(obj, key, ""), key), []
+    for i, entry in enumerate(_as_list(obj["triplets"], "triplets")):
         target, aspect, opinion, sentiment = _triplet_fields(entry, f"triplets[{i}]")
-        if not target and not aspect and not opinion:
-            continue
-        sextuplets.append(
-            Sextuplet(
-                id=f"{doc_id}-t{i:03d}",
-                holder="unknown",
-                target=target or "unknown",
-                aspect=aspect,
-                opinion=opinion or "unknown",
-                sentiment_label=sentiment,
-                rationale="unannotated",
-            )
-        )
-    return GoldAnnotation(doc_id, tuple(sextuplets), causal_links=(), triplet_schema=True)
+        if target or aspect or opinion:
+            sextuplets.append(Sextuplet(f"{doc_id}-t{i:03d}", "unknown", target or "unknown", aspect,
+                                        opinion or "unknown", sentiment, "unannotated"))
+    return key, doc_id, GoldAnnotation(doc_id, tuple(sextuplets), (), TRIPLET_FIELDS)
 
 
 def load_gold(data: bytes | str) -> list[GoldAnnotation]:
-    """Parse a gold file in either the native schema or the triplet shape.
-
-    A JSON array is treated as a list of triplet documents; an object with a
-    "sextuplets" key is native; an object with a "triplets" key is a single
-    triplet document.
-    """
-    obj = loads_json(data)
-    if isinstance(obj, list):
-        return [gold_from_triplet_doc(item) for item in obj]
-    if isinstance(obj, Mapping) and "sextuplets" in obj:
-        return [gold_from_dict(obj)]
-    if isinstance(obj, Mapping) and "triplets" in obj:
-        return [gold_from_triplet_doc(obj)]
-    raise SchemaError("", "unrecognized gold annotation layout")
+    """Every gold document of a gold file, one per dialogue id."""
+    return parse_documents(data, _gold_document)
 
 
-def match_gold(golds: Sequence[GoldAnnotation], dialogue_id: str | None) -> GoldAnnotation:
-    """The gold annotation with dialogue_id, else the sole document of a
-    triplet-schema file; anything else names the ids in a SchemaError."""
+def match_gold(golds: Sequence[GoldAnnotation], dialogue_id: str) -> GoldAnnotation:
+    """The gold annotation with dialogue_id; anything else names the ids in a SchemaError."""
     for gold in golds:
-        if dialogue_id and gold.dialogue_id == dialogue_id:
+        if gold.dialogue_id == dialogue_id:
             return gold
-    if len(golds) == 1 and golds[0].triplet_schema:
-        return golds[0]
     among = repr(golds[0].dialogue_id) if len(golds) == 1 else f"{len(golds)} documents"
     raise SchemaError("gold", f"no gold annotation for dialogue {dialogue_id!r} among {among}")
+
+
+def read_gold(path: str | Path, dialogue_id: str) -> GoldAnnotation:
+    """The gold annotation of dialogue_id in the gold file at path."""
+    return read_input(path, lambda data: match_gold(load_gold(data), dialogue_id))

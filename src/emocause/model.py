@@ -7,6 +7,7 @@ permissive (so test fixtures can hold deliberately broken values);
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -375,12 +376,14 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # Dialogue document: {id, scenario, utterances: [Utterance], audio:
 # [AudioFeatureRecord]}, where an audio record's missing speech_rate is
 # computed from its utterance's timing (compute_speech_rate). Sextuplets
-# document: {dialogue_id, sextuplets: [Sextuplet]}, to which a gold file
-# adds causal_links: [{cause, effect}] (metrics.gold_to_dict) and a graph
-# adds vertices: [sextuplet id] and edges: [CausalEdge] (graph.export_graph);
-# each of these keys is required. A .cmkb's windows of a dialogue must be
-# kb.build_windows of it at the meta's window_size and stride
-# (extraction.dialogue_rows).
+# document: {dialogue_id, sextuplets: [Sextuplet]}, to which a native gold
+# document adds causal_links: [{cause, effect}] (metrics.gold_to_dict) and a
+# graph adds vertices: [sextuplet id] and edges: [CausalEdge] (export_graph);
+# each of these keys is required. A gold file is laid out as a dialogue file
+# (parse_documents), one native or triplet-schema document per dialogue id;
+# a triplet document's doc_id (else its dialogue_id) is the dialogue's id. A
+# .cmkb's windows of a dialogue must be kb.build_windows of it at the meta's
+# window_size and stride (extraction.dialogue_rows).
 
 
 def _need(obj: Mapping[str, Any], key: str, path: str) -> Any:
@@ -611,6 +614,37 @@ def json_documents(data: bytes | str) -> Iterator[tuple[int, Any]]:
             obj, end = _DECODER.raw_decode(text, pos)
         yield line, obj
         pos = _JSON_SPACE.match(text, end).end()
+
+
+def parse_documents(data: bytes | str, parse: Callable[[Any], tuple[str, str, Any]]) -> list:
+    """The documents of a dialogue or gold file: a single JSON document, a
+    JSON array of documents or one JSON object per line (JSONL), each parsed
+    by `parse(obj)` into (the key of its dialogue id, the id, the value). A
+    schema error names the failing document by its array position
+    (``[1].utterances[0].t_start``) or by its line (``line 2:
+    utterances[0].t_start``). A file with no document, or with one dialogue
+    id twice (``line 2: id``), is a schema error."""
+    docs, seen, values = json_documents(data), set(), []
+    first = next(docs, None)
+    if first is None or first[1] == []:
+        raise SchemaError("", "no dialogue: the file is empty or starts with an empty array")
+    following = next(docs, None)
+    if following is not None:
+        located = ((f"line {line}", ": ", obj) for line, obj in itertools.chain((first, following), docs))
+    elif isinstance(first[1], list):
+        located = ((f"[{i}]", ".", obj) for i, obj in enumerate(first[1]))
+    else:
+        located = [("", "", first[1])]
+    for where, sep, obj in located:
+        try:
+            key, dialogue_id, value = parse(obj)
+        except SchemaError as exc:
+            raise SchemaError(sep.join(filter(None, (where, exc.path))), exc.message) from exc
+        if dialogue_id in seen:
+            raise SchemaError(f"{where}{sep}{key}", f"repeats dialogue id {dialogue_id!r}")
+        seen.add(dialogue_id)
+        values.append(value)
+    return values
 
 
 def loads_json(data: bytes | str) -> Any:

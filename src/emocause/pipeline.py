@@ -21,13 +21,12 @@ from .extraction import ExtractorProvider, extract_dialogue, extractor_from_spec
 from .graph import CausalGraph, NliProvider, build_graph, export_graph, nli_from_spec
 from .ingest import read_dialogue
 from .kb import KnowledgeBase, index_dialogue, write_kb
-from .metrics import EvalReport, GoldAnnotation, evaluate, load_gold, match_gold, render_report_text
+from .metrics import EvalReport, GoldAnnotation, evaluate, read_gold, render_report_text
 from .model import (  # validate_dialogue: benchmarks/tracing.py patches pipeline.validate_dialogue
     Dialogue,
     ScoringConfig,
     Sextuplet,
     dumps_canonical,
-    read_input,
     sextuplets_to_dict,
     validate_dialogue,
 )
@@ -150,9 +149,7 @@ def run_pipeline(
 
     with manifest.stage("validate"):
         dialogue = read_dialogue(dialogue_path, strict=strict)
-        gold = None
-        if gold_path is not None:
-            gold = read_input(gold_path, lambda data: match_gold(load_gold(data), dialogue.id))
+        gold = None if gold_path is None else read_gold(gold_path, dialogue.id)
     # a run refused for its providers, its dialogue or its gold leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
 

@@ -14,11 +14,13 @@ raises TransportError then. A request leaves in one write. Its reply is read
 off the socket into one buffer: an HTTP/1.0 or 1.1 status line, 1xx replies
 skipped, at most 100 header lines in a 64 KiB head, a body framed by chunked
 Transfer-Encoding, else Content-Length, else the server's close (none after
-204 or 304), in the identity Content-Encoding only. Idle keep-alive
-connections wait in a LIFO list under a lock, at most one per thread: only
-after a whole reply with no byte left over, on HTTP/1.1 without ``Connection:
-close`` or HTTP/1.0 with keep-alive; one the server has closed is reopened
-before use. A dropped endpoint's connections close. Gone with requests, as a
+204 or 304), in the identity Content-Encoding only. Two different
+Content-Length values make a reply malformed (RFC 9112 section 6.3). A chunk
+size is 1*HEXDIG (section 7.1), so a ``0x`` prefix, which http.client takes,
+is refused on purpose. Idle keep-alive connections wait in a LIFO list under
+a lock, at most one per thread: only after a whole reply with no byte left
+over, on HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive;
+one the server has closed is reopened before use. A dropped endpoint's connections close. Gone with requests, as a
 bearer-token JSON endpoint needs none: session headers, netrc, cookies,
 mounted adapters, proxy credentials, a User-Agent, certifi's CAs.
 
@@ -157,8 +159,10 @@ def _connection_class(url: str, timeout: float):
                 if version not in ("HTTP/1.0", "HTTP/1.1") or status < 100 or len(lines) > 100:
                     raise http.client.HTTPException(f"bad reply head: {status_line!r}, {len(lines)} headers")
                 start = end + 4
-            fields = (line.partition(":") for line in lines)
-            headers = {name.strip().lower(): value.strip() for name, _, value in fields}
+            fields = [(n.strip().lower(), v.strip()) for n, _, v in (line.partition(":") for line in lines)]
+            headers = dict(fields)
+            if len({value for name, value in fields if name == "content-length"}) > 1:  # RFC 9112 §6.3
+                raise http.client.HTTPException("reply with two different Content-Length values")
             connection = headers.get("connection", "").lower()
             reusable = "close" not in connection if version == "HTTP/1.1" else "keep-alive" in connection
             length = "0" if status in (204, 304) else headers.get("content-length", "")

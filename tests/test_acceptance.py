@@ -19,7 +19,7 @@ import pytest
 
 from emocause.cli import main as cli_main
 from emocause.embedding import HashTextEmbedder, fuse
-from emocause.errors import StoreFormatError
+from emocause.errors import SchemaError, StoreFormatError
 from emocause.extraction import MockExtractor, apply_rule_table, dedup_sextuplets, extract_dialogue
 from emocause.graph import (
     CausalEdge,
@@ -45,7 +45,8 @@ from emocause.metrics import (
     causal_consistency,
     causal_correctness,
     evaluate,
-    load_gold,
+    gold_to_dict,
+    read_gold,
 )
 from emocause.model import AudioFeatureRecord, ScoringConfig, Sextuplet
 from emocause.synth import ChainSpec, generate
@@ -380,10 +381,10 @@ def test_criterion_8_run_determinism(tmp_path, http_stub, monkeypatch):
 def test_criterion_9_external_gold_schema_metrics(tmp_path):
     # Published benchmark figures need proprietary models and unreleased data;
     # criteria 1-8 stand in for them. What must work here: a triplet-schema
-    # gold file feeds the harness and the full span/pair/causal metric set
-    # comes out.
+    # gold file feeds the harness under its dialogue's id and yields the span
+    # and pair metrics it annotates, and none that it does not annotate.
     with criterion("9 external triplet-schema gold ingestion"):
-        doc = [{
+        doc = {
             "doc_id": "ext-042",
             "sentences": ["the screen is amazing", "but the battery drains fast"],
             "speakers": [0, 1],
@@ -391,11 +392,13 @@ def test_criterion_9_external_gold_schema_metrics(tmp_path):
                 [0, 1, 2, 4, 4, 5, "pos", "screen", "display quality", "amazing"],
                 [6, 7, 8, 10, 11, 12, "neg", "battery", "battery life", "drains fast"],
             ],
-        }]
+        }
         gold_file = tmp_path / "external.gold.json"
-        gold_file.write_text(json.dumps(doc))
-        golds = load_gold(gold_file.read_bytes())
-        assert len(golds) == 1 and len(golds[0].sextuplets) == 2
+        gold_file.write_text(json.dumps([doc]))
+        gold = read_gold(gold_file, "ext-042")
+        assert len(gold.sextuplets) == 2
+        with pytest.raises(SchemaError, match="no gold annotation for dialogue 'some-other-doc'"):
+            read_gold(gold_file, "some-other-doc")
 
         predicted = [
             Sextuplet("p0", "unknown", "screen", "display quality", "amazing", "positive",
@@ -403,13 +406,21 @@ def test_criterion_9_external_gold_schema_metrics(tmp_path):
             Sextuplet("p1", "unknown", "battery", "battery cost", "drains fast", "negative",
                       "unannotated"),
         ]
-        report = evaluate(CausalGraph(("p0", "p1"), ()), predicted, golds[0])
-        assert set(report.span_f1) == {"holder", "target", "aspect", "opinion",
-                                       "rationale", "sentiment"}
+        report = evaluate(CausalGraph(("p0", "p1"), ()), predicted, gold)
+        assert set(report.to_dict()) == {"span_f1", "pair_f1"}
+        assert set(report.span_f1) == {"target", "aspect", "opinion", "sentiment"}
         assert set(report.pair_f1) == {"T-A", "T-O", "A-O"}
         assert report.span_f1["target"] == 1.0
         assert report.span_f1["aspect"] == 0.5
         assert report.pair_f1["T-O"] == 1.0
-        assert 0.0 <= report.causal_chain_score <= 1.0
         for value in list(report.span_f1.values()) + list(report.pair_f1.values()):
             assert 0.0 <= value <= 1.0
+
+        # a native gold in a one-element array is the native gold, with every metric
+        native = GoldAnnotation("ext-043", tuple(predicted), (("p0", "p1"),))
+        native_file = tmp_path / "native.gold.json"
+        native_file.write_text(json.dumps([gold_to_dict(native)]))
+        assert read_gold(native_file, "ext-043") == native
+        report = evaluate(CausalGraph(("p0", "p1"), ()), predicted, native)
+        assert set(report.span_f1) == {"holder", "target", "aspect", "opinion", "rationale", "sentiment"}
+        assert 0.0 <= report.causal_chain_score <= 1.0

@@ -286,13 +286,60 @@ def test_eval_accepts_triplet_gold(generated, tmp_path, capsys):
     main(["graph", "--sextuplets", str(sx_path), "--out", str(graph_path)])
     triplet_gold = tmp_path / "triplet.json"
     triplet_gold.write_text(json.dumps([{
-        "doc_id": "ext-1",
+        "doc_id": "synth-00000007",
         "triplets": [[0, 1, 0, 1, 0, 1, "neg", "Voltify", "pricing", "negative"]],
     }]))
     capsys.readouterr()
     assert main(["eval", "--predicted", str(graph_path), "--gold", str(triplet_gold)]) == 0
     out = capsys.readouterr().out
-    assert "span_f1[sentiment]" in out
+    assert "span_f1[sentiment]" in out and "pair_f1[A-O]" in out
+    for omitted in ("span_f1[holder]", "span_f1[rationale]", "causal_", "counts["):
+        assert omitted not in out
+
+
+def _as_triplet_gold(gold_path, path, doc_id):
+    """The events of a native gold file, written to path as one triplet document under doc_id."""
+    events = json.loads(gold_path.read_text())["sextuplets"]
+    path.write_text(json.dumps({"doc_id": doc_id, "triplets": [
+        {key: event.get(key, "") for key in ("target", "aspect", "opinion", "sentiment")} for event in events
+    ]}))
+    return path
+
+
+def test_eval_refuses_a_triplet_gold_of_another_dialogue(generated, capsys):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    foreign = _as_triplet_gold(gold_path, tmp / "foreign.json", "some-other-doc")
+    report = tmp / "report.json"
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"), "--gold", str(foreign),
+                 "--out", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {foreign}: gold: no gold annotation for dialogue 'synth-00000007'")
+    assert not report.exists() and not Path(f"{report}.manifest.json").exists()
+    # with the dialogue's own id the same events score
+    own = _as_triplet_gold(gold_path, tmp / "own.json", "synth-00000007")
+    assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"), "--gold", str(own),
+                 "--out", str(report)]) == 0
+    assert set(json.loads(report.read_text())) == {"span_f1", "pair_f1"}
+
+
+@pytest.mark.parametrize("layout", ["one-element-array", "jsonl-after-another-dialogue"])
+def test_a_native_gold_in_any_layout_scores_as_the_bare_document(generated, layout):
+    tmp, dialogue_path, gold_path = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    doc = json.loads(gold_path.read_text())
+    wrapped = tmp / "wrapped.gold.json"
+    if layout == "one-element-array":
+        wrapped.write_text(json.dumps([doc]))
+    else:
+        wrapped.write_text(f"{json.dumps({**doc, 'dialogue_id': 'another'})}\n{json.dumps(doc)}\n")
+    reports = []
+    for path in (gold_path, wrapped):
+        reports.append(tmp / f"{path.stem}.report.json")
+        assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"), "--gold", str(path),
+                     "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_gold_of_another_dialogue_is_format_error(generated, capsys):
@@ -312,16 +359,28 @@ def test_gold_of_another_dialogue_is_format_error(generated, capsys):
     assert err.startswith(f"error: {other_gold}: gold: no gold annotation") and "'synth-00000008'" in err
 
 
-@pytest.mark.parametrize("gold", ["malformed", "other-dialogue"])
-def test_run_refused_for_its_gold_writes_nothing(generated, capsys, gold):
-    tmp, dialogue_path, _ = generated
+@pytest.mark.parametrize("gold, message", [
+    ("malformed", "Expecting value"),
+    ("other-dialogue", "no gold annotation for dialogue 'synth-00000007'"),
+    ("triplet-of-another-dialogue",
+     "no gold annotation for dialogue 'synth-00000007' among 'some-other-doc'"),
+    ("repeated-id", "[1].dialogue_id: repeats dialogue id 'synth-00000007'"),
+], ids=["malformed", "other-dialogue", "triplet-of-another-dialogue", "repeated-id"])
+def test_run_refused_for_its_gold_writes_nothing(generated, capsys, gold, message):
+    tmp, dialogue_path, own_gold = generated
     gold_path = tmp / "other.gold.json"
     if gold == "malformed":
         gold_path.write_text('{"dialogue_id": ')
-    else:
+    elif gold == "other-dialogue":
         assert main(["gen", "--seed", "8", "--out-prefix", str(tmp / "other")]) == 0
+    elif gold == "triplet-of-another-dialogue":
+        _as_triplet_gold(own_gold, gold_path, "some-other-doc")
+    else:
+        gold_path.write_text(f"[{own_gold.read_text()}, {own_gold.read_text()}]")
+    capsys.readouterr()
     assert main(["run", "--dialogue", str(dialogue_path), "--gold", str(gold_path),
                  "--out-dir", str(tmp / "out")]) == 4
+    assert message in capsys.readouterr().err
     assert not (tmp / "out").exists()
 
 

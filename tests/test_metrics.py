@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from emocause.errors import SchemaError
 from emocause.graph import CausalEdge, CausalGraph
 from emocause.metrics import (
+    NATIVE_FIELDS,
+    TRIPLET_FIELDS,
     EvalReport,
     GoldAnnotation,
     causal_chain_score,
@@ -412,16 +414,75 @@ def test_load_gold_triplet_document_id_that_is_not_a_string_is_a_schema_error(do
     assert load_gold(json.dumps({"dialogue_id": "d", "triplets": []}))[0].dialogue_id == "d"
 
 
-def test_match_gold_falls_back_to_the_sole_document_of_a_triplet_file_only():
+def test_match_gold_refuses_a_document_of_another_dialogue_in_either_schema():
     native = load_gold(json.dumps(gold_to_dict(GoldAnnotation("d", tuple(_fixture(2, "g")), ()))))
     assert match_gold(native, "d") == native[0]
     with pytest.raises(SchemaError, match=r"dialogue 'other' among 'd'") as exc:
         match_gold(native, "other")
     assert exc.value.path == "gold"
     triplets = load_gold(json.dumps([_TRIPLET_DOC]))
-    assert match_gold(triplets, "other") == triplets[0]
+    assert match_gold(triplets, "doc-001") == triplets[0]
+    with pytest.raises(SchemaError, match=r"dialogue 'other' among 'doc-001'"):
+        match_gold(triplets, "other")
+    both = load_gold(json.dumps([_TRIPLET_DOC, {**_TRIPLET_DOC, "doc_id": "doc-002"}]))
     with pytest.raises(SchemaError, match="among 2 documents"):
-        match_gold(triplets * 2, "other")
+        match_gold(both, "other")
+
+
+def test_load_gold_reads_each_document_by_its_own_key():
+    native = gold_to_dict(GoldAnnotation("d", tuple(_fixture(2, "g")), ()))
+    golds = load_gold(json.dumps(native) + "\n" + json.dumps(_TRIPLET_DOC))
+    assert [(g.dialogue_id, g.annotates) for g in golds] == [
+        ("d", NATIVE_FIELDS), ("doc-001", TRIPLET_FIELDS)]
+    assert load_gold(json.dumps([native])) == load_gold(json.dumps(native))
+
+
+@pytest.mark.parametrize("text, path, message", [
+    (json.dumps([_TRIPLET_DOC, {"doc_id": "x", "sentences": []}]), "[1]", "sextuplets or a triplets key"),
+    (json.dumps(_TRIPLET_DOC) + "\n" + json.dumps({**_TRIPLET_DOC, "doc_id": None}), "line 2: doc_id",
+     "expected string"),
+    (json.dumps([_TRIPLET_DOC, _TRIPLET_DOC]), "[1].doc_id", "repeats dialogue id 'doc-001'"),
+    (json.dumps([_TRIPLET_DOC, {**_TRIPLET_DOC, "doc_id": None, "dialogue_id": "doc-001"}]), "[1].doc_id",
+     "expected string"),
+    (json.dumps([_TRIPLET_DOC, {"dialogue_id": "doc-001", "triplets": []}]), "[1].dialogue_id",
+     "repeats dialogue id 'doc-001'"),
+    (json.dumps({"triplets": []}), "dialogue_id", "missing required field"),
+    ("[]", "", "no dialogue"),
+], ids=["no-schema-key", "jsonl-bad-id", "repeated-doc-id", "doc-id-before-dialogue-id",
+        "repeated-across-keys", "triplets-without-id", "empty"])
+def test_load_gold_names_the_document_it_refuses(text, path, message):
+    with pytest.raises(SchemaError, match=message) as exc:
+        load_gold(text)
+    assert exc.value.path == path
+
+
+def test_a_triplet_gold_scores_only_the_fields_it_annotates():
+    gold = load_gold(json.dumps(_TRIPLET_DOC))[0]
+    predicted = [make_sextuplet("p0", target="screen", aspect="display quality", opinion="amazing",
+                                sentiment="positive")]
+    report = evaluate(CausalGraph(("p0",), ()), predicted, gold)
+    assert set(report.span_f1) == {"target", "aspect", "opinion", "sentiment"}
+    assert set(report.pair_f1) == {"T-A", "T-O", "A-O"}
+    assert report.span_f1["target"] == pytest.approx(2 / 3)
+    assert report.causal_chain_score is None and report.counts is None
+    assert set(report.to_dict()) == {"span_f1", "pair_f1"}
+    text = render_report_text(report)
+    assert "span_f1[target]" in text and "pair_f1[T-O]" in text
+    for omitted in ("holder", "rationale", "causal", "counts"):
+        assert omitted not in text
+
+
+def test_evaluate_many_over_native_and_triplet_gold_scores_the_shared_fields():
+    native = GoldAnnotation("d", tuple(_fixture(2, "g")), (("g0", "g1"),))
+    triplet = load_gold(json.dumps(_TRIPLET_DOC))[0]
+    graph = CausalGraph(("g0", "g1"), (_edge("g0", "g1"),))
+    mixed = evaluate_many([(graph, _fixture(2, "g"), native), (CausalGraph((), ()), [], triplet)])
+    assert set(mixed.to_dict()) == {"span_f1", "pair_f1"}
+    assert set(mixed.span_f1) == {"target", "aspect", "opinion", "sentiment"}
+    # micro-averaged over both documents: 2 of 2 predicted targets among 4 gold ones
+    assert mixed.span_f1["target"] == pytest.approx(2 / 3)
+    assert set(evaluate_many([(graph, _fixture(2, "g"), native)]).to_dict()) == {
+        "span_f1", "pair_f1", "causal_correctness", "causal_consistency", "causal_chain_score", "counts"}
 
 
 def test_load_gold_unrecognized_layout():

@@ -294,6 +294,9 @@ WELL_FORMED = {
     "100-before-200": (b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY, False, 1),
     "100-header-lines": (b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 99 + OK_HEADERS, False, 1),
     "stray-bytes-after-the-body": (OK_REPLY + b"stray", False, 2),
+    "content-length-repeated-with-one-value": (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n" + OK_HEADERS, False, 1,
+    ),
 }
 
 
@@ -314,6 +317,7 @@ MALFORMED = {
     "101-header-lines": b"HTTP/1.1 200 OK\r\n" + b"X-Filler: 1\r\n" * 100 + OK_HEADERS,
     "head-over-64-KiB": b"HTTP/1.1 200 OK\r\nX-Filler: " + b"x" * 65536 + b"\r\n" + OK_HEADERS,
     "body-cut-short": b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n" + OK,
+    "two-different-content-lengths": b"HTTP/1.1 200 OK\r\nContent-Length: 20\r\n" + OK_HEADERS,
 }
 
 
