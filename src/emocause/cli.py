@@ -15,6 +15,7 @@ document plus vertices and edges, and a native gold document that document
 plus causal_links; one without any of these keys exits 4. So do a dialogue or
 gold file that holds one dialogue id twice, a gold file with no document for
 the dialogue (a triplet document's doc_id must be the dialogue's id too), a
+triplet that is not a DiaASQ 10-column row or has an unknown polarity, a
 dialogue file of two or more dialogues given to run, extract or retrieve, a
 .cmkb whose window_size or stride build_windows refuses or whose text_dim is
 below 1 or emotion_dim not 8, and extract or retrieve with a KB indexed from
@@ -315,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a predicted graph against gold annotations")
     p.add_argument("--predicted", required=True, help="graph JSON (with embedded sextuplets)")
     p.add_argument("--gold", required=True, help="gold file, read like a dialogue file: one native or "
-                   "triplet document per dialogue id, the graph's among them (a triplet's doc_id is its id)")
+                   "triplet document per dialogue id, the graph's among them (a triplet's doc_id is its id); "
+                   "triplets are DiaASQ 10-column rows, an empty target or opinion not scored")
     p.add_argument("--out", default=None, help="optional report JSON output")
     _add_config_flags(p, {"consistency_floor"})
     p.set_defaults(func=_cmd_eval)

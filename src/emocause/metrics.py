@@ -8,10 +8,11 @@ usual aspect-sentiment-evaluation style.
 Empty graphs: with no predicted link, causal correctness is 1.0 when the
 gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
 
-A report scores only what its gold annotates: a triplet-schema gold has no
-holder, rationale or causal links, so those metrics are left out. A gold
-file is read like a dialogue file (model.parse_documents), one native or
-triplet document per dialogue id, each matched to its dialogue by that id.
+A report scores only what its gold annotates: a triplet-schema gold (DiaASQ's
+10-column rows) has no holder, rationale or causal links, whose metrics are
+left out, and no span or pair holding its empty target or opinion is scored.
+A gold file is read like a dialogue file (model.parse_documents), one native
+or triplet document per dialogue id, each matched to its dialogue by that id.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Mapping, Sequence
 from .errors import SchemaError
 from .graph import CausalEdge, CausalGraph
 from .model import (
+    SENTIMENT_LABELS,
     ScoringConfig,
     Sextuplet,
     _as_list,
@@ -213,11 +215,13 @@ class _MicroCounts:
 def span_and_pair_counts(
     predicted: Sequence[Sextuplet], gold: Sequence[Sextuplet]
 ) -> dict[str, _MicroCounts]:
-    """Counts of distinct case-folded values for every span and pair key."""
+    """Counts of distinct case-folded values for every span and pair key; on
+    both sides, a value with an empty (implicit) target or opinion is left out."""
     counts = {}
     for key, fields in _COMPARED_FIELDS.items():
         p, g = (
-            {tuple(getattr(s, f).casefold() for f in fields) for s in items}
+            {tuple(getattr(s, f).casefold() for f in fields)
+             for s in items if all(getattr(s, f) for f in fields if f in ("target", "opinion"))}
             for items in (predicted, gold)
         )
         counts[key] = _MicroCounts(correct=len(p & g), predicted=len(p), gold=len(g))
@@ -297,7 +301,7 @@ def render_report_text(report: EvalReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Gold files: read like dialogue files, one native or triplet document per dialogue id
+# Gold files, read like dialogue files; a DiaASQ triplet row's empty target or opinion is not scored
 # ---------------------------------------------------------------------------
 
 
@@ -322,24 +326,6 @@ def gold_from_dict(obj: Mapping) -> GoldAnnotation:
 _TRIPLET_POLARITIES = {"pos": "positive", "neg": "negative", "neu": "neutral", "other": "neutral"}
 
 
-def _triplet_fields(entry, path: str) -> tuple[str, str, str, str]:
-    """(target, aspect, opinion, sentiment) from either the 10-column list
-    layout or a keyed object."""
-    if isinstance(entry, Mapping):
-        keys = ("sentiment" if "sentiment" in entry else "polarity", "target", "aspect", "opinion")
-        fields = [_as_str(entry.get(key, ""), f"{path}.{key}") for key in keys]
-    elif isinstance(entry, list) and len(entry) >= 10:
-        fields = [_as_str(entry[col], f"{path}[{col}]") for col in (6, 7, 8, 9)]
-    else:
-        raise SchemaError(path, "unrecognized triplet layout")
-    polarity, target, aspect, opinion = fields
-    polarity = polarity.casefold()
-    sentiment = _TRIPLET_POLARITIES.get(polarity, polarity)
-    if sentiment not in ("positive", "negative", "neutral"):
-        raise SchemaError(f"{path}", f"unrecognized polarity {polarity!r}")
-    return target, aspect, opinion, sentiment
-
-
 def _gold_document(obj) -> tuple[str, str, GoldAnnotation]:
     """(the key of its dialogue id, the id, the gold) of one gold document:
     native by its "sextuplets" key, or triplet-schema by its "triplets" key
@@ -352,11 +338,17 @@ def _gold_document(obj) -> tuple[str, str, GoldAnnotation]:
         raise SchemaError("", "a gold document needs a sextuplets or a triplets key")
     key = "doc_id" if "doc_id" in obj else "dialogue_id"
     doc_id, sextuplets = _as_str(_need(obj, key, ""), key), []
-    for i, entry in enumerate(_as_list(obj["triplets"], "triplets")):
-        target, aspect, opinion, sentiment = _triplet_fields(entry, f"triplets[{i}]")
+    for i, row in enumerate(_as_list(obj["triplets"], "triplets")):
+        path = f"triplets[{i}]"
+        if not (isinstance(row, list) and len(row) == 10):
+            raise SchemaError(path, "expected a DiaASQ triplet row of 10 columns")
+        polarity, target, aspect, opinion = (_as_str(row[col], f"{path}[{col}]") for col in (6, 7, 8, 9))
+        sentiment = _TRIPLET_POLARITIES.get(polarity.casefold(), polarity.casefold())
+        if sentiment not in SENTIMENT_LABELS:
+            raise SchemaError(path, f"unrecognized polarity {polarity!r}")
         if target or aspect or opinion:
-            sextuplets.append(Sextuplet(f"{doc_id}-t{i:03d}", "unknown", target or "unknown", aspect,
-                                        opinion or "unknown", sentiment, "unannotated"))
+            sextuplets.append(Sextuplet(f"{doc_id}-t{i:03d}", "unknown", target, aspect, opinion,
+                                        sentiment, "unannotated"))
     return key, doc_id, GoldAnnotation(doc_id, tuple(sextuplets), (), TRIPLET_FIELDS)
 
 

@@ -381,7 +381,8 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 # graph adds vertices: [sextuplet id] and edges: [CausalEdge] (export_graph);
 # each of these keys is required. A gold file is laid out as a dialogue file
 # (parse_documents), one native or triplet-schema document per dialogue id;
-# a triplet document's doc_id (else its dialogue_id) is the dialogue's id. A
+# a triplet document's doc_id (else its dialogue_id) is the dialogue's id, and
+# its triplets are DiaASQ 10-column rows, an empty target or opinion unscored. A
 # .cmkb's windows of a dialogue must be kb.build_windows of it at the meta's
 # window_size and stride (extraction.dialogue_rows).
 

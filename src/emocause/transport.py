@@ -17,9 +17,10 @@ Transfer-Encoding, else Content-Length, else the server's close (none after
 204 or 304), in the identity Content-Encoding only. Two different
 Content-Length values make a reply malformed (RFC 9112 section 6.3). A chunk
 size is 1*HEXDIG (section 7.1), so a ``0x`` prefix, which http.client takes,
-is refused on purpose. Idle keep-alive connections wait in a LIFO list under
-a lock, at most one per thread: only after a whole reply with no byte left
-over, on HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive;
+is refused on purpose, and so, on the read that brings it, is a bare-LF blank
+line (section 2.2). Idle keep-alive connections wait in a LIFO list under a
+lock, at most one per thread: only after a whole reply with no byte left over,
+on HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive;
 one the server has closed is reopened before use. A dropped endpoint's connections close. Gone with requests, as a
 bearer-token JSON endpoint needs none: session headers, netrc, cookies,
 mounted adapters, proxy credentials, a User-Agent, certifi's CAs.
@@ -141,8 +142,11 @@ def _connection_class(url: str, timeout: float):
                     buf.extend(data)
 
             def find(sep: bytes, at: int) -> int:  # the next sep, at most _MAX_HEAD bytes after `at`
-                while (end := buf.find(sep, at)) < 0 and len(buf) - at <= _MAX_HEAD:
+                while ((end := buf.find(sep, at)) < 0 and len(buf) - at <= _MAX_HEAD
+                       and buf.find(b"\n\n", at) < 0):
                     need(len(buf) + 1)
+                if buf.find(b"\n\n", at, len(buf) if end < 0 else end) >= 0:  # RFC 9112 section 2.2
+                    raise http.client.HTTPException("bare-LF blank line in a reply's head or framing")
                 if not 0 <= end - at <= _MAX_HEAD:
                     raise http.client.HTTPException(f"reply head or line over {_MAX_HEAD} bytes")
                 return end

@@ -298,12 +298,32 @@ def test_eval_accepts_triplet_gold(generated, tmp_path, capsys):
 
 
 def _as_triplet_gold(gold_path, path, doc_id):
-    """The events of a native gold file, written to path as one triplet document under doc_id."""
+    """The events of a native gold file, written to path as one triplet document
+    of DiaASQ rows under doc_id (span indices 0, the polarity "pos", "neg" or "neu")."""
     events = json.loads(gold_path.read_text())["sextuplets"]
     path.write_text(json.dumps({"doc_id": doc_id, "triplets": [
-        {key: event.get(key, "") for key in ("target", "aspect", "opinion", "sentiment")} for event in events
+        [0] * 6 + [event["sentiment"][:3], event["target"], event.get("aspect", ""), event["opinion"]]
+        for event in events
     ]}))
     return path
+
+
+@pytest.mark.parametrize("triplet, message", [
+    ({"target": "Voltify", "aspect": "pricing", "opinion": "negative", "polarity": "neg"},
+     "triplets[1]: expected a DiaASQ triplet row of 10 columns"),
+    ([0, 1, 0, 1, 0, 1, "mixed", "Voltify", "pricing", "negative"], "triplets[1]: unrecognized polarity 'mixed'"),
+], ids=["keyed-entry", "unknown-polarity"])
+def test_eval_refuses_a_triplet_that_is_not_a_diaasq_row(generated, capsys, triplet, message):
+    tmp, dialogue_path, _ = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    gold, report = tmp / "triplet.json", tmp / "report.json"
+    gold.write_text(json.dumps({"doc_id": "synth-00000007", "triplets": [
+        [0, 1, 0, 1, 0, 1, "neg", "Voltify", "pricing", "negative"], triplet]}))
+    capsys.readouterr()
+    assert main(["eval", "--predicted", str(tmp / "out" / "graph.json"), "--gold", str(gold),
+                 "--out", str(report)]) == 4
+    assert capsys.readouterr().err == f"error: {gold}: {message}\n"
+    assert not report.exists() and not Path(f"{report}.manifest.json").exists()
 
 
 def test_eval_refuses_a_triplet_gold_of_another_dialogue(generated, capsys):
@@ -400,6 +420,26 @@ def test_kb_with_a_nan_vector_component_is_format_error(generated, capsys, comma
                         "--out", str(tmp / "sx.json")]}[command]
     assert main(argv) == 4
     assert "vectors[1] holds a NaN or infinite component" in capsys.readouterr().err
+    assert not (tmp / "sx.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["entry-count", "vector-columns"])
+def test_kb_whose_sections_disagree_is_format_error(generated, capsys, damage):
+    tmp, dialogue_path, _ = generated
+    kb_path = tmp / "kb.cmkb"
+    assert main(["index", str(dialogue_path), "--out", str(kb_path)]) == 0
+    kb = read_kb(kb_path)
+    n, width = kb.vectors.shape
+    if damage == "entry-count":
+        write_kb(replace(kb, meta=replace(kb.meta, entry_count=n + 1)), kb_path)
+        message = f"window count {n} disagrees with entry_count {n + 1}"
+    else:
+        write_kb(replace(kb, vectors=kb.vectors[:, :-1]), kb_path)
+        message = f"vector section is {n * (width - 1) * 8} bytes, expected {n * width * 8}"
+    capsys.readouterr()
+    assert main(["extract", "--kb", str(kb_path), "--dialogue", str(dialogue_path),
+                 "--out", str(tmp / "sx.json")]) == 4
+    assert capsys.readouterr().err == f"error: {kb_path}: {message}\n"
     assert not (tmp / "sx.json").exists()
 
 
@@ -560,6 +600,31 @@ def test_non_finite_scoring_flag_is_usage_error(generated, capsys, flags):
     assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "x"), *flags]) == 2
     assert "must be a finite number" in capsys.readouterr().err
     assert not (tmp / "x").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rate_scale": 0}, "rate_scale=0 must be > 0"),
+    ({"rate_scale": -1.5}, "rate_scale=-1.5 must be > 0"),
+    ({"max_gap": 0.0}, "max_gap=0.0 must be > 0 or None"),
+    ({"max_gap": -2}, "max_gap=-2 must be > 0 or None"),
+], ids=["rate-scale-0", "rate-scale-negative", "max-gap-0", "max-gap-negative"])
+def test_config_rate_scale_or_max_gap_not_above_zero_is_usage_error(generated, tmp_path, capsys,
+                                                                     config, message):
+    tmp, dialogue_path, _ = generated
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "x"),
+                 "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp / "x").exists()
+
+
+def test_run_raw_scores_records_unnormalized_scores_in_the_manifest(generated):
+    tmp, dialogue_path, _ = generated
+    for flags, normalized in (([], True), (["--raw-scores"], False)):
+        out = tmp / f"out-{normalized}"
+        assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(out), *flags]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["normalize_scores"] is normalized
 
 
 @pytest.mark.parametrize("value", [5, -0.5, 1.5])

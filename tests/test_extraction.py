@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import time
 
 import pytest
@@ -342,6 +343,18 @@ def test_extract_sextuplets_window_span_fallback():
         assemble_prompt(window, []), _FixedProvider(payload), window, dialogue
     )
     assert (found[0].t_start, found[0].t_end) == (0.0, 8.0)
+
+
+def test_extract_sextuplets_logs_an_element_that_is_not_an_object_and_keeps_the_others(caplog):
+    dialogue = _two_turn_dialogue()
+    window = build_windows(dialogue, window_size=2, stride=1)[0]
+    event = {"holder": "A", "target": "B", "opinion": "o", "sentiment": "neutral", "rationale": "r"}
+    payload = json.dumps(["A likes B", event, 7, [event]])
+    with caplog.at_level(logging.WARNING, logger="emocause.extraction"):
+        found = extract_sextuplets(assemble_prompt(window, []), _FixedProvider(payload), window, dialogue)
+    assert [(s.holder, s.target, s.opinion) for s in found] == [("A", "B", "o")]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"window 0: dropped element {position}: element is not an object" for position in (0, 2, 3)]
 
 
 def test_dedup_keeps_earliest_window():

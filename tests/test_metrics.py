@@ -380,22 +380,27 @@ def test_load_gold_triplet_list_layout():
     assert first.problems() == []
 
 
-def test_load_gold_triplet_dict_entries():
-    doc = {
-        "doc_id": "doc-002",
-        "triplets": [{"target": "screen", "aspect": "glare", "opinion": "bad", "polarity": "neg"}],
-    }
-    gold = load_gold(json.dumps(doc))[0]
-    assert gold.sextuplets[0].sentiment_label == "negative"
+@pytest.mark.parametrize("entry", [
+    {"target": "screen", "aspect": "glare", "opinion": "bad", "polarity": "neg"},
+    [0, 1, 0, 1, 0, 1, "neg", "screen", "glare"],
+    [0, 1, 0, 1, 0, 1, "neg", "screen", "glare", "bad", "extra"],
+    "neg screen glare bad",
+], ids=["keyed", "nine-columns", "eleven-columns", "string"])
+def test_load_gold_reads_a_triplet_only_as_a_diaasq_row_of_10_columns(entry):
+    doc = {"doc_id": "doc-002", "triplets": [[0, 1, 0, 1, 0, 1, "neg", "screen", "glare", "bad"], entry]}
+    with pytest.raises(SchemaError, match="expected a DiaASQ triplet row of 10 columns") as exc:
+        load_gold(json.dumps(doc))
+    assert exc.value.path == "triplets[1]"
 
 
 @pytest.mark.parametrize("entry, path", [
-    ({"target": None, "aspect": "glare", "opinion": "bad", "polarity": "neg"}, "triplets[0].target"),
-    ({"target": "screen", "aspect": 3, "opinion": "bad", "polarity": "neg"}, "triplets[0].aspect"),
-    ({"target": "screen", "opinion": "bad", "sentiment": None}, "triplets[0].sentiment"),
+    ([0, 1, 0, 1, 0, 1, "neg", "screen", "glare", None], "triplets[0][9]"),
+    ([0, 1, 0, 1, 0, 1, "neg", "screen", 3, "bad"], "triplets[0][8]"),
+    ([0, 1, 0, 1, 0, 1, None, "screen", "glare", "bad"], "triplets[0][6]"),
     ([0, 1, 0, 1, 0, 1, "neg", None, None, "bad"], "triplets[0][7]"),
     ([0, 1, 0, 1, 0, 1, 1, "screen", "glare", "bad"], "triplets[0][6]"),
-], ids=["keyed-null", "keyed-number", "keyed-sentiment", "columns-null", "columns-number"])
+], ids=["columns-null-opinion", "columns-number-aspect", "columns-null-polarity", "columns-null",
+        "columns-number"])
 def test_load_gold_triplet_field_that_is_not_a_string_is_a_schema_error(entry, path):
     with pytest.raises(SchemaError, match="expected string") as exc:
         load_gold(json.dumps({"doc_id": "x", "triplets": [entry]}))
@@ -483,6 +488,45 @@ def test_evaluate_many_over_native_and_triplet_gold_scores_the_shared_fields():
     assert mixed.span_f1["target"] == pytest.approx(2 / 3)
     assert set(evaluate_many([(graph, _fixture(2, "g"), native)]).to_dict()) == {
         "span_f1", "pair_f1", "causal_correctness", "causal_consistency", "causal_chain_score", "counts"}
+
+
+def test_load_gold_refuses_a_triplet_polarity_it_does_not_know():
+    row = [0, 1, 0, 1, 0, 1, "Mixed", "screen", "glare", "bad"]
+    with pytest.raises(SchemaError, match="unrecognized polarity 'Mixed'") as exc:
+        load_gold(json.dumps({"doc_id": "x", "triplets": [_TRIPLET_DOC["triplets"][0], row]}))
+    assert exc.value.path == "triplets[1]"
+    polarities = {"POS": "positive", "neg": "negative", "neu": "neutral", "other": "neutral"}
+    rows = [[0, 1, 0, 1, 0, 1, p, f"t{i}", "a", "o"] for i, p in enumerate(polarities)]
+    gold = load_gold(json.dumps({"doc_id": "x", "triplets": rows}))[0]
+    assert [s.sentiment_label for s in gold.sextuplets] == list(polarities.values())
+
+
+@pytest.mark.parametrize("implicit, column", [("target", 7), ("opinion", 9)])
+def test_an_implicit_target_or_opinion_is_not_scored(implicit, column):
+    """Two DiaASQ rows, one with an empty target or opinion, against the one
+    right prediction: every span and pair F1 reads 1.0. Scored as a value,
+    the empty field read 2/3 for its span and for the two pairs holding it."""
+    rows = [[0, 1, 0, 1, 0, 1, "neg", "screen", "glare", "bad"] for _ in range(2)]
+    rows[0][column] = ""
+    gold = load_gold(json.dumps({"doc_id": "d", "triplets": rows}))[0]
+    assert getattr(gold.sextuplets[0], implicit) == ""  # read as implicit, no placeholder
+    predicted = [make_sextuplet("p0", target="screen", aspect="glare", opinion="bad", sentiment="negative")]
+    report = evaluate(CausalGraph(("p0",), ()), predicted, gold)
+    assert report.span_f1 == dict.fromkeys(("target", "aspect", "opinion", "sentiment"), 1.0)
+    assert report.pair_f1 == dict.fromkeys(("T-A", "T-O", "A-O"), 1.0)
+    # predicted with the empty field beside the right one, against the right one alone: all 1.0 too
+    spans, pairs = span_and_pair_f1(gold.sextuplets, gold.sextuplets[1:])
+    assert set(spans.values()) == set(pairs.values()) == {1.0}
+
+
+def test_an_implicit_aspect_is_scored_as_a_value():
+    rows = [[0, 1, 0, 1, 0, 1, "neg", "screen", "", "bad"], [0, 1, 0, 1, 0, 1, "neg", "screen", "glare", "bad"]]
+    gold = load_gold(json.dumps({"doc_id": "d", "triplets": rows}))[0]
+    predicted = [make_sextuplet("p0", target="screen", aspect="glare", opinion="bad", sentiment="negative")]
+    report = evaluate(CausalGraph(("p0",), ()), predicted, gold)
+    assert report.span_f1["aspect"] == pytest.approx(2 / 3)
+    assert report.pair_f1["T-A"] == report.pair_f1["A-O"] == pytest.approx(2 / 3)
+    assert report.span_f1["target"] == report.pair_f1["T-O"] == 1.0
 
 
 def test_load_gold_unrecognized_layout():

@@ -328,6 +328,22 @@ def test_a_malformed_reply_is_retried(raw_stub, backoff_sleeps, name):
     assert len(raw_stub.requests) == 2 and backoff_sleeps == [0.5]
 
 
+@pytest.mark.parametrize("reply", [
+    b"HTTP/1.1 200 OK\nContent-Type: application/json\nContent-Length: 9\n\n" + OK,
+    b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\n" + OK,
+    b"HTTP/1.1 100 Continue\n\n" + OK_REPLY,
+], ids=["bare-lf-head", "crlf-lines-bare-lf-blank-line", "bare-lf-interim-reply"])
+def test_a_head_ending_in_a_bare_lf_is_refused_on_the_read_that_brings_it(raw_stub, backoff_sleeps, reply):
+    """The server keeps the connection open, so waiting for CRLF CRLF would
+    last until the attempt's timeout; the reply is malformed (RFC 9112 section
+    2.2 lets a recipient refuse a bare LF) and the call is retried at once."""
+    raw_stub.replies = [reply, OK_REPLY]
+    start = time.monotonic()
+    assert JsonEndpoint("test", "TEST", raw_stub.url(""), None, 2.0).call({}) == {"ok": 1}
+    assert time.monotonic() - start < 1.0
+    assert len(raw_stub.requests) == 2 and backoff_sleeps == [0.5]
+
+
 def test_a_204_reply_has_no_body(raw_stub, backoff_sleeps):
     raw_stub.replies = [b"HTTP/1.1 204 No Content\r\n\r\n"]
     with pytest.raises(TransportError, match="HTTP 204"):  # not a timeout waiting for a body
