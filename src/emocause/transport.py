@@ -14,11 +14,12 @@ raises TransportError then. A request leaves in one write. Its reply is read
 off the socket into one buffer: an HTTP/1.0 or 1.1 status line, 1xx replies
 skipped, at most 100 header lines in a 64 KiB head, a body framed by chunked
 Transfer-Encoding, else Content-Length, else the server's close (none after
-204 or 304), in the identity Content-Encoding only. Two different
-Content-Length values make a reply malformed (RFC 9112 section 6.3). A chunk
-size is 1*HEXDIG (section 7.1), so a ``0x`` prefix, which http.client takes,
-is refused on purpose, and so, on the read that brings it, is a bare-LF blank
-line (section 2.2). Idle keep-alive connections wait in a LIFO list under a
+204 or 304), in the identity Content-Encoding only. Where it reads a reply
+unlike http.client, it follows RFC 9112: two different Content-Length values
+are malformed (section 6.3), so is a ``0x`` chunk size (1*HEXDIG, section 7.1)
+and, on the read that brings it, an LF without its CR in a head, chunk-size
+line or trailer (section 2.2); a field value's outer whitespace is not part of
+it (section 5), ``chunked`` too. Idle keep-alive connections wait in a LIFO list under a
 lock, at most one per thread: only after a whole reply with no byte left over,
 on HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive;
 one the server has closed is reopened before use. A dropped endpoint's connections close. Gone with requests, as a
@@ -40,12 +41,12 @@ would get the same reply.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from .errors import ResponseParseError, TransportError
@@ -60,32 +61,34 @@ _clock = time.monotonic  # bound here: tests replace the module's `time` with on
 
 
 def map_calls(fn: Callable, items: Sequence, provider) -> list:
-    """[fn(x) for x in items] in input order. A remote provider's calls of one
-    stage (a chat per window, an NLI call per distinct pair that can reach the
-    threshold) overlap on REMOTE_WORKERS threads; any other provider's run in
-    order, as local providers are pure Python and threads would only contend for
-    the interpreter lock. It returns when every call has finished; after a
-    failure no later item's call starts, and the first failing item raises."""
+    """[fn(x) for x in items] in input order. A remote provider's calls of one stage (a chat per
+    window, an NLI call per distinct pair that can reach the threshold) overlap on REMOTE_WORKERS
+    threads; any other provider's run in order, as local providers are pure Python and threads would
+    only contend for the interpreter lock. It returns when every call has finished; after a failure
+    no later item's call starts, and the first failing item raises. Each worker takes the next index
+    off one counter, so calls start in input order, and stops once a call or a worker's start fails."""
     if provider.mode != "remote" or len(items) <= 1:
         return [fn(x) for x in items]
-    # lowest index of a failed call so far: a later item may fail first, and
-    # the items before it still run, so that the first failing one raises
-    first_failed = [len(items)]
-    lock = threading.Lock()
+    taken, results, failed = itertools.count(), [None] * len(items), {}
 
-    def call(i, x):
-        if i > first_failed[0]:  # map raises an earlier item's error first
-            return None
-        try:
-            return fn(x)
-        except BaseException:
-            with lock:
-                first_failed[0] = min(first_failed[0], i)
-            raise
+    def work():  # next() of a count and a dict's store are atomic under the interpreter lock
+        while not failed and (i := next(taken)) < len(items):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                failed[i] = exc
 
-    with ThreadPoolExecutor(max_workers=REMOTE_WORKERS) as pool:
-        futures = [pool.submit(call, i, x) for i, x in enumerate(items)]
-    return [f.result() for f in futures]
+    workers = [threading.Thread(target=work) for _ in range(min(REMOTE_WORKERS, len(items)))]
+    try:
+        for worker in workers:
+            worker.start()
+    except BaseException as exc:  # no worker takes an item after it, and it is raised first
+        failed[-1] = exc
+    for worker in filter(threading.Thread.is_alive, workers):  # each worker started ends before the call
+        worker.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _connection_class(url: str, timeout: float):
@@ -143,10 +146,11 @@ def _connection_class(url: str, timeout: float):
 
             def find(sep: bytes, at: int) -> int:  # the next sep, at most _MAX_HEAD bytes after `at`
                 while ((end := buf.find(sep, at)) < 0 and len(buf) - at <= _MAX_HEAD
-                       and buf.find(b"\n\n", at) < 0):
+                       and buf.count(b"\n", at) == buf.count(b"\r\n", at)):
                     need(len(buf) + 1)
-                if buf.find(b"\n\n", at, len(buf) if end < 0 else end) >= 0:  # RFC 9112 section 2.2
-                    raise http.client.HTTPException("bare-LF blank line in a reply's head or framing")
+                stop = len(buf) if end < 0 else end  # an LF without its CR: RFC 9112 section 2.2
+                if buf.count(b"\n", at, stop) > buf.count(b"\r\n", at, stop):
+                    raise http.client.HTTPException("bare LF in a reply's head or framing")
                 if not 0 <= end - at <= _MAX_HEAD:
                     raise http.client.HTTPException(f"reply head or line over {_MAX_HEAD} bytes")
                 return end
@@ -178,10 +182,10 @@ def _connection_class(url: str, timeout: float):
                     if not digits or digits.strip(b"0123456789abcdefABCDEF"):
                         raise http.client.HTTPException(f"malformed chunk size {bytes(digits)!r}")
                     size, start = int(digits, 16), end + 2
-                    need(start + size + 2)  # the chunk and its CRLF; after the last, 2 bytes of the trailer
+                    need(start + size + 2 if size else 0)  # the chunk and its CRLF; the last chunk has none
                     body += buf[start:start + size]
                     start += size + 2
-                start = find(b"\r\n\r\n", start - 4) + 4  # past the trailer lines and the blank one
+                start = find(b"\r\n\r\n", start - 4) + 4  # from the last size line's CRLF, past the trailer
             elif length.isdecimal():
                 need(end := start + int(length))
                 body, start = buf[start:end], end

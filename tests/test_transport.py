@@ -5,6 +5,8 @@ driven through a real socket, plus the CLI exit codes their failures map to."""
 from __future__ import annotations
 
 import gc
+import http.client
+import io
 import json
 import socket
 import sys
@@ -15,6 +17,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocause.cli import main
 from emocause.embedding import EMBED_BATCH_SIZE, RemoteTextEmbedder
@@ -332,7 +336,10 @@ def test_a_malformed_reply_is_retried(raw_stub, backoff_sleeps, name):
     b"HTTP/1.1 200 OK\nContent-Type: application/json\nContent-Length: 9\n\n" + OK,
     b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\n" + OK,
     b"HTTP/1.1 100 Continue\n\n" + OK_REPLY,
-], ids=["bare-lf-head", "crlf-lines-bare-lf-blank-line", "bare-lf-interim-reply"])
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n" + OK + b"\r\n0\r\n\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 9\n\r\n" + OK,
+], ids=["bare-lf-head", "crlf-lines-bare-lf-blank-line", "bare-lf-interim-reply", "bare-lf-after-the-last-chunk",
+        "bare-lf-header-line"])
 def test_a_head_ending_in_a_bare_lf_is_refused_on_the_read_that_brings_it(raw_stub, backoff_sleeps, reply):
     """The server keeps the connection open, so waiting for CRLF CRLF would
     last until the attempt's timeout; the reply is malformed (RFC 9112 section
@@ -361,6 +368,140 @@ def test_the_timeout_bounds_a_whole_attempt(raw_stub, backoff_sleeps):
         JsonEndpoint("test", "TEST", raw_stub.url(""), None, timeout).call({})
     assert time.monotonic() - start < 4 * timeout + 0.5
     assert len(raw_stub.requests) == 4 and backoff_sleeps == BACKOFF
+
+
+# ---------------------------------------------------------------------------
+# The reply reader against http.client's, on replies from a small grammar
+# ---------------------------------------------------------------------------
+
+# each reply the transport reads unlike http.client, and the RFC 9112 rule the
+# transport docstring names for it; the transport refuses all but the last
+DELIBERATE = {
+    "two-content-lengths": "section 6.3", "0x-chunk-size": "section 7.1", "bare-lf": "section 2.2",
+    "chunked-then-whitespace": "section 5",  # http.client reads "chunked " as another coding
+}
+
+
+@st.composite
+def _replies(draw, aim):
+    """A reply as a dict: its bytes, the pieces they arrive in, the status and
+    body the reader should return, the bytes after the reply, whether the
+    connection may be kept, its framing and the deliberate difference it
+    holds, aim or none. Interim replies are 100s: http.client skips no other
+    1xx. A line ends in \\xff until the reply is whole, so the bare LF can be
+    drawn among every line end; a body holds no \\xff."""
+    odd = {aim} - {None}
+
+    def field(name, value):
+        space = b" " * (aim == "chunked-then-whitespace") if name == b"Transfer-Encoding" else draw(
+            st.sampled_from([b"", b" "]))
+        name = draw(st.sampled_from([name, name.lower(), name.upper()]))
+        return name + draw(st.sampled_from([b": ", b":", b":  "])) + value + space + b"\xff"
+
+    def fillers():
+        return b"".join(field(name, value) for name, value in draw(st.lists(st.sampled_from(
+            [(b"X-Filler", b"1"), (b"X-Filler", b"2"), (b"Content-Type", b"application/json"), (b"X-Empty", b"")]
+        ), max_size=3)))
+
+    head = b"".join(b"HTTP/1.1 100 Continue\xff" + fillers() + b"\xff" for _ in range(draw(st.integers(0, 2))))
+    version, status = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"])), draw(st.sampled_from([200, 204, 304, 503]))
+    head += b"%s %d%s\xff" % (version, status, draw(st.sampled_from([b" OK", b"", b" Some Reason"])))
+    framing = draw(st.sampled_from({"0x-chunk-size": ["chunked"], "chunked-then-whitespace": ["chunked"],
+                                    "two-content-lengths": ["length"]}.get(aim, ["length", "chunked", "close"])))
+    body = draw(st.binary(max_size=24)).replace(b"\xff", b"")
+    connection = draw(st.sampled_from([None, b"close", b"keep-alive", b"Keep-Alive"]))
+    # a chunked reply may carry a Content-Length too, which both readers ignore
+    lengths = [len(body)] if framing == "length" else draw(st.lists(st.integers(0, 30), max_size=framing == "chunked"))
+    lengths += [31] if aim == "two-content-lengths" else draw(st.sampled_from([[], lengths]))  # or repeated
+    fields = [(b"Content-Length", b"%d" % n) for n in lengths] + [(b"Connection", connection)] * bool(connection)
+    fields += [(b"Transfer-Encoding", draw(st.sampled_from([b"chunked", b"Chunked"])))] * (framing == "chunked")
+    head += b"".join(field(*f) for f in draw(st.permutations(fields))) + fillers() + b"\xff"
+    if framing == "chunked":
+        cuts = sorted(set(draw(st.lists(st.integers(1, max(len(body) - 1, 1)), max_size=3)))) if body else []
+        chunks = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)]) if body[i:j]] + [b""]
+        zero_x = draw(st.integers(0, len(chunks) - 1)) if aim == "0x-chunk-size" else -1
+        payload = b""
+        for k, chunk in enumerate(chunks):
+            payload += b"0x" * (k == zero_x) + draw(st.sampled_from([b"%x", b"%X", b"0%x"])) % len(chunk)
+            payload += draw(st.sampled_from([b"", b";name=value", b" ; ext"])) + b"\xff"
+            payload += chunk + b"\r\n" if chunk else b"".join(field(b"X-Trailer", b"t") for _ in range(
+                draw(st.integers(0, 2)))) + b"\xff"  # after the last chunk, its trailer
+    else:
+        payload = body
+    no_body = status in (204, 304) and framing != "chunked"
+    after = payload if no_body else draw(st.sampled_from([b"", b"stray"])) * (framing != "close")
+    lines = (head + (b"" if no_body else payload) + after).split(b"\xff")
+    bare = -1
+    if aim == "bare-lf":  # counted from the last line end; near it, a reader waiting for CRLF CRLF would hang
+        back = draw(st.one_of(st.integers(0, 2), st.integers(0, len(lines) - 2)))
+        bare = len(lines) - 2 - min(back, len(lines) - 2)
+    data = lines[0] + b"".join((b"\n" if k == bare else b"\r\n") + line for k, line in enumerate(lines[1:]))
+    cuts = sorted(set(draw(st.lists(st.integers(1, len(data) - 1), max_size=8))))
+    connection = (connection or b"").lower()
+    reusable = b"close" not in connection if version == b"HTTP/1.1" else connection == b"keep-alive"
+    return dict(
+        data=data, pieces=[j - i for i, j in zip([0, *cuts], [*cuts, len(data)])], framing=framing,
+        status=status, body=b"" if no_body else body, after=after, odd=odd,
+        reusable=reusable and (framing != "close" or no_body) and not after,
+    )
+
+
+class _Pieces:
+    """One end of a socket pair whose recv returns at most the next piece."""
+
+    def __init__(self, sock, pieces):
+        self.sock, self.pieces = sock, list(pieces)
+
+    def recv(self, size):
+        return self.sock.recv(min(size, self.pieces.pop(0)) if self.pieces else size)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+def _read_by_http_client(data):
+    """(status, body) as http.client reads data, or None where it refuses it."""
+    response = http.client.HTTPResponse(SimpleNamespace(makefile=lambda mode: io.BytesIO(data)))
+    try:
+        response.begin()
+        return response.status, response.read()
+    except (http.client.HTTPException, ValueError):
+        return None
+
+
+@pytest.mark.parametrize("aim", [None, *DELIBERATE])
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_reply_reader_agrees_with_http_client(aim, data):
+    """A reply from the grammar, cut into pieces that cross recv boundaries,
+    read by post off a socket pair and by http.client off the same bytes:
+    where the reply holds no deliberate difference, both read the same status
+    and body; where it holds one, the transport docstring names its rule, and
+    post refuses the reply on the read that brings it, or for outer whitespace
+    reads it as the grammar wrote it. post keeps the connection only where no
+    byte is left over, and then always. 50 replies for each aim, 250 in all."""
+    reply = data.draw(_replies(aim))
+    connection_class, _ = transport._connection_class("http://127.0.0.1:9/", 1.0)
+    conn = connection_class()
+    client, server = socket.socketpair()
+    with client, server:
+        server.sendall(reply["data"])
+        if reply["framing"] == "close":
+            server.shutdown(socket.SHUT_WR)
+        conn.sock = _Pieces(client, reply["pieces"])
+        try:
+            status, _, body = conn.post(b"POST / HTTP/1.1\r\n\r\n")
+            read = status, bytes(body)
+        except http.client.HTTPException:
+            read = None
+        assert all(DELIBERATE[case] in transport.__doc__ for case in reply["odd"])
+        if reply["odd"] - {"chunked-then-whitespace"}:
+            assert read is None
+            return
+        assert read == (reply["status"], reply["body"])
+        assert reply["odd"] or _read_by_http_client(reply["data"]) == read
+        kept = conn.sock is not None
+        assert kept == reply["reusable"] or kept and reply["after"] and conn.closed_while_idle()
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +647,76 @@ def test_map_calls_raises_the_first_error_once_every_started_call_has_finished()
     assert exc.value.args == (1,)
     with lock:
         assert started == finished == {0, 1, 2, 3}
+
+
+class _Interrupt(BaseException):
+    """Not an Exception: a worker must pass it on to the caller all the same."""
+
+
+@pytest.mark.parametrize("raised", [None, ValueError, _Interrupt], ids=["none", "ValueError", "BaseException"])
+def test_map_calls_leaves_no_thread_behind(raised):
+    """As many threads run after a remote map_calls over 20 items as before it,
+    whether it returns or item 7's error, an Exception or not, reaches the caller."""
+
+    def fail_7(x):
+        time.sleep(0.002)  # the workers are still busy when the last one has started
+        if x == 7 and raised:
+            raise raised(x)
+        return x
+
+    before = threading.active_count()
+    if raised:
+        with pytest.raises(raised) as exc:
+            map_calls(fail_7, range(20), SimpleNamespace(mode="remote"))
+        assert exc.value.args == (7,)
+    else:
+        assert map_calls(fail_7, range(20), SimpleNamespace(mode="remote")) == list(range(20))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [2, 20])
+def test_map_calls_starts_one_thread_per_worker(monkeypatch, n):
+    """min(REMOTE_WORKERS, n) threads start, and at most REMOTE_WORKERS calls run at once."""
+    start, starts, lock, running, most = threading.Thread.start, [], threading.Lock(), [0], [0]
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (starts.append(self), start(self))[1])
+
+    def held(x):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.005)
+        with lock:
+            running[0] -= 1
+        return x
+
+    assert map_calls(held, range(n), SimpleNamespace(mode="remote")) == list(range(n))
+    assert len(starts) == min(REMOTE_WORKERS, n) and 1 <= most[0] <= REMOTE_WORKERS
+
+
+def test_a_worker_that_cannot_start_fails_the_call_and_leaves_no_thread(monkeypatch):
+    """The second thread's start raises while the first worker holds item 0:
+    that error is raised once the first worker has ended, and no item after 0
+    starts."""
+    start, starts, called, failed = threading.Thread.start, [], [], threading.Event()
+
+    def second_fails(self):
+        starts.append(self)
+        if len(starts) == 2:
+            failed.set()
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    def held(x):
+        called.append(x)
+        failed.wait(5)
+        time.sleep(0.05)  # map_calls records the failed start meanwhile
+        return x
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        map_calls(held, range(20), SimpleNamespace(mode="remote"))
+    assert threading.active_count() == before and called == [0]
 
 
 # ---------------------------------------------------------------------------
