@@ -694,25 +694,24 @@ def test_map_calls_starts_one_thread_per_worker(monkeypatch, n):
 
 
 def test_a_worker_that_cannot_start_fails_the_call_and_leaves_no_thread(monkeypatch):
-    """The second thread's start raises while the first worker holds item 0:
-    that error is raised once the first worker has ended, and no item after 0
-    starts."""
-    start, starts, called, failed = threading.Thread.start, [], [], threading.Event()
+    """The second thread's start raises while the first worker holds item 0
+    until map_calls joins it: that error is raised once the first worker has
+    ended, and no item after 0 starts."""
+    start, join, starts, called, joining = threading.Thread.start, threading.Thread.join, [], [], threading.Event()
 
     def second_fails(self):
         starts.append(self)
         if len(starts) == 2:
-            failed.set()
             raise RuntimeError("can't start new thread")
         start(self)
 
     def held(x):
         called.append(x)
-        failed.wait(5)
-        time.sleep(0.05)  # map_calls records the failed start meanwhile
+        joining.wait(5)
         return x
 
     monkeypatch.setattr(threading.Thread, "start", second_fails)
+    monkeypatch.setattr(threading.Thread, "join", lambda self, timeout=None: (joining.set(), join(self, timeout))[1])
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="can't start new thread"):
         map_calls(held, range(20), SimpleNamespace(mode="remote"))
