@@ -324,13 +324,13 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
 
 
 def extract_sextuplets(
-    prompt: ExtractionPrompt,
+    prompt_text: str,
     provider: ExtractorProvider,
     window: TimeWindow,
     dialogue: Dialogue,
 ) -> list[Sextuplet]:
-    """Run the provider on one window and attach id, window and timing provenance."""
-    raw = provider.complete(prompt.render())
+    """Run the provider on one rendered prompt and attach id, window and timing provenance."""
+    raw = provider.complete(prompt_text)
     candidates, rejections = parse_provider_response(raw)
     for rejection in rejections:
         logger.warning(
@@ -420,16 +420,16 @@ def extract_dialogue(
     cfg = cfg or ScoringConfig()
     indexed = [(i, kb.windows[i]) for i in dialogue_rows(kb, dialogue)]
 
-    def run_one(item: tuple[int, TimeWindow]) -> tuple[ExtractionPrompt, list[Sextuplet]]:
+    def run_one(item: tuple[int, TimeWindow]) -> tuple[str, list[Sextuplet]]:
         i, window = item
         context = retrieve(window, kb.vectors[i], kb, cfg.top_n)
-        prompt = assemble_prompt(window, context)
-        return prompt, extract_sextuplets(prompt, provider, window, dialogue)
+        prompt_text = assemble_prompt(window, context).render()
+        return prompt_text, extract_sextuplets(prompt_text, provider, window, dialogue)
 
     # in window order: dialogue_rows returns the rows so, and map_calls keeps input order
     outcomes = map_calls(run_one, indexed, provider)
     if prompt_hash is not None:
-        for prompt, _ in outcomes:
-            prompt_hash.update(prompt.render().encode("utf-8"))
+        for prompt_text, _ in outcomes:
+            prompt_hash.update(prompt_text.encode("utf-8"))
     flat = [s for _, found in outcomes for s in found]
     return dedup_sextuplets(flat)

@@ -1,12 +1,17 @@
 """Evaluation of predicted causal graphs and sextuplets against gold annotations.
 
-Link matching is content-based: a predicted edge matches a gold link when
-both endpoints agree on case-folded (holder, target, aspect) and the
-direction agrees. Span and pair metrics are exact-match micro-F1 in the
-usual aspect-sentiment-evaluation style.
+Every metric is a ratio of the counts that evaluate (one dialogue) or
+evaluate_many (a corpus, micro-merged) sums. Link matching is content-based:
+a predicted edge matches a gold link when both endpoints agree on case-folded
+(holder, target, aspect) and the direction agrees. Causal correctness is
+matched links over predicted links (precision), causal recall matched links
+over gold links, and causal F1 their harmonic mean. Span and pair metrics are
+exact-match micro-F1 in the usual aspect-sentiment-evaluation style.
 
 Empty graphs: with no predicted link, causal correctness is 1.0 when the
 gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
+A gold with no link has causal recall 1.0, and causal F1 is 0.0 when
+correctness and recall are both 0.
 
 A report scores only what its gold annotates: a triplet-schema gold (DiaASQ's
 10-column rows) has no holder, rationale or causal links, whose metrics are
@@ -52,7 +57,6 @@ DEFAULT_CONSISTENCY_FLOOR = ScoringConfig.consistency_floor
 # A triplet corpus has no holder, rationale, timing or links; placeholders fill those fields.
 TRIPLET_FIELDS = frozenset(("target", "aspect", "opinion", "sentiment_label"))
 NATIVE_FIELDS = TRIPLET_FIELDS | {"holder", "rationale", "causal_links"}
-_CAUSAL_METRICS = ("causal_correctness", "causal_consistency", "causal_chain_score")
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,8 @@ class EvalReport:
     causal_correctness: float | None = None
     causal_consistency: float | None = None
     causal_chain_score: float | None = None
+    causal_recall: float | None = None
+    causal_f1: float | None = None
     counts: dict[str, int] | None = None
 
     def to_dict(self) -> dict:
@@ -131,21 +137,13 @@ def match_links(
     return list(zip(predicted.edges, outcome))
 
 
-def _causal_ratios(correct: int, consistent: int, predicted: int, gold: int) -> tuple[float, float]:
-    """(correctness, consistency) under the empty-graph rules of the module docstring."""
-    if not predicted:
-        return (0.0 if gold else 1.0), 1.0
-    return correct / predicted, consistent / predicted
-
-
-def causal_correctness(
-    predicted: CausalGraph,
-    predicted_sextuplets: Sequence[Sextuplet],
-    gold: GoldAnnotation,
-) -> float:
-    """Matched predicted links over total predicted links."""
-    matched = sum(1 for _, link in match_links(predicted, predicted_sextuplets, gold) if link)
-    return _causal_ratios(matched, 0, len(predicted.edges), len(gold.causal_links))[0]
+def _causal_ratios(correct: int, consistent: int, predicted: int, gold: int) -> tuple[float, ...]:
+    """(correctness, consistency, recall, F1) under the empty rules of the module docstring."""
+    correctness = correct / predicted if predicted else (0.0 if gold else 1.0)
+    consistency = consistent / predicted if predicted else 1.0
+    recall = correct / gold if gold else 1.0
+    f1 = 2 * correctness * recall / (correctness + recall) if correctness + recall else 0.0
+    return correctness, consistency, recall, f1
 
 
 def consistent_edges(
@@ -174,14 +172,6 @@ def consistent_edges(
         e.delta_t >= 0.0 and e.cause_id not in reach(e.effect_id) and e.semantic_score >= floor
         for e in predicted.edges
     ]
-
-
-def causal_consistency(
-    predicted: CausalGraph, *, floor: float = DEFAULT_CONSISTENCY_FLOOR
-) -> float:
-    """Share of predicted edges that are logically coherent."""
-    consistent = sum(consistent_edges(predicted, floor=floor))
-    return _causal_ratios(0, consistent, len(predicted.edges), 0)[1]
 
 
 def causal_chain_score(correctness: float, consistency: float) -> float:
@@ -228,15 +218,6 @@ def span_and_pair_counts(
     return counts
 
 
-def span_and_pair_f1(
-    predicted: Sequence[Sextuplet], gold: Sequence[Sextuplet]
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Exact-match micro-F1 per element and per element pair (case-folded):
-    the span and pair F1 that `evaluate` reports for sextuplets without links."""
-    report = evaluate_many([(CausalGraph((), ()), predicted, GoldAnnotation("", tuple(gold), ()))])
-    return report.span_f1, report.pair_f1
-
-
 # ---------------------------------------------------------------------------
 # Whole-report evaluation (single dialogue and micro-merged corpus)
 # ---------------------------------------------------------------------------
@@ -279,19 +260,19 @@ def evaluate_many(
         pair_f1={k: totals[k].f1() for k in PAIR_KEYS if k in totals},
     )
     if "causal_links" in annotated:
-        correctness, consistency = _causal_ratios(correct, consistent, predicted_total, gold_total)
+        correctness, consistency, report.causal_recall, report.causal_f1 = _causal_ratios(
+            correct, consistent, predicted_total, gold_total)
         report.causal_correctness, report.causal_consistency = correctness, consistency
         report.causal_chain_score = causal_chain_score(correctness, consistency)
         report.counts = {"correct_links": correct, "predicted_links": predicted_total,
-                         "consistent_links": consistent, "total_links": predicted_total,
-                         "gold_links": gold_total}
+                         "consistent_links": consistent, "gold_links": gold_total}
     return report
 
 
 def render_report_text(report: EvalReport) -> str:
     """Aligned plain-text table of every metric in the report."""
-    rows: list[tuple[str, str]] = [
-        (name, f"{value:.4f}") for name in _CAUSAL_METRICS if (value := getattr(report, name)) is not None
+    rows: list[tuple[str, str]] = [  # the causal metrics, in field order
+        (name, f"{value:.4f}") for name, value in report.to_dict().items() if isinstance(value, float)
     ]
     rows += [(f"span_f1[{k}]", f"{v:.4f}") for k, v in report.span_f1.items()]
     rows += [(f"pair_f1[{k}]", f"{v:.4f}") for k, v in report.pair_f1.items()]

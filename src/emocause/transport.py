@@ -13,18 +13,20 @@ file, else the system store. What cannot be resolved, a missing CA bundle too,
 raises TransportError then. A request leaves in one write. Its reply is read
 off the socket into one buffer: an HTTP/1.0 or 1.1 status line, 1xx replies
 skipped, at most 100 header lines in a 64 KiB head, a body framed by chunked
-Transfer-Encoding, else Content-Length, else the server's close (none after
-204 or 304), in the identity Content-Encoding only. Where it reads a reply
-unlike http.client, it follows RFC 9112: two different Content-Length values
-are malformed (section 6.3), so is a ``0x`` chunk size (1*HEXDIG, section 7.1)
-and, on the read that brings it, an LF without its CR in a head, chunk-size
-line or trailer (section 2.2); a field value's outer whitespace is not part of
-it (section 5), ``chunked`` too. Idle keep-alive connections wait in a LIFO list under a
-lock, at most one per thread: only after a whole reply with no byte left over,
-on HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive;
-one the server has closed is reopened before use. A dropped endpoint's connections close. Gone with requests, as a
-bearer-token JSON endpoint needs none: session headers, netrc, cookies,
-mounted adapters, proxy credentials, a User-Agent, certifi's CAs.
+Transfer-Encoding, else Content-Length, else the server's close (none after 204
+or 304), in the identity Content-Encoding only. Where it reads a reply unlike
+http.client, it follows RFC 9112: two different Content-Length values or one
+not all digits (``+3``) are malformed (section 6.3), so are a ``0x`` chunk size
+(1*HEXDIG) and chunk data without its CRLF (section 7.1) and, on the read that
+brings it, a CR or LF outside a CRLF in a head, chunk-size line or trailer
+(section 2.2); a field value's outer whitespace is not part of it (section 5),
+``chunked`` too. Idle keep-alive connections wait in a LIFO list under a lock,
+at most one per thread: only after a whole reply with no byte left over, on
+HTTP/1.1 without ``Connection: close`` or HTTP/1.0 with keep-alive; one the
+server has closed is reopened before use. A dropped endpoint's connections
+close. Gone with requests, as a bearer-token JSON endpoint needs none: session
+headers, netrc, cookies, mounted adapters, proxy credentials, a User-Agent,
+certifi's CAs.
 
 Retry policy: a connection, TLS or proxy error, a timeout, a reply cut short
 or malformed, HTTP 429 and any 5xx are transient. An attempt gets ``timeout``
@@ -45,6 +47,7 @@ import itertools
 import json
 import logging
 import os
+import re
 import threading
 import time
 from typing import Callable, Sequence
@@ -57,6 +60,7 @@ MAX_RETRIES = 3
 BACKOFF_BASE = 0.5
 REMOTE_WORKERS = 4
 _MAX_HEAD = 65536  # bytes in a reply's head, chunk-size line or trailer: http.client's _MAXLINE
+_BARE = re.compile(rb"\r[^\n]|(?<!\r)\n")  # a CR or LF outside a CRLF: RFC 9112 section 2.2
 _clock = time.monotonic  # bound here: tests replace the module's `time` with one holding only sleep
 
 
@@ -146,11 +150,10 @@ def _connection_class(url: str, timeout: float):
 
             def find(sep: bytes, at: int) -> int:  # the next sep, at most _MAX_HEAD bytes after `at`
                 while ((end := buf.find(sep, at)) < 0 and len(buf) - at <= _MAX_HEAD
-                       and buf.count(b"\n", at) == buf.count(b"\r\n", at)):
+                       and not _BARE.search(buf, at)):  # a CR read last is not bare yet: its LF may follow
                     need(len(buf) + 1)
-                stop = len(buf) if end < 0 else end  # an LF without its CR: RFC 9112 section 2.2
-                if buf.count(b"\n", at, stop) > buf.count(b"\r\n", at, stop):
-                    raise http.client.HTTPException("bare LF in a reply's head or framing")
+                if _BARE.search(buf, at, len(buf) if end < 0 else end + 1):  # with sep's CR: a CR before it is bare
+                    raise http.client.HTTPException("bare CR or LF in a reply's head or framing")
                 if not 0 <= end - at <= _MAX_HEAD:
                     raise http.client.HTTPException(f"reply head or line over {_MAX_HEAD} bytes")
                 return end
@@ -169,8 +172,9 @@ def _connection_class(url: str, timeout: float):
                 start = end + 4
             fields = [(n.strip().lower(), v.strip()) for n, _, v in (line.partition(":") for line in lines)]
             headers = dict(fields)
-            if len({value for name, value in fields if name == "content-length"}) > 1:  # RFC 9112 §6.3
-                raise http.client.HTTPException("reply with two different Content-Length values")
+            lengths = {value for name, value in fields if name == "content-length"}
+            if len(lengths) > 1 or not all(map(str.isdecimal, lengths)):  # RFC 9112 §6.3
+                raise http.client.HTTPException(f"reply with an invalid Content-Length: {sorted(lengths)}")
             connection = headers.get("connection", "").lower()
             reusable = "close" not in connection if version == "HTTP/1.1" else "keep-alive" in connection
             length = "0" if status in (204, 304) else headers.get("content-length", "")
@@ -183,6 +187,8 @@ def _connection_class(url: str, timeout: float):
                         raise http.client.HTTPException(f"malformed chunk size {bytes(digits)!r}")
                     size, start = int(digits, 16), end + 2
                     need(start + size + 2 if size else 0)  # the chunk and its CRLF; the last chunk has none
+                    if size and not buf.startswith(b"\r\n", start + size):  # RFC 9112 §7.1
+                        raise http.client.HTTPException("chunk data not followed by CRLF")
                     body += buf[start:start + size]
                     start += size + 2
                 start = find(b"\r\n\r\n", start - 4) + 4  # from the last size line's CRLF, past the trailer

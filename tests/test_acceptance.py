@@ -42,8 +42,6 @@ from emocause.kb import (
 from emocause.metrics import (
     GoldAnnotation,
     causal_chain_score,
-    causal_consistency,
-    causal_correctness,
     evaluate,
     gold_to_dict,
     read_gold,
@@ -189,19 +187,19 @@ def _metric_fixture():
 def test_criterion_4_metric_identities():
     with criterion("4 metric identities"):
         graph, pred_sx, gold = _metric_fixture()
-        correctness = causal_correctness(graph, pred_sx, gold)
-        consistency = causal_consistency(graph, floor=0.5)
-        assert correctness == 0.75
-        assert consistency == 0.75
-        assert causal_chain_score(correctness, consistency) == 0.75
-        report = evaluate(graph, pred_sx, gold)
+        report = evaluate(graph, pred_sx, gold, consistency_floor=0.5)
         assert (report.causal_correctness, report.causal_consistency) == (0.75, 0.75)
         assert report.causal_chain_score == 0.75
+        assert causal_chain_score(0.75, 0.75) == 0.75
 
+        # 1,000 random subsets of the fixture's edges, with random weights and semantic scores
         rng = random.Random(4)
         for _ in range(1000):
-            c1, c2 = rng.random(), rng.random()
-            assert abs(causal_chain_score(c1, c2) - (0.5 * c1 + 0.5 * c2)) <= 1e-12
+            edges = tuple(replace(e, weight=rng.random(), semantic_score=rng.random())
+                          for e in graph.edges if rng.random() < 0.7)
+            report = evaluate(CausalGraph(graph.vertices, edges), pred_sx, gold)
+            c1, c2 = report.causal_correctness, report.causal_consistency
+            assert abs(report.causal_chain_score - (0.5 * c1 + 0.5 * c2)) <= 1e-12
 
 
 def _bruteforce_extraction(dialogue):
@@ -241,6 +239,7 @@ def test_criterion_5_end_to_end_planted_chain():
             report = evaluate(graph, sextuplets, gold, consistency_floor=cfg.consistency_floor)
             assert report.causal_correctness == 1.0, f"seed {seed}"
             assert report.causal_consistency == 1.0, f"seed {seed}"
+            assert report.causal_recall == 1.0, f"seed {seed}"
 
             noisy, noisy_gold = generate(
                 ChainSpec(seed=seed, turns=80, chain_length=4, noise_rate=0.2)
@@ -249,11 +248,11 @@ def test_criterion_5_end_to_end_planted_chain():
                                  stride=cfg.stride, rate_scale=cfg.rate_scale)
             pipeline_sx = extract_dialogue(noisy, kb2, MockExtractor(), cfg)
             pipeline_graph = build_graph(pipeline_sx, cfg, embedder, nli)
-            pipeline_correctness = causal_correctness(pipeline_graph, pipeline_sx, noisy_gold)
+            pipeline_correctness = evaluate(pipeline_graph, pipeline_sx, noisy_gold).causal_correctness
 
             oracle_sx = _bruteforce_extraction(noisy)
             oracle_graph = build_graph(oracle_sx, cfg, embedder, nli)
-            oracle_correctness = causal_correctness(oracle_graph, oracle_sx, noisy_gold)
+            oracle_correctness = evaluate(oracle_graph, oracle_sx, noisy_gold).causal_correctness
             assert pipeline_correctness == oracle_correctness, f"seed {seed}"
         assert time.perf_counter() - started < 60.0
 

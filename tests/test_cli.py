@@ -162,6 +162,30 @@ def test_extract_graph_eval_flow(generated, capsys):
     assert report["causal_chain_score"] == 1.0
 
 
+def test_eval_reports_the_gold_links_a_graph_misses(tmp_path, capsys):
+    """All 6 planted links are found; cut to its heaviest edge, the graph
+    keeps precision 1.0 and reads recall 1/6; with no edge, recall 0."""
+    prefix, out = tmp_path / "demo", tmp_path / "out"
+    assert main(["gen", "--seed", "1", "--chain-length", "6", "--out-prefix", str(prefix)]) == 0
+    gold_path = f"{prefix}.gold.json"
+    assert main(["run", "--dialogue", f"{prefix}.dialogue.json", "--gold", gold_path,
+                 "--out-dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["causal_recall"] == 1.0
+    doc = json.loads((out / "graph.json").read_text())
+    for edges, expected in (
+        ([max(doc["edges"], key=lambda e: e["weight"])],
+         {"causal_correctness": "1.0000", "causal_recall": "0.1667", "causal_f1": "0.2857"}),
+        ([], {"causal_correctness": "0.0000", "causal_recall": "0.0000", "causal_f1": "0.0000"}),
+    ):
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps({**doc, "edges": edges}))
+        capsys.readouterr()
+        assert main(["eval", "--predicted", str(cut), "--gold", gold_path]) == 0
+        rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert {name: rows[name] for name in expected} == expected
+        assert rows["counts[gold_links]"] == "6"
+
+
 def test_extract_rejects_kb_windows_beyond_the_dialogue(generated, tmp_path, capsys):
     tmp, dialogue_path, _ = generated
     kb_path = tmp / "kb.cmkb"

@@ -323,8 +323,8 @@ def _two_turn_dialogue():
 def test_extract_sextuplets_provenance():
     dialogue = _two_turn_dialogue()
     window = build_windows(dialogue, window_size=2, stride=1)[0]
-    prompt = assemble_prompt(window, [])
-    found = extract_sextuplets(prompt, MockExtractor(), window, dialogue)
+    prompt_text = assemble_prompt(window, []).render()
+    found = extract_sextuplets(prompt_text, MockExtractor(), window, dialogue)
     assert len(found) == 1
     s = found[0]
     assert s.window_index == 0
@@ -340,7 +340,7 @@ def test_extract_sextuplets_window_span_fallback():
         [{"holder": "A", "target": "B", "opinion": "o", "sentiment": "neutral", "rationale": "r"}]
     )
     found = extract_sextuplets(
-        assemble_prompt(window, []), _FixedProvider(payload), window, dialogue
+        assemble_prompt(window, []).render(), _FixedProvider(payload), window, dialogue
     )
     assert (found[0].t_start, found[0].t_end) == (0.0, 8.0)
 
@@ -351,7 +351,8 @@ def test_extract_sextuplets_logs_an_element_that_is_not_an_object_and_keeps_the_
     event = {"holder": "A", "target": "B", "opinion": "o", "sentiment": "neutral", "rationale": "r"}
     payload = json.dumps(["A likes B", event, 7, [event]])
     with caplog.at_level(logging.WARNING, logger="emocause.extraction"):
-        found = extract_sextuplets(assemble_prompt(window, []), _FixedProvider(payload), window, dialogue)
+        found = extract_sextuplets(assemble_prompt(window, []).render(), _FixedProvider(payload), window,
+                                   dialogue)
     assert [(s.holder, s.target, s.opinion) for s in found] == [("A", "B", "o")]
     assert [r.getMessage() for r in caplog.records] == [
         f"window 0: dropped element {position}: element is not an object" for position in (0, 2, 3)]

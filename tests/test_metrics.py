@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,6 @@ from emocause.metrics import (
     EvalReport,
     GoldAnnotation,
     causal_chain_score,
-    causal_consistency,
-    causal_correctness,
     consistent_edges,
     evaluate,
     evaluate_many,
@@ -28,7 +27,6 @@ from emocause.metrics import (
     match_gold,
     match_links,
     render_report_text,
-    span_and_pair_f1,
 )
 
 from conftest import make_sextuplet, run_child
@@ -129,13 +127,13 @@ def test_match_links_permutation_invariant():
         random.Random(perm_seed).shuffle(shuffled)
         graph = CausalGraph(tuple(s.id for s in pred_sx), tuple(shuffled))
         count = sum(1 for _, link in match_links(graph, pred_sx, gold) if link)
-        correctness = causal_correctness(graph, pred_sx, gold)
+        correctness = evaluate(graph, pred_sx, gold).causal_correctness
         if baseline is None:
             baseline = (count, correctness)
         assert (count, correctness) == baseline
 
 
-def test_causal_correctness_values():
+def test_evaluate_causal_values():
     gold_sx = _fixture(5, "g")
     pred_sx = _fixture(5, "p")
     gold = GoldAnnotation(
@@ -145,57 +143,79 @@ def test_causal_correctness_values():
         _edge("p0", "p1"), _edge("p1", "p2"), _edge("p2", "p3"), _edge("p0", "p4"),
     )  # 3 of 4 predicted edges are gold
     graph = CausalGraph(tuple(s.id for s in pred_sx), edges)
-    assert causal_correctness(graph, pred_sx, gold) == 0.75
+    report = evaluate(graph, pred_sx, gold)
+    assert report.causal_correctness == report.causal_recall == report.causal_f1 == 0.75
+    assert report.counts == {"correct_links": 3, "predicted_links": 4, "consistent_links": 4,
+                             "gold_links": 4}
 
 
-def test_causal_correctness_zero_denominator_conventions():
+def test_causal_zero_denominator_conventions():
     empty_graph = CausalGraph((), ())
     no_links = GoldAnnotation("d", (), ())
-    some_links = GoldAnnotation(
-        "d", tuple(_fixture(2, "g")), (("g0", "g1"),)
-    )
-    assert causal_correctness(empty_graph, [], no_links) == 1.0
-    assert causal_correctness(empty_graph, [], some_links) == 0.0
-    # evaluate and evaluate_many follow the same rules; consistency is 1.0 either way
-    for items, correctness in (
-        ([(empty_graph, [], no_links)], 1.0),
-        ([(empty_graph, [], some_links)], 0.0),
-        ([(empty_graph, [], no_links), (empty_graph, [], some_links)], 0.0),
-        ([], 1.0),
+    some_links = GoldAnnotation("d", tuple(_fixture(2, "g")), (("g0", "g1"),))
+    an_edge = CausalGraph(("g0", "g1"), (_edge("g0", "g1"),))
+    # evaluate and evaluate_many follow the same rules; consistency is 1.0 on an empty graph
+    for items, correctness, recall, f1 in (
+        ([(empty_graph, [], no_links)], 1.0, 1.0, 1.0),
+        ([(empty_graph, [], some_links)], 0.0, 0.0, 0.0),
+        ([(empty_graph, [], no_links), (empty_graph, [], some_links)], 0.0, 0.0, 0.0),
+        ([(an_edge, _fixture(2, "g"), no_links)], 0.0, 1.0, 0.0),
+        ([], 1.0, 1.0, 1.0),
     ):
         reports = [evaluate_many(items)]
         if len(items) == 1:
             reports.append(evaluate(*items[0]))
         for report in reports:
             assert (report.causal_correctness, report.causal_consistency) == (correctness, 1.0)
+            assert (report.causal_recall, report.causal_f1) == (recall, f1)
             assert report.causal_chain_score == 0.5 * correctness + 0.5
 
 
-def test_causal_consistency_all_good():
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(0.0, 1.0)), max_size=8),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6))
+def test_removing_a_matched_edge_never_raises_causal_recall(edges, links):
+    pred_sx = _fixture(4, "p")
+    gold = GoldAnnotation("d", tuple(_fixture(4, "g")), tuple((f"g{c}", f"g{e}") for c, e in links))
+    graph = CausalGraph(tuple(s.id for s in pred_sx),
+                        tuple(_edge(f"p{c}", f"p{e}", weight=w) for c, e, w in edges))
+    recall = evaluate(graph, pred_sx, gold).causal_recall
+    for i, (_, link) in enumerate(match_links(graph, pred_sx, gold)):
+        if link is not None:
+            cut = CausalGraph(graph.vertices, graph.edges[:i] + graph.edges[i + 1:])
+            assert evaluate(cut, pred_sx, gold).causal_recall <= recall
+
+
+def test_consistency_all_good():
     graph = CausalGraph(("a", "b", "c"), (_edge("a", "b"), _edge("b", "c")))
-    assert causal_consistency(graph) == 1.0
+    assert consistent_edges(graph) == [True, True]
+    assert evaluate(graph, [], GoldAnnotation("d", (), ())).causal_consistency == 1.0
 
 
-def test_causal_consistency_two_cycle_is_zero():
+def test_consistency_two_cycle_is_zero():
     graph = CausalGraph(
         ("a", "b"),
         (_edge("a", "b", delta_t=0.0), _edge("b", "a", delta_t=0.0)),
     )
-    assert causal_consistency(graph) == 0.0
+    assert consistent_edges(graph) == [False, False]
+    assert evaluate(graph, [], GoldAnnotation("d", (), ())).causal_consistency == 0.0
 
 
-def test_causal_consistency_semantic_floor():
+def test_consistency_semantic_floor():
     edges = (
         _edge("a", "b"), _edge("b", "c"), _edge("c", "d"),
         _edge("a", "d", semantic=0.2),  # below the 0.5 floor
     )
     graph = CausalGraph(("a", "b", "c", "d"), edges)
-    assert causal_consistency(graph) == 0.75
+    assert consistent_edges(graph) == [True, True, True, False]
+    assert consistent_edges(graph, floor=0.2) == [True] * 4
+    assert evaluate(graph, [], GoldAnnotation("d", (), ())).causal_consistency == 0.75
 
 
-def test_causal_consistency_negative_gap_fails():
+def test_consistency_negative_gap_fails():
     graph = CausalGraph(("a", "b"), (_edge("a", "b", delta_t=-1.0),))
-    assert causal_consistency(graph) == 0.0
+    assert consistent_edges(graph) == [False]
+    assert evaluate(graph, [], GoldAnnotation("d", (), ())).causal_consistency == 0.0
 
 
 def test_edge_leaving_one_cycle_for_another_is_consistent():
@@ -226,8 +246,9 @@ def test_importing_emocause_does_not_import_networkx():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_causal_consistency_empty_graph():
-    assert causal_consistency(CausalGraph((), ())) == 1.0
+def test_consistency_empty_graph():
+    assert consistent_edges(CausalGraph((), ())) == []
+    assert evaluate(CausalGraph((), ()), [], GoldAnnotation("d", (), ())).causal_consistency == 1.0
 
 
 def test_causal_chain_score_values():
@@ -243,41 +264,41 @@ def test_chain_score_midpoint_identity(c1, c2):
 
 def test_span_f1_identity_and_degenerate():
     items = _fixture(3)
-    span, pair = span_and_pair_f1(items, items)
-    assert all(v == 1.0 for v in span.values())
-    assert all(v == 1.0 for v in pair.values())
-    span, pair = span_and_pair_f1([], items)
-    assert all(v == 0.0 for v in span.values())
-    assert all(v == 0.0 for v in pair.values())
+    report = evaluate(CausalGraph((), ()), items, GoldAnnotation("d", tuple(items), ()))
+    assert all(v == 1.0 for v in report.span_f1.values())
+    assert all(v == 1.0 for v in report.pair_f1.values())
+    report = evaluate(CausalGraph((), ()), [], GoldAnnotation("d", tuple(items), ()))
+    assert all(v == 0.0 for v in report.span_f1.values())
+    assert all(v == 0.0 for v in report.pair_f1.values())
 
 
 def test_span_f1_hand_computed_micro():
     # 4 predicted targets, 3 gold targets, 2 correct -> P=1/2, R=2/3, F1=4/7
     gold = [make_sextuplet(f"g{i}", target=t) for i, t in enumerate(("T0", "T1", "T2"))]
     pred = [make_sextuplet(f"p{i}", target=t) for i, t in enumerate(("T0", "T1", "X", "Y"))]
-    span, _ = span_and_pair_f1(pred, gold)
-    assert span["target"] == pytest.approx(4.0 / 7.0)
+    report = evaluate(CausalGraph((), ()), pred, GoldAnnotation("d", tuple(gold), ()))
+    assert report.span_f1["target"] == pytest.approx(4.0 / 7.0)
 
 
 def test_span_f1_case_folded():
     gold = [make_sextuplet("g", target="Volt")]
     pred = [make_sextuplet("p", target="VOLT")]
-    span, _ = span_and_pair_f1(pred, gold)
-    assert span["target"] == 1.0
+    report = evaluate(CausalGraph((), ()), pred, GoldAnnotation("d", tuple(gold), ()))
+    assert report.span_f1["target"] == 1.0
 
 
 def test_f1_swap_symmetry():
     gold = [make_sextuplet(f"g{i}", target=t) for i, t in enumerate(("T0", "T1", "T2"))]
     pred = [make_sextuplet(f"p{i}", target=t) for i, t in enumerate(("T0", "X"))]
-    forward, _ = span_and_pair_f1(pred, gold)
-    backward, _ = span_and_pair_f1(gold, pred)
-    assert forward["target"] == pytest.approx(backward["target"])
+    forward = evaluate(CausalGraph((), ()), pred, GoldAnnotation("d", tuple(gold), ()))
+    backward = evaluate(CausalGraph((), ()), gold, GoldAnnotation("d", tuple(pred), ()))
+    assert forward.span_f1["target"] == pytest.approx(backward.span_f1["target"])
 
 
 def test_span_map_covers_table_elements():
-    span, pair = span_and_pair_f1(_fixture(2), _fixture(2))
-    assert set(span) == {"holder", "target", "aspect", "opinion", "rationale", "sentiment"}
-    assert set(pair) == {"T-A", "T-O", "A-O"}
+    report = evaluate(CausalGraph((), ()), _fixture(2), GoldAnnotation("d", tuple(_fixture(2)), ()))
+    assert set(report.span_f1) == {"holder", "target", "aspect", "opinion", "rationale", "sentiment"}
+    assert set(report.pair_f1) == {"T-A", "T-O", "A-O"}
 
 
 def test_evaluate_report_identities():
@@ -289,10 +310,14 @@ def test_evaluate_report_identities():
     assert report.causal_chain_score == pytest.approx(
         0.5 * report.causal_correctness + 0.5 * report.causal_consistency, abs=1e-12
     )
+    assert report.causal_f1 == pytest.approx(
+        2 * report.causal_correctness * report.causal_recall
+        / (report.causal_correctness + report.causal_recall), abs=1e-12
+    )
     assert 0.0 <= report.causal_correctness <= 1.0
     assert report.counts["predicted_links"] == 2
     assert report.counts["gold_links"] == 2
-    assert report.counts["total_links"] == 2
+    assert report.causal_recall == report.counts["correct_links"] / report.counts["gold_links"]
 
 
 def test_evaluate_many_micro_merges():
@@ -305,7 +330,7 @@ def test_evaluate_many_micro_merges():
     graph_a = CausalGraph(("pa0", "pa1"), (_edge("pa0", "pa1"),))   # matched
     graph_b = CausalGraph(("pb0", "pb1"), (_edge("pb1", "pb0"),))   # reversed, unmatched
     merged = evaluate_many([(graph_a, a_pred, gold_a), (graph_b, b_pred, gold_b)])
-    assert merged.causal_correctness == 0.5
+    assert merged.causal_correctness == merged.causal_recall == merged.causal_f1 == 0.5
     assert merged.counts["predicted_links"] == 2
     assert merged.counts["correct_links"] == 1
 
@@ -331,7 +356,8 @@ def test_evaluate_many_merges_span_and_pair_f1_as_micro_averages():
 def test_render_report_text_aligned():
     report = evaluate(CausalGraph((), ()), [], GoldAnnotation("d", (), ()))
     text = render_report_text(report)
-    assert "causal_correctness" in text
+    for metric in ("causal_correctness", "causal_recall", "causal_f1"):
+        assert f"\n{metric} " in f"\n{text}"
     assert "span_f1[sentiment]" in text
     assert "counts[gold_links]" in text
 
@@ -469,7 +495,7 @@ def test_a_triplet_gold_scores_only_the_fields_it_annotates():
     assert set(report.span_f1) == {"target", "aspect", "opinion", "sentiment"}
     assert set(report.pair_f1) == {"T-A", "T-O", "A-O"}
     assert report.span_f1["target"] == pytest.approx(2 / 3)
-    assert report.causal_chain_score is None and report.counts is None
+    assert report.causal_chain_score is report.causal_recall is report.causal_f1 is report.counts is None
     assert set(report.to_dict()) == {"span_f1", "pair_f1"}
     text = render_report_text(report)
     assert "span_f1[target]" in text and "pair_f1[T-O]" in text
@@ -486,8 +512,10 @@ def test_evaluate_many_over_native_and_triplet_gold_scores_the_shared_fields():
     assert set(mixed.span_f1) == {"target", "aspect", "opinion", "sentiment"}
     # micro-averaged over both documents: 2 of 2 predicted targets among 4 gold ones
     assert mixed.span_f1["target"] == pytest.approx(2 / 3)
-    assert set(evaluate_many([(graph, _fixture(2, "g"), native)]).to_dict()) == {
-        "span_f1", "pair_f1", "causal_correctness", "causal_consistency", "causal_chain_score", "counts"}
+    alone = evaluate_many([(graph, _fixture(2, "g"), native)]).to_dict()
+    assert set(alone) == {"span_f1", "pair_f1", "causal_correctness", "causal_consistency",
+                          "causal_chain_score", "causal_recall", "causal_f1", "counts"}
+    assert set(alone["counts"]) == {"correct_links", "predicted_links", "consistent_links", "gold_links"}
 
 
 def test_load_gold_refuses_a_triplet_polarity_it_does_not_know():
@@ -515,8 +543,8 @@ def test_an_implicit_target_or_opinion_is_not_scored(implicit, column):
     assert report.span_f1 == dict.fromkeys(("target", "aspect", "opinion", "sentiment"), 1.0)
     assert report.pair_f1 == dict.fromkeys(("T-A", "T-O", "A-O"), 1.0)
     # predicted with the empty field beside the right one, against the right one alone: all 1.0 too
-    spans, pairs = span_and_pair_f1(gold.sextuplets, gold.sextuplets[1:])
-    assert set(spans.values()) == set(pairs.values()) == {1.0}
+    report = evaluate(CausalGraph((), ()), gold.sextuplets, replace(gold, sextuplets=gold.sextuplets[1:]))
+    assert set(report.span_f1.values()) == set(report.pair_f1.values()) == {1.0}
 
 
 def test_an_implicit_aspect_is_scored_as_a_value():

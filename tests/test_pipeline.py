@@ -13,7 +13,7 @@ import emocause.extraction
 import emocause.ingest
 import emocause.pipeline
 from emocause.errors import SchemaError
-from emocause.extraction import MockExtractor, extract_dialogue
+from emocause.extraction import ExtractionPrompt, MockExtractor, extract_dialogue
 from emocause.kb import read_kb, retrieve
 from emocause.model import ScoringConfig, dialogue_to_dict, dumps_canonical, validate_dialogue
 from emocause.metrics import gold_to_dict
@@ -105,17 +105,19 @@ def _prompt_digest(result):
     return next(s["prompt_sha256"] for s in result.manifest.stages if s["name"] == "extract")
 
 
-def test_prompt_digest_is_the_sha256_of_the_prompts_and_survives_a_kb_file(workdir):
+def test_prompt_digest_is_the_sha256_of_the_prompts_and_survives_a_kb_file(workdir, monkeypatch):
     tmp, dialogue_path, _ = workdir
     result = run_pipeline(dialogue_path, tmp / "out")
     stored = read_kb(tmp / "out" / "kb.cmkb")
+    render, renders = ExtractionPrompt.render, []
+    monkeypatch.setattr(ExtractionPrompt, "render", lambda prompt: renders.append(prompt) or render(prompt))
     prompts = []
     extractor = MockExtractor()
     recorder = SimpleNamespace(id="rec", mode="mock",
                                complete=lambda text: prompts.append(text) or extractor.complete(text))
     again = hashlib.sha256()
     assert extract_dialogue(result.dialogue, stored, recorder, prompt_hash=again) == result.sextuplets
-    assert len(prompts) == stored.meta.entry_count
+    assert len(prompts) == len(renders) == stored.meta.entry_count  # each prompt rendered once
     assert again.hexdigest() == _prompt_digest(result)
     assert again.hexdigest() == hashlib.sha256("".join(prompts).encode("utf-8")).hexdigest()
 

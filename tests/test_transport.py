@@ -53,7 +53,7 @@ def _extract(provider):
         ),
     )
     window = build_windows(dialogue, window_size=2, stride=1)[0]
-    return extract_sextuplets(assemble_prompt(window, []), provider, window, dialogue)
+    return extract_sextuplets(assemble_prompt(window, []).render(), provider, window, dialogue)
 
 
 def _endpoint(stub):
@@ -338,12 +338,21 @@ def test_a_malformed_reply_is_retried(raw_stub, backoff_sleeps, name):
     b"HTTP/1.1 100 Continue\n\n" + OK_REPLY,
     b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n" + OK + b"\r\n0\r\n\n",
     b"HTTP/1.1 200 OK\r\nContent-Length: 9\n\r\n" + OK,
+    b"HTTP/1.1 200 OK\r\nContent-Length: +9\r\n\r\n" + OK,
+    b"HTTP/1.1 200 OK\r\nX-A: 1\rContent-Length: 9\r\n\r\n" + OK,
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\r\n" + OK + b"\r\n0\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n" + OK + b"\r\n0\r\nX-T: t\r\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n9\r\n" + OK + b"XY0\r\n\r\n",
 ], ids=["bare-lf-head", "crlf-lines-bare-lf-blank-line", "bare-lf-interim-reply", "bare-lf-after-the-last-chunk",
-        "bare-lf-header-line"])
+        "bare-lf-header-line", "signed-content-length", "bare-cr-in-a-header-line", "bare-cr-in-a-chunk-size-line",
+        "bare-cr-in-the-trailer", "chunk-data-without-its-crlf"])
 def test_a_head_ending_in_a_bare_lf_is_refused_on_the_read_that_brings_it(raw_stub, backoff_sleeps, reply):
-    """The server keeps the connection open, so waiting for CRLF CRLF would
-    last until the attempt's timeout; the reply is malformed (RFC 9112 section
-    2.2 lets a recipient refuse a bare LF) and the call is retried at once."""
+    """The server keeps the connection open, so waiting for CRLF CRLF, or for
+    the close that ends a body without a valid Content-Length, would last
+    until the attempt's timeout; the reply is malformed (RFC 9112 lets a
+    recipient refuse a bare LF or CR, section 2.2, and makes an invalid
+    Content-Length, section 6.3, and chunk data without its CRLF, section 7.1,
+    errors) and the call is retried at once."""
     raw_stub.replies = [reply, OK_REPLY]
     start = time.monotonic()
     assert JsonEndpoint("test", "TEST", raw_stub.url(""), None, 2.0).call({}) == {"ok": 1}
@@ -377,7 +386,8 @@ def test_the_timeout_bounds_a_whole_attempt(raw_stub, backoff_sleeps):
 # each reply the transport reads unlike http.client, and the RFC 9112 rule the
 # transport docstring names for it; the transport refuses all but the last
 DELIBERATE = {
-    "two-content-lengths": "section 6.3", "0x-chunk-size": "section 7.1", "bare-lf": "section 2.2",
+    "two-content-lengths": "section 6.3", "signed-content-length": "section 6.3", "0x-chunk-size": "section 7.1",
+    "chunk-without-crlf": "section 7.1", "bare-lf": "section 2.2", "bare-cr": "section 2.2",
     "chunked-then-whitespace": "section 5",  # http.client reads "chunked " as another coding
 }
 
@@ -388,8 +398,10 @@ def _replies(draw, aim):
     body the reader should return, the bytes after the reply, whether the
     connection may be kept, its framing and the deliberate difference it
     holds, aim or none. Interim replies are 100s: http.client skips no other
-    1xx. A line ends in \\xff until the reply is whole, so the bare LF can be
-    drawn among every line end; a body holds no \\xff."""
+    1xx. A line ends in \\xff until the reply is whole, so the bare LF or CR
+    can be drawn among every line end; a body holds no \\xff. A bare CR ends
+    its line, joining the next, or comes before a CRLF; it is never the last
+    byte, which a reader takes for the start of a CRLF still to come."""
     odd = {aim} - {None}
 
     def field(name, value):
@@ -407,35 +419,44 @@ def _replies(draw, aim):
     version, status = draw(st.sampled_from([b"HTTP/1.1", b"HTTP/1.0"])), draw(st.sampled_from([200, 204, 304, 503]))
     head += b"%s %d%s\xff" % (version, status, draw(st.sampled_from([b" OK", b"", b" Some Reason"])))
     framing = draw(st.sampled_from({"0x-chunk-size": ["chunked"], "chunked-then-whitespace": ["chunked"],
-                                    "two-content-lengths": ["length"]}.get(aim, ["length", "chunked", "close"])))
-    body = draw(st.binary(max_size=24)).replace(b"\xff", b"")
+                                    "chunk-without-crlf": ["chunked"], "two-content-lengths": ["length"],
+                                    "signed-content-length": ["length"]}.get(aim, ["length", "chunked", "close"])))
+    body = draw(st.binary(min_size=aim == "chunk-without-crlf", max_size=24)).replace(b"\xff", b"\xfe")
     connection = draw(st.sampled_from([None, b"close", b"keep-alive", b"Keep-Alive"]))
     # a chunked reply may carry a Content-Length too, which both readers ignore
     lengths = [len(body)] if framing == "length" else draw(st.lists(st.integers(0, 30), max_size=framing == "chunked"))
     lengths += [31] if aim == "two-content-lengths" else draw(st.sampled_from([[], lengths]))  # or repeated
-    fields = [(b"Content-Length", b"%d" % n) for n in lengths] + [(b"Connection", connection)] * bool(connection)
+    # http.client's int() reads a signed or an underscore-padded length
+    digits = draw(st.sampled_from([b"+%d", b"0_%d"])) if aim == "signed-content-length" else b"%d"
+    fields = [(b"Content-Length", digits % n) for n in lengths] + [(b"Connection", connection)] * bool(connection)
     fields += [(b"Transfer-Encoding", draw(st.sampled_from([b"chunked", b"Chunked"])))] * (framing == "chunked")
     head += b"".join(field(*f) for f in draw(st.permutations(fields))) + fillers() + b"\xff"
     if framing == "chunked":
         cuts = sorted(set(draw(st.lists(st.integers(1, max(len(body) - 1, 1)), max_size=3)))) if body else []
         chunks = [body[i:j] for i, j in zip([0, *cuts], [*cuts, len(body)]) if body[i:j]] + [b""]
         zero_x = draw(st.integers(0, len(chunks) - 1)) if aim == "0x-chunk-size" else -1
+        lost = draw(st.integers(0, len(chunks) - 2)) if aim == "chunk-without-crlf" else -1
         payload = b""
         for k, chunk in enumerate(chunks):
             payload += b"0x" * (k == zero_x) + draw(st.sampled_from([b"%x", b"%X", b"0%x"])) % len(chunk)
             payload += draw(st.sampled_from([b"", b";name=value", b" ; ext"])) + b"\xff"
-            payload += chunk + b"\r\n" if chunk else b"".join(field(b"X-Trailer", b"t") for _ in range(
+            crlf = draw(st.sampled_from([b"", b"\n", b"\r", b"XY"])) if k == lost else b"\r\n"
+            payload += chunk + crlf if chunk else b"".join(field(b"X-Trailer", b"t") for _ in range(
                 draw(st.integers(0, 2)))) + b"\xff"  # after the last chunk, its trailer
     else:
         payload = body
     no_body = status in (204, 304) and framing != "chunked"
     after = payload if no_body else draw(st.sampled_from([b"", b"stray"])) * (framing != "close")
     lines = (head + (b"" if no_body else payload) + after).split(b"\xff")
-    bare = -1
-    if aim == "bare-lf":  # counted from the last line end; near it, a reader waiting for CRLF CRLF would hang
+    ends = [b"\r\n"] * (len(lines) - 1)
+    # the bare line end is counted from the last; near it, a reader waiting for CRLF CRLF would hang
+    if aim in ("bare-lf", "bare-cr"):
         back = draw(st.one_of(st.integers(0, 2), st.integers(0, len(lines) - 2)))
         bare = len(lines) - 2 - min(back, len(lines) - 2)
-    data = lines[0] + b"".join((b"\n" if k == bare else b"\r\n") + line for k, line in enumerate(lines[1:]))
+        ends[bare] = b"\n" if aim == "bare-lf" else draw(st.sampled_from([b"\r", b"\r\r\n"]))
+        if ends[bare] == b"\r" and b"\r\n".join(lines[bare + 1:])[:1] in (b"", b"\n"):  # last, or a CRLF's
+            ends[bare] = b"\r\r\n"
+    data = lines[0] + b"".join(end + line for end, line in zip(ends, lines[1:]))
     cuts = sorted(set(draw(st.lists(st.integers(1, len(data) - 1), max_size=8))))
     connection = (connection or b"").lower()
     reusable = b"close" not in connection if version == b"HTTP/1.1" else connection == b"keep-alive"
@@ -479,7 +500,7 @@ def test_the_reply_reader_agrees_with_http_client(aim, data):
     and body; where it holds one, the transport docstring names its rule, and
     post refuses the reply on the read that brings it, or for outer whitespace
     reads it as the grammar wrote it. post keeps the connection only where no
-    byte is left over, and then always. 50 replies for each aim, 250 in all."""
+    byte is left over, and then always. 50 replies for each aim, 400 in all."""
     reply = data.draw(_replies(aim))
     connection_class, _ = transport._connection_class("http://127.0.0.1:9/", 1.0)
     conn = connection_class()
