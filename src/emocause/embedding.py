@@ -99,7 +99,7 @@ class RemoteTextEmbedder:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 30.0,
-        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
     ):
         if dim < 1:  # refused before the endpoint is resolved: no request is sent
             raise ValueError(f"dim must be >= 1, got {dim}")

@@ -205,7 +205,7 @@ class RemoteExtractor:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 60.0,
-        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
     ):
         self.model = model
         self.id = f"remote:{model}"
@@ -405,7 +405,7 @@ def extract_dialogue(
     provider: ExtractorProvider,
     cfg: ScoringConfig | None = None,
     *,
-    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
     prompt_hash: hashlib._Hash | None = None,
 ) -> list[Sextuplet]:
     """Extract over every indexed window of the dialogue, with retrieval-

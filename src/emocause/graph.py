@@ -102,7 +102,7 @@ class RemoteNli:
         endpoint: str | None = None,
         api_key: str | None = None,
         timeout: float = 30.0,
-        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+        session: object = None,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
     ):
         self.id = "remote:nli"
         self._http = JsonEndpoint("NLI", "NLI", endpoint, api_key, timeout)
@@ -216,7 +216,7 @@ def build_graph(
     embedder: EmbeddingProvider,
     nli: NliProvider,
     *,
-    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
 ) -> CausalGraph:
     """Score every temporally admissible ordered pair and keep edges whose
     weight reaches the threshold.

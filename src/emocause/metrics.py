@@ -11,7 +11,8 @@ exact-match micro-F1 in the usual aspect-sentiment-evaluation style.
 Empty graphs: with no predicted link, causal correctness is 1.0 when the
 gold has no link either and 0.0 otherwise, and causal consistency is 1.0.
 A gold with no link has causal recall 1.0, and causal F1 is 0.0 when
-correctness and recall are both 0.
+correctness and recall are both 0. Span and pair F1 follow the same rules: 1.0
+when neither side holds a value, 0.0 when only one does.
 
 A report scores only what its gold annotates: a triplet-schema gold (DiaASQ's
 10-column rows) has no holder, rationale or causal links, whose metrics are
@@ -190,10 +191,8 @@ class _MicroCounts:
     predicted: int = 0
     gold: int = 0
 
-    def f1(self) -> float:
-        p = self.correct / self.predicted if self.predicted else 0.0
-        r = self.correct / self.gold if self.gold else 0.0
-        return 2 * p * r / (p + r) if p + r > 0 else 0.0
+    def f1(self) -> float:  # the causal F1's empty rules: nothing against nothing reads 1.0
+        return _causal_ratios(self.correct, 0, self.predicted, self.gold)[3]
 
     def __iadd__(self, other: _MicroCounts) -> _MicroCounts:
         self.correct += other.correct

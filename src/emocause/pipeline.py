@@ -129,7 +129,7 @@ def run_pipeline(
     embedder: EmbeddingProvider | str = "hash:64:0",
     extractor: ExtractorProvider | str = "mock",
     nli: NliProvider | str = "overlap",
-    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1
+    jobs: int = 1,  # never read; benchmarks/workloads.py passes one until ROADMAP item 1b
     strict: bool = False,
 ) -> RunResult:
     """Run every stage over one dialogue file, writing all artifacts to out_dir."""

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
 import shutil
@@ -150,21 +149,26 @@ def wait_for(condition, seconds=5.0):
 
 
 class _Rendezvous:
-    """The first two calls return only when both are in flight at once:
-    made one after the other, the first breaks the barrier after 5 s."""
+    """The first REMOTE_WORKERS calls return only when all of them are in
+    flight at once: with fewer at a time, or fewer calls in all, the barrier
+    breaks after 5 s and each waiting call raises BrokenBarrierError.
+    `calls` counts every call made."""
 
     def __init__(self):
-        self.barrier = threading.Barrier(2, timeout=5)
-        self.calls = itertools.count()
+        self.barrier = threading.Barrier(transport.REMOTE_WORKERS, timeout=5)
+        self.calls, self.lock = 0, threading.Lock()
 
     def __call__(self):
-        if next(self.calls) < 2:
+        with self.lock:
+            self.calls += 1
+            waits = self.calls <= self.barrier.parties
+        if waits:
             self.barrier.wait()
 
 
 class PairedExtractor(MockExtractor):
     """MockExtractor in remote mode, so that transport.map_calls overlaps its
-    calls; its first two calls prove it by meeting at a _Rendezvous."""
+    calls; its first REMOTE_WORKERS calls prove it by meeting at a _Rendezvous."""
 
     mode = "remote"
 
@@ -177,7 +181,7 @@ class PairedExtractor(MockExtractor):
 
 
 class PairedNli(JaccardNli):
-    """JaccardNli in remote mode, its first two calls meeting as PairedExtractor's do."""
+    """JaccardNli in remote mode, its first REMOTE_WORKERS calls meeting as PairedExtractor's do."""
 
     mode = "remote"
 
@@ -212,7 +216,11 @@ def _serve(monkeypatch, server_class, handler, **fields):
     """A stub server on 127.0.0.1, as http_stub describes, for the duration of
     a fixture; `fields` add to or replace the stub's attributes."""
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    server = server_class(("127.0.0.1", 0), handler)
+
+    class Server(server_class):  # socketserver's backlog of 5 is below REMOTE_WORKERS, and a
+        request_queue_size = 64  # connect the full backlog drops waits 1 s for its resent SYN
+
+    server = Server(("127.0.0.1", 0), handler)
     stub = SimpleNamespace(
         requests=[], sent=[], headers={}, replies=[], routes={}, default=(200, b"{}"), hold_s=0.0,
         connections=0, open=set(), lock=threading.Lock(), **fields,

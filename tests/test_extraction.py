@@ -397,7 +397,7 @@ def test_extract_dialogue_dedups_and_orders(embedder):
 def test_extract_dialogue_overlap_equivalence(embedder):
     from emocause.synth import ChainSpec, generate
 
-    dialogue, _ = generate(ChainSpec(seed=4, turns=30, chain_length=2))
+    dialogue, _ = generate(ChainSpec(seed=4, turns=50, chain_length=2))  # 9 windows
     kb = index_dialogue(dialogue, embedder, window_size=10, stride=5)
     cfg = ScoringConfig()
     in_order = extract_dialogue(dialogue, kb, MockExtractor(), cfg)

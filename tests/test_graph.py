@@ -269,8 +269,14 @@ def test_build_graph_duplicate_ids_rejected(cfg, embedder, nli):
 
 
 def test_build_graph_overlap_equivalence(cfg, embedder, nli):
-    items = _chain_sextuplets()
-    assert build_graph(items, cfg, embedder, nli) == build_graph(items, cfg, embedder, PairedNli())
+    """The chain and three later events ask 14 questions, at least REMOTE_WORKERS:
+    the same graph whether the calls overlap or not."""
+    items = _chain_sextuplets() + [
+        make_sextuplet(f"x{i}", holder=f"H{i}", t_start=100.0 + 10 * i, t_end=104.0 + 10 * i) for i in range(3)
+    ]
+    paired = PairedNli()
+    assert build_graph(items, cfg, embedder, nli) == build_graph(items, cfg, embedder, paired)
+    assert paired.rendezvous.calls == 14
 
 
 class _SlowEmbedder(HashTextEmbedder):
@@ -289,9 +295,9 @@ class _SlowEmbedder(HashTextEmbedder):
 def test_build_graph_embeds_each_text_once_under_threads(cfg, nli):
     opinions = ["negative", "frustrated", "pleased", "negative", "frustrated", "pleased"]
     labels = ["negative", "negative", "positive", "neutral", "positive", "neutral"]
-    items = [
+    items = [  # a rationale each, so that the 15 pairs ask 15 distinct questions
         make_sextuplet(f"e{i}", holder=f"H{i}", opinion=opinion, sentiment=label,
-                       t_start=10.0 * i, t_end=10.0 * i + 4.0)
+                       rationale=f"reason {i}", t_start=10.0 * i, t_end=10.0 * i + 4.0)
         for i, (opinion, label) in enumerate(zip(opinions, labels))
     ]
     graphs = []

@@ -272,6 +272,14 @@ def test_span_f1_identity_and_degenerate():
     assert all(v == 0.0 for v in report.pair_f1.values())
 
 
+def test_nothing_predicted_against_an_empty_gold_reads_one_empty_rule():
+    """No events and no links on either side: every span, pair and causal
+    ratio reads 1.0, as the module docstring's empty rules say."""
+    report = evaluate(CausalGraph((), ()), [], GoldAnnotation("d", (), ()))
+    assert set(report.span_f1.values()) == set(report.pair_f1.values()) == {1.0}
+    assert report.causal_correctness == report.causal_recall == report.causal_f1 == 1.0
+
+
 def test_span_f1_hand_computed_micro():
     # 4 predicted targets, 3 gold targets, 2 correct -> P=1/2, R=2/3, F1=4/7
     gold = [make_sextuplet(f"g{i}", target=t) for i, t in enumerate(("T0", "T1", "T2"))]

@@ -604,27 +604,32 @@ def test_provider_connection_refused_is_retried(monkeypatch, backoff_sleeps, nam
 
 
 def test_remote_calls_of_one_stage_overlap(embedder, nli, cfg):
-    dialogue, _ = generate(ChainSpec(seed=4, turns=30, chain_length=2))
+    """Each stage makes at least REMOTE_WORKERS calls, and the first
+    REMOTE_WORKERS of them are in flight at once (the Paired providers)."""
+    dialogue, _ = generate(ChainSpec(seed=4, turns=50, chain_length=4))
     kb = index_dialogue(dialogue, embedder, window_size=10, stride=5)
-    found = extract_dialogue(dialogue, kb, PairedExtractor(), cfg)
+    extractor, paired_nli = PairedExtractor(), PairedNli()
+    found = extract_dialogue(dialogue, kb, extractor, cfg)
     assert found == extract_dialogue(dialogue, kb, MockExtractor(), cfg)
-    graph = build_graph(found, cfg, embedder, PairedNli())
+    graph = build_graph(found, cfg, embedder, paired_nli)
     assert graph == build_graph(found, cfg, embedder, nli)
     assert len(graph.edges) > 0
+    assert extractor.rendezvous.calls == len(kb.windows) == 9
+    assert paired_nli.rendezvous.calls == 10
 
 
 def test_map_calls_keeps_input_order_and_the_first_error_under_contention(monkeypatch):
-    """A remote provider's calls on eight threads, more than the cores, with a
-    shortened switch interval: results come back in input order, and with
-    every item from 300 on failing, the error raised is item 300's, whichever
-    call failed first."""
+    """A remote provider's calls on twice REMOTE_WORKERS threads, more than
+    the cores, with a shortened switch interval: results come back in input
+    order, and with every item from 300 on failing, the error raised is item
+    300's, whichever call failed first."""
 
     def square_below_300(x):
         if x >= 300:
             raise ValueError(x)
         return x * x
 
-    monkeypatch.setattr(transport, "REMOTE_WORKERS", 8)
+    monkeypatch.setattr(transport, "REMOTE_WORKERS", 2 * REMOTE_WORKERS)
     remote = SimpleNamespace(mode="remote")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -636,6 +641,20 @@ def test_map_calls_keeps_input_order_and_the_first_error_under_contention(monkey
             assert exc.value.args == (300,)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_map_calls_keeps_every_worker_busy_at_once():
+    """Of 3 * REMOTE_WORKERS items, the first REMOTE_WORKERS meet at one
+    barrier, which breaks after 5 s unless all of them are in flight at once."""
+    barrier = threading.Barrier(REMOTE_WORKERS, timeout=5)
+
+    def meet_first(x):
+        if x < REMOTE_WORKERS:
+            barrier.wait()
+        return x
+
+    n = 3 * REMOTE_WORKERS
+    assert map_calls(meet_first, range(n), SimpleNamespace(mode="remote")) == list(range(n))
 
 
 def test_map_calls_raises_the_first_error_once_every_started_call_has_finished():
