@@ -25,7 +25,7 @@ from .errors import ResponseParseError, SchemaError
 # dialogue_rows calls build_windows bound here: benchmarks/tracing.py patches
 # kb.build_windows to count the windows indexing builds, and no others
 from .kb import KnowledgeBase, RetrievalHit, TimeWindow, build_windows, retrieve
-from .model import Dialogue, SENTIMENT_LABELS, ScoringConfig, Sextuplet
+from .model import Dialogue, REQUIRED_TEXT_FIELDS, SENTIMENT_LABELS, ScoringConfig, Sextuplet
 from .model import sextuplets_to_dict  # imported from here by benchmarks/workloads.py
 from .transport import JsonEndpoint, map_calls
 
@@ -247,7 +247,6 @@ class TupleCandidate:
     opinion: str
     sentiment: str
     rationale: str
-    sentiment_score: float | None = None
     utterance_index: int | None = None
 
 
@@ -261,7 +260,6 @@ _FIELD_ALIASES = {"sentiment_label": "sentiment", "polarity": "sentiment"}
 # A reply element's text fields in TupleCandidate order; a non-string reads
 # as "". The aspect may be implicit and the sentiment is checked on its own.
 _TEXT_FIELDS = ("holder", "target", "aspect", "opinion", "sentiment", "rationale")
-_REQUIRED_FIELDS = ("holder", "target", "opinion", "rationale")
 
 
 def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[RejectedElement]]:
@@ -295,7 +293,7 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
             name: v.strip() if isinstance(v := fields.get(name, ""), str) else ""
             for name in _TEXT_FIELDS
         }
-        missing = [name for name in _REQUIRED_FIELDS if not text[name]]
+        missing = [name for name in REQUIRED_TEXT_FIELDS if not text[name]]
         if missing:
             rejections.append(RejectedElement(pos, f"missing or empty: {', '.join(missing)}"))
             continue
@@ -303,18 +301,11 @@ def parse_provider_response(raw: str) -> tuple[list[TupleCandidate], list[Reject
         if text["sentiment"] not in SENTIMENT_LABELS:
             rejections.append(RejectedElement(pos, f"sentiment {text['sentiment']!r} not recognized"))
             continue
-
-        score = fields.get("sentiment_score")
-        if score is not None:
-            if isinstance(score, bool) or not isinstance(score, (int, float)) or not -1 <= score <= 1:
-                rejections.append(RejectedElement(pos, f"sentiment_score {score!r} outside [-1, 1]"))
-                continue
-            score = float(score)
         index = fields.get("utterance_index")
         if isinstance(index, bool) or not isinstance(index, int):
             index = None
 
-        candidates.append(TupleCandidate(**text, sentiment_score=score, utterance_index=index))
+        candidates.append(TupleCandidate(**text, utterance_index=index))
     return candidates, rejections
 
 
@@ -360,7 +351,6 @@ def extract_sextuplets(
                 window_index=window.window_index,
                 t_start=t_start,
                 t_end=t_end,
-                sentiment_score=c.sentiment_score,
             )
         )
     return results

@@ -145,8 +145,9 @@ def semantic_score(
 
 
 def _semantic(opinion_vector, sentiment_vector, normalize: bool) -> float:
-    raw = cosine_similarity(opinion_vector, sentiment_vector)
-    return min(1.0, max(0.0, (raw + 1.0) / 2.0)) if normalize else raw
+    # clamped: a BLAS kernel can round the cosine of equal unit vectors past 1
+    raw = min(1.0, max(-1.0, cosine_similarity(opinion_vector, sentiment_vector)))
+    return (raw + 1.0) / 2.0 if normalize else raw
 
 
 def temporal_gap(cause: Sextuplet, effect: Sextuplet) -> float:

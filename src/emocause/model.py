@@ -30,6 +30,8 @@ SCENARIOS = (
 )
 
 SENTIMENT_LABELS = ("positive", "negative", "neutral")
+# The text fields an event must carry, in a stored record and in a reply.
+REQUIRED_TEXT_FIELDS = ("holder", "target", "opinion", "rationale")
 
 # Fixed ordered emotion category list; vectors in AudioFeatureRecord are soft
 # distributions over this list, and validate_dialogue rejects any other length.
@@ -160,17 +162,14 @@ class Sextuplet:
     window_index: int = 0
     t_start: float = 0.0
     t_end: float = 0.0
-    sentiment_score: float | None = None
 
     def problems(self) -> list[str]:
         out: list[str] = []
-        for name in ("id", "holder", "target", "opinion", "rationale"):
+        for name in ("id", *REQUIRED_TEXT_FIELDS):
             if not getattr(self, name).strip():
                 out.append(f"{name} must be non-empty")
         if self.sentiment_label not in SENTIMENT_LABELS:
             out.append(f"sentiment_label {self.sentiment_label!r} not one of {SENTIMENT_LABELS}")
-        if self.sentiment_score is not None and not -1.0 <= self.sentiment_score <= 1.0:
-            out.append(f"sentiment_score {self.sentiment_score!r} outside [-1, 1]")
         if self.t_end < self.t_start:
             out.append("t_end must be >= t_start")
         return out
@@ -369,9 +368,9 @@ def validate_dialogue(d: Dialogue) -> ValidationReport:
 #   CausalEdge.cause_id, effect_id -> cause, effect, and its semantic_score,
 #   temporal_score, rationale_score -> semantic, temporal, rationale.
 # A field with a dataclass default may be absent and reads as that default:
-# a Sextuplet's window_index, t_start, t_end and sentiment_score. A
-# Sextuplet's aspect may be absent too, the implicit aspect "". A None field
-# whose default is None is left out when written.
+# a Sextuplet's window_index, t_start and t_end. A Sextuplet's aspect may be
+# absent too, the implicit aspect "". Every field is written, and a key that
+# is not a field is ignored when read.
 #
 # Dialogue document: {id, scenario, utterances: [Utterance], audio:
 # [AudioFeatureRecord]}, where an audio record's missing speech_rate is
@@ -430,7 +429,6 @@ _FIELD_READERS = {
     "int": _as_int,
     "str": _as_str,
     "float": _as_number,
-    "float | None": lambda value, path: None if value is None else _as_number(value, path),
     "tuple[float, ...]": lambda value, path: tuple(
         _as_number(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))
     ),
@@ -453,13 +451,11 @@ def record_from_dict(cls, obj: Any, path: str, keys: Mapping[str, str] | None = 
 
 def record_to_dict(record, keys: Mapping[str, str] | None = None) -> dict:
     """The JSON object of a dataclass record, the inverse of record_from_dict:
-    a tuple is written as a list, and a None field whose default is None is
-    left out."""
+    a tuple is written as a list."""
     keys = keys or {}
     return {
-        keys.get(f.name, f.name): list(value) if isinstance(value, tuple) else value
+        keys.get(f.name, f.name): list(v) if isinstance(v := getattr(record, f.name), tuple) else v
         for f in fields(record)
-        if (value := getattr(record, f.name)) is not None or f.default is not None
     }
 
 

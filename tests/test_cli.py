@@ -813,7 +813,7 @@ _BROKEN_SEXTUPLETS = [
     ({"sentiment": "bogus"}, "sextuplets[1]: sentiment_label 'bogus' not one of"),
     ({"t_end": -1.0}, "sextuplets[1]: t_end must be >= t_start"),
     ({"holder": "  "}, "sextuplets[1]: holder must be non-empty"),
-    ({"sentiment_score": 7}, "sextuplets[1]: sentiment_score 7.0 outside [-1, 1]"),
+    ({"rationale": " "}, "sextuplets[1]: rationale must be non-empty"),
     ("repeat", "sextuplets[1].id: repeats sextuplet id"),
 ]
 
@@ -837,6 +837,19 @@ def test_sextuplets_read_from_a_file_are_gated(generated, capsys, reader, broken
         argv = ["eval", "--predicted", str(graph_path), "--gold", str(gold_path)]
     assert main(argv) == 4
     assert message in capsys.readouterr().err
+
+
+def test_graph_reads_stored_sextuplets_that_carry_a_score_and_writes_them_without_it(generated):
+    tmp, dialogue_path, _ = generated
+    assert main(["run", "--dialogue", str(dialogue_path), "--out-dir", str(tmp / "out")]) == 0
+    sx_path, graph_path = tmp / "out" / "sextuplets.json", tmp / "out" / "graph.json"
+    doc = json.loads(sx_path.read_text())
+    for item, score in zip(doc["sextuplets"], (0.5, 7, "high", None)):
+        item["sentiment_score"] = score
+    sx_path.write_text(json.dumps(doc))
+    assert main(["graph", "--sextuplets", str(sx_path), "--out", str(tmp / "g.json")]) == 0
+    assert "sentiment_score" not in (tmp / "g.json").read_text()
+    assert (tmp / "g.json").read_bytes() == graph_path.read_bytes()
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -14,6 +14,7 @@ from emocause.extraction import (
     ExtractionPrompt,
     MockExtractor,
     RemoteExtractor,
+    TupleCandidate,
     apply_rule_table,
     assemble_prompt,
     dedup_sextuplets,
@@ -223,7 +224,7 @@ def test_parse_response_field_aliases():
     assert candidates[0].sentiment == "positive"
 
 
-def test_parse_response_rejects_bad_score_and_sentiment():
+def test_parse_response_rejects_a_bad_sentiment_and_ignores_a_score():
     raw = json.dumps(
         [
             {"holder": "A", "target": "B", "opinion": "o", "sentiment": "angry", "rationale": "r"},
@@ -232,8 +233,8 @@ def test_parse_response_rejects_bad_score_and_sentiment():
         ]
     )
     candidates, rejections = parse_provider_response(raw)
-    assert candidates == []
-    assert [r.position for r in rejections] == [0, 1]
+    assert candidates == [TupleCandidate("A", "B", "", "o", "positive", "r")]
+    assert [r.position for r in rejections] == [0]
 
 
 _EVENT = {"holder": "A", "target": "B", "aspect": "x", "opinion": "o",
@@ -263,10 +264,9 @@ def test_parse_response_rejection_reasons():
         ]
     )
     candidates, rejections = parse_provider_response(raw)
-    assert candidates == []
+    assert candidates == [TupleCandidate(**_EVENT)]
     assert [(r.position, r.reason) for r in rejections] == [
         (0, "missing or empty: holder"),
-        (1, "sentiment_score True outside [-1, 1]"),
         (2, "missing or empty: holder, rationale"),
         (3, "sentiment 'angry' not recognized"),
     ]
@@ -356,6 +356,20 @@ def test_extract_sextuplets_logs_an_element_that_is_not_an_object_and_keeps_the_
     assert [(s.holder, s.target, s.opinion) for s in found] == [("A", "B", "o")]
     assert [r.getMessage() for r in caplog.records] == [
         f"window 0: dropped element {position}: element is not an object" for position in (0, 2, 3)]
+
+
+@pytest.mark.parametrize("score", [5, "high", True])
+def test_extract_sextuplets_ignores_a_reply_sentiment_score(score):
+    dialogue = _two_turn_dialogue()
+    window = build_windows(dialogue, window_size=2, stride=1)[0]
+    prompt_text = assemble_prompt(window, []).render()
+
+    def extract(element):
+        return extract_sextuplets(prompt_text, _FixedProvider(json.dumps([element])), window, dialogue)
+
+    plain = extract({**_EVENT, "utterance_index": 0})
+    assert len(plain) == 1
+    assert extract({**_EVENT, "utterance_index": 0, "sentiment_score": score}) == plain
 
 
 def test_dedup_keeps_earliest_window():

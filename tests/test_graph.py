@@ -56,6 +56,14 @@ def test_semantic_normalization_endpoints():
     assert ((1.0) + 1.0) / 2.0 == 1.0
 
 
+@pytest.mark.parametrize("cosine", [1.0 + 2.0**-52, -1.0 - 2.0**-52], ids=["above-1", "below--1"])
+def test_semantic_score_clamps_a_cosine_rounded_out_of_range(monkeypatch, embedder, cosine):
+    # a BLAS kernel can round the cosine of two equal unit vectors to 1.0000000000000002
+    monkeypatch.setattr("emocause.graph.cosine_similarity", lambda a, b: cosine)
+    assert -1.0 <= semantic_score("fine", "fine", embedder, normalize=False) <= 1.0
+    assert 0.0 <= semantic_score("fine", "fine", embedder, normalize=True) <= 1.0
+
+
 def test_semantic_matches_independent_recomputation(embedder):
     got = semantic_score("delighted", "positive", embedder, normalize=False)
     a = embedder.embed("delighted")
