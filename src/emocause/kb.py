@@ -7,12 +7,14 @@ with one embed_texts call and stores each window as the mean of its
 utterances' fused vectors, one float64 row of text_dim + 8 + 1 (the fixed
 DEFAULT_EMOTION_CATEGORIES) per window. Retrieval is an exhaustive
 cosine-similarity scan — desk-scale corpora do not justify an approximate
-index, and exactness is what makes brute-force oracle testing possible.
+index, and exactness is what makes brute-force oracle testing possible. The
+query is checked once, then each row costs one unchecked cosine (_cosine).
 save_kb and load_kb write and read records with the model's record codec.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import struct
@@ -199,15 +201,24 @@ _NORM_SAFE_MAX = 1e100
 
 
 def cosine_similarity(a, b) -> float:
-    """(a . b) / (|a| |b|); raises on dimension mismatch or zero vectors."""
+    """(a . b) / (|a| |b|); raises on dimension mismatch or zero vectors.
+    An overflowing square is an infinite norm, which _cosine rescales; the
+    errstate keeps it as silent as np.vdot was (ndarray.dot would warn)."""
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    # np.vdot does not warn on overflow as np.linalg.norm does: an infinite
-    # norm is rescaled below. On a contiguous vector the bits are norm's.
-    na = math.sqrt(np.vdot(va, va))
-    nb = math.sqrt(np.vdot(vb, vb))
+    with np.errstate(over="ignore"):
+        return _cosine(va, vb)
+
+
+def _cosine(va: np.ndarray, vb: np.ndarray) -> float:
+    """Unchecked cosine of two float64 vectors of one shape: two squared
+    norms, the safe-range test and rescale, one product, one division.
+    ndarray.dot reaches the ddot np.vdot and np.dot reach, with the same
+    strides, so the bits are theirs; a contiguous copy would change them."""
+    na = math.sqrt(va.dot(va))
+    nb = math.sqrt(vb.dot(vb))
     if not (_NORM_SAFE_MIN <= na <= _NORM_SAFE_MAX and _NORM_SAFE_MIN <= nb <= _NORM_SAFE_MAX):
         # Squares of very small (or large) components under- or overflow,
         # which breaks scale invariance; divide each vector by its largest
@@ -217,9 +228,9 @@ def cosine_similarity(a, b) -> float:
         if ma == 0.0 or mb == 0.0:
             raise ValueError("cosine similarity is undefined for zero vectors")
         va, vb = va / ma, vb / mb
-        na = float(np.linalg.norm(va))
-        nb = float(np.linalg.norm(vb))
-    return float(np.dot(va, vb)) / (na * nb)
+        na = math.sqrt(va.dot(va))
+        nb = math.sqrt(vb.dot(vb))
+    return float(va.dot(vb)) / (na * nb)
 
 
 def retrieve(
@@ -230,33 +241,31 @@ def retrieve(
 ) -> list[RetrievalHit]:
     """Exhaustive top-n scan by descending cosine similarity.
 
-    The query window itself (same dialogue_id and window_index) is excluded;
-    ties break by (dialogue_id, window_index) ascending. Fewer than top_n
-    hits are returned when the base is small; a non-finite query raises ValueError.
+    The query is checked once (1-D, as wide as the index, finite); each row
+    but the query window (same dialogue_id and window_index) is scored by
+    _cosine under one errstate, with cosine_similarity's bits. Ties break by
+    (dialogue_id, window_index); a small base gives fewer than top_n hits.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     q = np.asarray(query_embedding, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError(f"query embedding must be one vector, got shape {q.shape}")
     if kb.meta.entry_count and q.shape[0] != kb.vectors.shape[1]:
         raise ValueError(
             f"query dimension {q.shape[0]} does not match index dimension {kb.vectors.shape[1]}"
         )
     if not np.isfinite(q).all():
         raise ValueError(f"query embedding of window {query_window.window_index} is not finite")
-    scored = []
-    for i, window in enumerate(kb.windows):
-        if (
-            window.dialogue_id == query_window.dialogue_id
-            and window.window_index == query_window.window_index
-        ):
-            continue
-        sim = cosine_similarity(q, kb.vectors[i])
-        scored.append((-sim, window.dialogue_id, window.window_index, i))
-    scored.sort()
-    return [
-        RetrievalHit(kb.windows[i], -neg_sim)
-        for neg_sim, _, _, i in scored[:top_n]
-    ]
+    with np.errstate(over="ignore"):
+        scored = (
+            (-_cosine(q, row), window.dialogue_id, window.window_index, i)
+            for i, (window, row) in enumerate(zip(kb.windows, kb.vectors))
+            if window.dialogue_id != query_window.dialogue_id
+            or window.window_index != query_window.window_index
+        )
+        best = heapq.nsmallest(top_n, scored)
+    return [RetrievalHit(kb.windows[i], -neg_sim) for neg_sim, _, _, i in best]
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,9 @@ def evaluate_many(
     consistency_floor: float = DEFAULT_CONSISTENCY_FLOOR,
 ) -> EvalReport:
     """Evaluate one or more dialogues, merging by micro-averaged counts, on
-    the fields every gold annotates."""
+    the fields every gold annotates; no dialogue at all raises ValueError."""
+    if not items:
+        raise ValueError("cannot evaluate an empty corpus")
     annotated = NATIVE_FIELDS.intersection(*(gold.annotates for _, _, gold in items))
     scored = [k for k, fields in _COMPARED_FIELDS.items() if annotated.issuperset(fields)]
     correct = predicted_total = consistent = gold_total = 0

@@ -285,6 +285,48 @@ def test_cosine_of_overflowing_norms_does_not_warn():
     assert cosine_similarity(np.array([1e308, 1e308]), np.ones(2)) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_cosine(a, b):
+    """cosine_similarity as written before its unchecked core: np.vdot norms,
+    np.linalg.norm after the rescale and np.dot, each call on its own."""
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    na = math.sqrt(np.vdot(va, va))
+    nb = math.sqrt(np.vdot(vb, vb))
+    if not (1e-100 <= na <= 1e100 and 1e-100 <= nb <= 1e100):
+        ma = float(np.max(np.abs(va)))
+        mb = float(np.max(np.abs(vb)))
+        if ma == 0.0 or mb == 0.0:
+            raise ValueError("zero vector")
+        va, vb = va / ma, vb / mb
+        na = float(np.linalg.norm(va))
+        nb = float(np.linalg.norm(vb))
+    return float(np.dot(va, vb)) / (na * nb)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 80),
+    st.integers(0, 2**32 - 1),
+    st.integers(-160, 200),
+    st.integers(-160, 200),
+    st.booleans(),
+)
+def test_cosine_has_the_bits_of_the_reference_formula(n, seed, exp_a, exp_b, strided):
+    # a [::2] view reaches ddot with a non-unit stride, as a row of a
+    # Fortran-ordered matrix would; a contiguous copy can round differently
+    rng = np.random.default_rng(seed)
+    va, vb = (10.0 ** e * rng.uniform(-1.0, 1.0, 2 * n) for e in (exp_a, exp_b))
+    va, vb = (va[::2], vb[::2]) if strided else (va[:n], vb[:n])
+    try:
+        expected = _reference_cosine(va, vb)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero vectors"):
+            cosine_similarity(va, vb)
+        return
+    assert cosine_similarity(va, vb) == expected
+
+
 def _random_kb(n_entries, dim, seed, n_dialogues=4):
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n_entries, dim))
@@ -355,6 +397,38 @@ def test_retrieve_matches_bruteforce_oracle():
         assert got == _oracle_retrieve(query_window, q, kb, 5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(0, 39),
+    st.integers(0, 39),
+    st.booleans(),
+)
+def test_retrieve_scores_each_row_as_cosine_similarity_does(
+    n_entries, n_dialogues, seed, top_n, huge, twin, from_kb
+):
+    kb = _random_kb(n_entries, 12, seed, n_dialogues)
+    # one row's squares overflow, and a repeated row forces exact ties
+    kb.vectors[huge % n_entries] *= 1e200
+    kb.vectors[twin % n_entries] = kb.vectors[(twin + 1) % n_entries]
+    if from_kb:
+        query_window, q = kb.windows[seed % n_entries], kb.vectors[seed % n_entries]
+    else:
+        query_window = TimeWindow(99, "fresh", 0, 1, "q")
+        q = np.random.default_rng(seed).standard_normal(12)
+    keys = sorted(
+        (-cosine_similarity(q, row), w.dialogue_id, w.window_index)
+        for w, row in zip(kb.windows, kb.vectors)
+        if (w.dialogue_id, w.window_index) != (query_window.dialogue_id, query_window.window_index)
+    )
+    hits = retrieve(query_window, q, kb, top_n)
+    assert [(-h.similarity, h.window.dialogue_id, h.window.window_index) for h in hits] == keys[:top_n]
+
+
 def test_retrieve_ties_break_by_dialogue_then_window():
     # identical vectors force exact similarity ties
     vectors = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
@@ -377,12 +451,28 @@ def test_retrieve_ties_break_by_dialogue_then_window():
     ]
 
 
-def test_retrieve_dim_mismatch():
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (np.ones(8), "query dimension 8 does not match index dimension 16"),
+        (np.array(1.0), r"query embedding must be one vector, got shape \(\)"),
+        (np.ones((16, 1)), r"query embedding must be one vector, got shape \(16, 1\)"),
+    ],
+    ids=["narrow", "0-d", "column"],
+)
+def test_retrieve_dim_mismatch(query, message):
     kb = _random_kb(5, 16, seed=2)
-    with pytest.raises(ValueError):
-        retrieve(TimeWindow(9, "q", 0, 1, ""), np.ones(8), kb, top_n=2)
+    with pytest.raises(ValueError, match=message):
+        retrieve(TimeWindow(9, "q", 0, 1, ""), query, kb, top_n=2)
     with pytest.raises(ValueError):
         retrieve(kb.windows[0], kb.vectors[0], kb, top_n=0)
+    # an empty index has no width to miss, but a query must still be one vector
+    empty = KnowledgeBase([], np.zeros((0, 16)), replace(kb.meta, entry_count=0))
+    if query.ndim == 1:
+        assert retrieve(TimeWindow(9, "q", 0, 1, ""), query, empty, top_n=2) == []
+    else:
+        with pytest.raises(ValueError, match=message):
+            retrieve(TimeWindow(9, "q", 0, 1, ""), query, empty, top_n=2)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

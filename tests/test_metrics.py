@@ -160,7 +160,6 @@ def test_causal_zero_denominator_conventions():
         ([(empty_graph, [], some_links)], 0.0, 0.0, 0.0),
         ([(empty_graph, [], no_links), (empty_graph, [], some_links)], 0.0, 0.0, 0.0),
         ([(an_edge, _fixture(2, "g"), no_links)], 0.0, 1.0, 0.0),
-        ([], 1.0, 1.0, 1.0),
     ):
         reports = [evaluate_many(items)]
         if len(items) == 1:
@@ -169,6 +168,9 @@ def test_causal_zero_denominator_conventions():
             assert (report.causal_correctness, report.causal_consistency) == (correctness, 1.0)
             assert (report.causal_recall, report.causal_f1) == (recall, f1)
             assert report.causal_chain_score == 0.5 * correctness + 0.5
+    # no dialogue at all is no evidence, not a perfect score
+    with pytest.raises(ValueError, match="empty corpus"):
+        evaluate_many([])
 
 
 @settings(max_examples=200)
